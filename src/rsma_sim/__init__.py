@@ -57,8 +57,6 @@ from .linalg import (
     BlockDiag,
     blockdiag_solve,
     canonical_phase,
-    hermitian_solve,
-    principal_gep_oracle,
     sample_complex_gaussian,
     seeded_rng,
     trial_rng,

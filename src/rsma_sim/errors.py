@@ -10,8 +10,10 @@ class DimensionMismatch(RsmaSimError):
 
 
 class SingularMatrix(RsmaSimError):
-    """A factorization detected a pivot below tolerance.
+    """A block of a block-diagonal solve is not safely positive definite.
 
+    Raised when the batched Cholesky factorization fails on a block
+    (singular or indefinite) or leaves a squared pivot below tolerance.
     ``block_index`` identifies the offending block when the failure
     occurred inside a block-diagonal solve, else it is None.
     """

@@ -163,11 +163,17 @@ def objective(forms, w, tau):
     return lse_min(common, tau) + float(private.sum())
 
 
-def _gain_sum(forms, coeffs):
-    """``sum_k coeffs[k] * G_k`` where G_k is user k's N x N gain matrix."""
-    m = forms.weighted_channels
+def _gain_sum(m, coeffs, distortion_diags=None):
+    """``sum_k coeffs[k] * (m_k m_k^H + diag(distortion_diags[k]))`` over rows of m.
+
+    With the forms' channels and distortion diagonals, term k is user k's
+    N x N gain matrix G_k; without ``distortion_diags`` only the rank-one
+    beam terms are summed.
+    """
     rank_part = (m.T * coeffs) @ m.conj()
-    return rank_part + np.diag(coeffs @ forms.distortion_diags)
+    if distortion_diags is None:
+        return rank_part
+    return rank_part + np.diag(coeffs @ distortion_diags)
 
 
 def kkt_matrices(forms, w, tau):
@@ -192,8 +198,9 @@ def kkt_matrices(forms, w, tau):
         coeff_a = 1.0 / a_p
         coeff_b = 1.0 / b_p
 
-    base_a = _gain_sum(forms, coeff_a) + (coeff_a.sum() * forms.noise_over_power) * np.eye(n)
-    base_b = _gain_sum(forms, coeff_b) + (coeff_b.sum() * forms.noise_over_power) * np.eye(n)
+    d = forms.distortion_diags
+    base_a = _gain_sum(m, coeff_a, d) + (coeff_a.sum() * forms.noise_over_power) * np.eye(n)
+    base_b = _gain_sum(m, coeff_b, d) + (coeff_b.sum() * forms.noise_over_power) * np.eye(n)
 
     blocks_a = np.repeat(base_a[None, :, :], s, axis=0)
     blocks_b = np.repeat(base_b[None, :, :], s, axis=0)
@@ -202,17 +209,12 @@ def kkt_matrices(forms, w, tau):
         # Cancelling the common stream removes its beam gain from every
         # private-rate numerator; each private stream's own gain leaves its
         # denominator at that user's block.
-        blocks_a[0] -= _rank_one_sum(m, alpha / a_p)
-        blocks_b[0] -= _rank_one_sum(m, alpha * coeff_b)
+        blocks_a[0] -= _gain_sum(m, alpha / a_p)
+        blocks_b[0] -= _gain_sum(m, alpha * coeff_b)
         blocks_b[1:] -= own
     else:
         blocks_b -= own
     return BlockDiag(blocks_a), BlockDiag(blocks_b)
-
-
-def _rank_one_sum(m, coeffs):
-    """``sum_k coeffs[k] * m_k m_k^H`` for rows of m."""
-    return (m.T * coeffs) @ m.conj()
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,24 @@
-"""Complex Hermitian linear algebra, block-diagonal solves, and seeded sampling.
+"""Block-diagonal Hermitian solves, phase pinning, and seeded sampling.
 
 Everything here operates on plain complex numpy arrays. The block-diagonal
 container mirrors the structure of the solver's iteration matrices, whose
-inversion cost must stay linear in the number of blocks.
+inversion cost must stay linear in the number of blocks. Those matrices are
+positive definite by construction, so the block solve factors the whole
+(m, n, n) stack with one batched Cholesky call, which doubles as the
+singularity check: a block that is indefinite, or whose pivots fall below
+tolerance, raises SingularMatrix naming that block.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix
 
-# Relative pivot tolerance for the symmetric-pivoting factorization. The
-# iteration matrices are positive definite in practice but approach
-# singularity at extreme SNR, so near-zero pivots must raise instead of
-# returning garbage.
+# Relative pivot tolerance for the Cholesky check. The iteration matrices
+# are positive definite but approach singularity at extreme SNR, so a
+# block whose smallest squared pivot is at most PIVOT_RTOL times its
+# Frobenius norm must raise instead of returning garbage.
 PIVOT_RTOL = 1e-14
 
 
@@ -55,77 +58,47 @@ class BlockDiag:
         cols = np.asarray(v, dtype=complex).reshape(self.n_blocks, self.block_dim)
         return np.einsum("bij,bj->bi", self.blocks, cols).reshape(-1)
 
-    def to_dense(self):
-        """Assemble the full dense matrix (test/diagnostic use)."""
-        n, m = self.block_dim, self.n_blocks
-        out = np.zeros((m * n, m * n), dtype=complex)
-        for j in range(m):
-            out[j * n : (j + 1) * n, j * n : (j + 1) * n] = self.blocks[j]
-        return out
 
+def _min_pivots(blocks):
+    """Smallest squared Cholesky pivot of each block of a (m, n, n) stack.
 
-def hermitian_solve(a, b):
-    """Solve ``a @ x = b`` for Hermitian ``a`` via an LDL^H factorization.
-
-    Parameters
-    ----------
-    a : (n, n) complex Hermitian matrix
-    b : (n,) or (n, k) right-hand side
-
-    Raises
-    ------
-    SingularMatrix
-        If any pivot magnitude falls below ``PIVOT_RTOL * ||a||_F``.
+    A block that is not positive definite gets -inf. The whole stack is
+    factored in one call; only when that call fails are the blocks
+    factored one at a time, to find which of them failed.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {a.shape[0]}")
-
-    # LAPACK ignores the imaginary part of the diagonal; strip the rounding
-    # noise explicitly so the factorization sees an exactly Hermitian matrix.
-    a = a.copy()
-    np.fill_diagonal(a, a.diagonal().real)
-
-    lu, d, perm = scipy.linalg.ldl(a, hermitian=True)
-    pivots = np.abs(scipy.linalg.eigvalsh(d))
-    tol = PIVOT_RTOL * np.linalg.norm(a)
-    if pivots.size and pivots.min() <= tol:
-        raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below tolerance {tol:.3e}"
-        )
-
-    lower = lu[perm, :]
-    z = scipy.linalg.solve_triangular(lower, b[perm], lower=True, unit_diagonal=True)
-    y = np.linalg.solve(d, z)
-    xp = scipy.linalg.solve_triangular(
-        lower.conj().T, y, lower=False, unit_diagonal=True
-    )
-    x = np.empty_like(xp)
-    x[perm] = xp
-    return x
+    try:
+        factors = np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        if len(blocks) == 1:
+            return np.array([-np.inf])
+        return np.concatenate([_min_pivots(block[None]) for block in blocks])
+    return np.diagonal(factors, axis1=1, axis2=2).real.min(axis=1) ** 2
 
 
 def blockdiag_solve(bd, v):
-    """Solve ``bd @ x = v`` one block at a time.
+    """Solve ``bd @ x = v`` for all blocks in one batched call.
 
-    Equivalent to a dense Hermitian solve on the assembled matrix but with
-    cost linear in the number of blocks. A singular block is reported with
-    its index.
+    Every block must be positive definite, which the solver's denominator
+    pencils are by construction. A batched Cholesky factorization checks
+    this first: a block that is not positive definite, or whose smallest
+    squared pivot is at most ``PIVOT_RTOL * ||block||_F``, raises
+    SingularMatrix with its index.
     """
     v = np.asarray(v, dtype=complex)
-    if v.shape[0] != bd.size:
-        raise DimensionMismatch(f"vector length {v.shape[0]} != {bd.size}")
-    n = bd.block_dim
-    out = np.empty(bd.size, dtype=complex)
-    for j in range(bd.n_blocks):
-        try:
-            out[j * n : (j + 1) * n] = hermitian_solve(bd.blocks[j], v[j * n : (j + 1) * n])
-        except SingularMatrix as exc:
-            raise SingularMatrix(f"block {j} singular: {exc}", block_index=j) from exc
-    return out
+    if v.shape != (bd.size,):
+        raise DimensionMismatch(f"vector shape {v.shape} != ({bd.size},)")
+    pivots = _min_pivots(bd.blocks)
+    tol = PIVOT_RTOL * np.linalg.norm(bd.blocks, axis=(1, 2))
+    safe = pivots > tol
+    if not safe.all():
+        j = int(np.argmin(safe))
+        reason = (
+            "not positive definite" if pivots[j] == -np.inf
+            else f"pivot {pivots[j]:.3e} below tolerance {tol[j]:.3e}"
+        )
+        raise SingularMatrix(f"block {j} singular: {reason}", block_index=j)
+    cols = v.reshape(bd.n_blocks, bd.block_dim, 1)
+    return np.linalg.solve(bd.blocks, cols).reshape(-1)
 
 
 def canonical_phase(v):
@@ -141,30 +114,6 @@ def canonical_phase(v):
     if pivot == 0:
         return v.copy()
     return v * (np.conj(pivot) / np.abs(pivot))
-
-
-def principal_gep_oracle(a, b):
-    """Largest-eigenvalue pair of the Hermitian pencil ``b^{-1} a``.
-
-    Dense reference solver used to cross-check iterative eigenvector
-    computations. ``b`` must be positive definite.
-
-    Returns
-    -------
-    (eigenvalue, eigenvector)
-        Eigenvector has unit norm and canonical phase.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incompatible pencil shapes {a.shape}, {b.shape}")
-    try:
-        vals, vecs = scipy.linalg.eigh(a, b)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceFailure(f"dense generalized eigensolver failed: {exc}") from exc
-    vec = vecs[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    return float(vals[-1]), canonical_phase(vec)
 
 
 def seeded_rng(seed):

@@ -8,8 +8,17 @@ so it shares no shortcuts with the implementation it checks.
 import math
 
 import numpy as np
+import scipy.linalg
 
-from rsma_sim import QuantizerProfile, check_power
+from rsma_sim import (
+    ConvergenceFailure,
+    DimensionMismatch,
+    QuantizerProfile,
+    SingularMatrix,
+    canonical_phase,
+    check_power,
+)
+from rsma_sim.linalg import PIVOT_RTOL
 from rsma_sim.quantization import adc_noise_variance, dac_noise_covariance
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
@@ -123,3 +132,83 @@ def vector_angle(u, v):
     v = np.asarray(v).ravel()
     cos = abs(np.vdot(u, v)) / (np.linalg.norm(u) * np.linalg.norm(v))
     return float(np.arccos(min(1.0, cos)))
+
+
+def to_dense(bd):
+    """Assemble a BlockDiag's full dense matrix."""
+    n, m = bd.block_dim, bd.n_blocks
+    out = np.zeros((m * n, m * n), dtype=complex)
+    for j in range(m):
+        out[j * n : (j + 1) * n, j * n : (j + 1) * n] = bd.blocks[j]
+    return out
+
+
+def hermitian_solve(a, b):
+    """Solve ``a @ x = b`` for Hermitian ``a`` via an LDL^H factorization.
+
+    Dense reference for the block solve; unlike it, handles indefinite
+    matrices.
+
+    Parameters
+    ----------
+    a : (n, n) complex Hermitian matrix
+    b : (n,) or (n, k) right-hand side
+
+    Raises
+    ------
+    SingularMatrix
+        If any pivot magnitude falls below ``PIVOT_RTOL * ||a||_F``.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"matrix must be square, got {a.shape}")
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatch(f"rhs length {b.shape[0]} != matrix size {a.shape[0]}")
+
+    # LAPACK ignores the imaginary part of the diagonal; strip the rounding
+    # noise explicitly so the factorization sees an exactly Hermitian matrix.
+    a = a.copy()
+    np.fill_diagonal(a, a.diagonal().real)
+
+    lu, d, perm = scipy.linalg.ldl(a, hermitian=True)
+    pivots = np.abs(scipy.linalg.eigvalsh(d))
+    tol = PIVOT_RTOL * np.linalg.norm(a)
+    if pivots.size and pivots.min() <= tol:
+        raise SingularMatrix(
+            f"pivot {pivots.min():.3e} below tolerance {tol:.3e}"
+        )
+
+    lower = lu[perm, :]
+    z = scipy.linalg.solve_triangular(lower, b[perm], lower=True, unit_diagonal=True)
+    y = np.linalg.solve(d, z)
+    xp = scipy.linalg.solve_triangular(
+        lower.conj().T, y, lower=False, unit_diagonal=True
+    )
+    x = np.empty_like(xp)
+    x[perm] = xp
+    return x
+
+
+def principal_gep_oracle(a, b):
+    """Largest-eigenvalue pair of the Hermitian pencil ``b^{-1} a``.
+
+    Dense reference solver used to cross-check iterative eigenvector
+    computations. ``b`` must be positive definite.
+
+    Returns
+    -------
+    (eigenvalue, eigenvector)
+        Eigenvector has unit norm and canonical phase.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"incompatible pencil shapes {a.shape}, {b.shape}")
+    try:
+        vals, vecs = scipy.linalg.eigh(a, b)
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+        raise ConvergenceFailure(f"dense generalized eigensolver failed: {exc}") from exc
+    vec = vecs[:, -1]
+    vec = vec / np.linalg.norm(vec)
+    return float(vals[-1]), canonical_phase(vec)

@@ -34,7 +34,6 @@ from rsma_sim import (
     lse_min,
     objective,
     one_ring_covariance,
-    principal_gep_oracle,
     rate_report,
     run_experiment,
     sample_channel,
@@ -51,9 +50,11 @@ from oracles import (
     direct_sinr_common,
     direct_sinr_private,
     long_form_power,
+    principal_gep_oracle,
     random_channel,
     random_precoder,
     random_profile,
+    to_dense,
     vector_angle,
 )
 
@@ -191,7 +192,7 @@ def test_criterion_4_nep_fixed_point():
                 v = nxt
                 break
             v = nxt
-        _, oracle_vec = principal_gep_oracle(pencil_a.to_dense(), pencil_b.to_dense())
+        _, oracle_vec = principal_gep_oracle(to_dense(pencil_a), to_dense(pencil_b))
         assert vector_angle(v, oracle_vec) <= 1e-6
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

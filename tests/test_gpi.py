@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rsma_sim import (
     DimensionMismatch,
@@ -24,7 +26,6 @@ from rsma_sim import (
     nep_residual,
     objective,
     one_ring_covariance,
-    principal_gep_oracle,
     rate_report,
     sample_channel,
     sinr_common,
@@ -38,7 +39,15 @@ from rsma_sim import (
 )
 from rsma_sim.gpi import _quadratics
 
-from oracles import random_channel, random_profile, vector_angle
+from oracles import (
+    BIT_POOL,
+    hermitian_solve,
+    principal_gep_oracle,
+    random_channel,
+    random_profile,
+    to_dense,
+    vector_angle,
+)
 
 
 def random_unit_stack(rng, dim):
@@ -185,6 +194,47 @@ class TestKktMatrices:
             )
             assert deviation <= 1e-4
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k_users=st.integers(1, 4),
+        dac_bits=st.lists(st.sampled_from(BIT_POOL), min_size=6, max_size=6),
+        adc_bits=st.lists(st.sampled_from(BIT_POOL), min_size=4, max_size=4),
+        snr_db=st.floats(0.0, 60.0),
+        include_common=st.booleans(),
+    )
+    def test_denominator_pencil_positive_definite(
+        self, seed, n, k_users, dac_bits, adc_bits, snr_db, include_common
+    ):
+        # the block solve's Cholesky check relies on this for every iterate
+        rng = np.random.default_rng(seed)
+        profile = QuantizerProfile.from_bits(dac_bits[:n], adc_bits[:k_users])
+        h = random_channel(rng, n, k_users)
+        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+        w = random_unit_stack(rng, forms.dim)
+        _, pencil_b = kkt_matrices(forms, w, 1.0)
+        assert np.linalg.eigvalsh(pencil_b.blocks).min() > 0
+        blockdiag_solve(pencil_b, w)  # passes the pivot rule too
+
+    @pytest.mark.parametrize("include_common", [True, False])
+    @pytest.mark.parametrize("snr_db", [0.0, 30.0, 60.0])
+    def test_blockdiag_solve_matches_dense_oracle(self, snr_db, include_common):
+        # pencils at the start and the end of real solves, correlated users
+        for seed in range(3):
+            h, profile = correlated_instance(seed)
+            forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+            opts = SolverOptions(tau=1.0, mode="RSMA" if include_common else "SDMA")
+            w0 = init_precoder(h, profile, opts.mode)
+            for w in (w0, gpi_solve(forms, opts, w0).stacked):
+                pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
+                rhs = pencil_a.matvec(w)
+                dense = to_dense(pencil_b)
+                got = blockdiag_solve(pencil_b, rhs)
+                want = hermitian_solve(dense, rhs)
+                tol = 1e-14 * np.linalg.cond(dense)
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
 
 class TestGpiSolve:
     def test_equal_pencil_fixed_point(self):
@@ -234,7 +284,7 @@ class TestGpiSolve:
                 v = nxt
                 break
             v = nxt
-        _, oracle_vec = principal_gep_oracle(pencil_a.to_dense(), pencil_b.to_dense())
+        _, oracle_vec = principal_gep_oracle(to_dense(pencil_a), to_dense(pencil_b))
         assert vector_angle(v, oracle_vec) < 1e-6
 
     def test_objective_mostly_nondecreasing(self):

@@ -12,12 +12,12 @@ from rsma_sim import (
     SingularMatrix,
     blockdiag_solve,
     canonical_phase,
-    hermitian_solve,
-    principal_gep_oracle,
     sample_complex_gaussian,
     seeded_rng,
     trial_rng,
 )
+
+from oracles import hermitian_solve, principal_gep_oracle, to_dense
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -78,14 +78,14 @@ class TestBlockDiag:
         rng = np.random.default_rng(3)
         bd = BlockDiag(np.array([random_hpd(rng, 3) for _ in range(4)]))
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        np.testing.assert_allclose(bd.matvec(v), bd.to_dense() @ v, rtol=1e-12)
+        np.testing.assert_allclose(bd.matvec(v), to_dense(bd) @ v, rtol=1e-12)
 
     def test_three_blocks_match_dense_solve(self):
         rng = np.random.default_rng(4)
         bd = BlockDiag(np.array([random_hpd(rng, 4) for _ in range(3)]))
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         got = blockdiag_solve(bd, v)
-        want = hermitian_solve(bd.to_dense(), v)
+        want = hermitian_solve(to_dense(bd), v)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @settings(max_examples=30, deadline=None)
@@ -95,7 +95,7 @@ class TestBlockDiag:
         bd = BlockDiag(np.array([random_hpd(rng, n) for _ in range(m)]))
         v = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
         got = blockdiag_solve(bd, v)
-        want = hermitian_solve(bd.to_dense(), v)
+        want = hermitian_solve(to_dense(bd), v)
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
     def test_singular_block_identified(self):
@@ -103,6 +103,25 @@ class TestBlockDiag:
         bd = BlockDiag(blocks)
         with pytest.raises(SingularMatrix) as excinfo:
             blockdiag_solve(bd, np.ones(4))
+        assert excinfo.value.block_index == 1
+
+    def test_near_singular_block_identified(self):
+        # positive definite, so the batched Cholesky succeeds; the pivot
+        # rule still rejects the 1e-30 pivot
+        blocks = np.array([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 1e-30]), np.eye(2)])
+        with pytest.raises(SingularMatrix) as excinfo:
+            blockdiag_solve(BlockDiag(blocks), np.ones(8))
+        assert excinfo.value.block_index == 2
+
+    def test_indefinite_block_identified(self):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        indefinite = x + x.conj().T - 10.0 * np.eye(3)
+        indefinite[0, 0] = 5.0
+        blocks = np.array([random_hpd(rng, 3), indefinite, random_hpd(rng, 3)])
+        assert np.linalg.eigvalsh(indefinite).min() < 0 < np.linalg.eigvalsh(indefinite).max()
+        with pytest.raises(SingularMatrix) as excinfo:
+            blockdiag_solve(BlockDiag(blocks), np.ones(9))
         assert excinfo.value.block_index == 1
 
     def test_non_hermitian_rejected(self):
