@@ -7,18 +7,21 @@ expressed in carrier wavelengths, which absorbs the wavelength constant
 into the geometry.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch
 from .linalg import sample_complex_gaussian
 
 DEFAULT_ANGULAR_SPREAD = math.pi / 6
 # Eigenvalues below this fraction of the largest are treated as numerical
 # rank deficiency and truncated.
 DEFAULT_RANK_TOL = 1e-10
+# Node count past which the one-ring quadrature gives up.
+MAX_QUADRATURE_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,9 @@ class UserGeometry:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading draw: channel matrix plus per-user covariance metadata."""
+    """One block-fading draw of the channel matrix."""
 
     matrix: np.ndarray            # (N, K) complex, column k = user k
-    covariances: tuple            # K Hermitian (N, N) matrices
-    ranks: tuple                  # K numerical ranks
 
     @property
     def n_antennas(self):
@@ -82,35 +83,65 @@ def one_ring_covariance(geom, user, abs_tol=1e-10):
     """Spatial covariance of the one-ring model for one user.
 
     Entry (n, m) averages ``exp(-j*2*pi * [cos x, sin x] . (r_n - r_m))``
-    over the ring ``x in [aod - spread, aod + spread]``. Evaluated with
-    Gauss-Legendre quadrature, doubling the node count until the whole
-    matrix changes by less than ``abs_tol``.
+    over the ring ``x in [aod - spread, aod + spread]``. The integrand
+    depends only on the displacement ``r_n - r_m``, so the integral is
+    evaluated once per distinct displacement (2N - 1 of them for a ULA)
+    and scattered back to the N x N matrix. Gauss-Legendre quadrature,
+    with nodes cached per count, doubles the node count until every entry
+    changes by less than ``abs_tol``.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If the estimate still moves by ``abs_tol`` or more at
+        ``MAX_QUADRATURE_NODES`` (4096) nodes.
     """
     pos = geom.positions
     dx = pos[:, 0][:, None] - pos[:, 0][None, :]
     dy = pos[:, 1][:, None] - pos[:, 1][None, :]
+    disp, inverse = np.unique((dx + 1j * dy).ravel(), return_inverse=True)
+    dx, dy = disp.real, disp.imag
     lo, hi = user.aod - user.spread, user.aod + user.spread
 
     def estimate(n_nodes):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = _gauss_legendre(n_nodes)
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * weights / (2.0 * user.spread)
-        phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
-        return np.einsum("q,qnm->nm", w, np.exp(-2j * math.pi * phase))
+        phase = np.cos(x)[:, None] * dx + np.sin(x)[:, None] * dy
+        return np.einsum("q,qd->d", w, np.exp(-2j * math.pi * phase))
 
     n_nodes = 16
-    cov = estimate(n_nodes)
-    while n_nodes < 4096:
+    values = estimate(n_nodes)
+    while True:
         n_nodes *= 2
         refined = estimate(n_nodes)
-        if np.abs(refined - cov).max() < abs_tol:
-            cov = refined
+        change = np.abs(refined - values).max()
+        values = refined
+        if change < abs_tol:
             break
-        cov = refined
+        if n_nodes >= MAX_QUADRATURE_NODES:
+            raise ConvergenceFailure(
+                f"one-ring quadrature still changed by {change:.3e} "
+                f"(tolerance {abs_tol:.1e}) at {n_nodes} nodes"
+            )
+    cov = values[inverse].reshape(geom.n_antennas, geom.n_antennas)
     cov = 0.5 * (cov + cov.conj().T)
     # zero displacement makes the integrand identically one
     np.fill_diagonal(cov, 1.0)
     return cov
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n_nodes):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1].
+
+    The doubling asks only for powers of two from 16 to
+    ``MAX_QUADRATURE_NODES``, so the cache holds at most 9 entries.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def kl_factorize(cov, rank_tol=DEFAULT_RANK_TOL):
@@ -134,8 +165,6 @@ def sample_channel(factorizations, rng):
     with a fresh standard complex Gaussian g_k.
     """
     columns = []
-    covariances = []
-    ranks = []
     for basis, eigvals in factorizations:
         rank = len(eigvals)
         if rank == 0:
@@ -143,13 +172,7 @@ def sample_channel(factorizations, rng):
         else:
             g = sample_complex_gaussian(rng, rank)
             columns.append(basis @ (np.sqrt(eigvals) * g))
-        covariances.append((basis * eigvals) @ basis.conj().T)
-        ranks.append(rank)
-    return ChannelRealization(
-        matrix=np.column_stack(columns),
-        covariances=tuple(covariances),
-        ranks=tuple(ranks),
-    )
+    return ChannelRealization(matrix=np.column_stack(columns))
 
 
 def draw_aods(rng, n_users, mode):

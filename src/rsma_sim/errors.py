@@ -24,7 +24,12 @@ class SingularMatrix(RsmaSimError):
 
 
 class ConvergenceFailure(RsmaSimError):
-    """A dense eigensolver did not converge."""
+    """An iterative or adaptive computation did not converge.
+
+    Raised by the one-ring quadrature when its estimate still moves by at
+    least the tolerance at the node cap. The test oracles raise it when a
+    dense eigensolver fails.
+    """
 
 
 class InvalidResolution(RsmaSimError):

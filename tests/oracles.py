@@ -94,6 +94,48 @@ def trapezoid_one_ring(geom, user, n_points=100_000):
     return np.trapezoid(values, x, axis=0) / (2.0 * user.spread)
 
 
+def dense_one_ring(geom, user, abs_tol=1e-10):
+    """One-ring covariance by Gauss-Legendre doubling over all N^2 entries.
+
+    Evaluates the integrand at every antenna pair, with fresh nodes for
+    each count, and returns the last estimate even if the doubling stops
+    at 4096 nodes without meeting ``abs_tol``.
+    """
+    pos = geom.positions
+    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
+    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
+    lo, hi = user.aod - user.spread, user.aod + user.spread
+
+    def estimate(n_nodes):
+        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * weights / (2.0 * user.spread)
+        phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
+        return np.einsum("q,qnm->nm", w, np.exp(-2j * math.pi * phase))
+
+    n_nodes = 16
+    cov = estimate(n_nodes)
+    while n_nodes < 4096:
+        n_nodes *= 2
+        refined = estimate(n_nodes)
+        if np.abs(refined - cov).max() < abs_tol:
+            cov = refined
+            break
+        cov = refined
+    cov = 0.5 * (cov + cov.conj().T)
+    np.fill_diagonal(cov, 1.0)
+    return cov
+
+
+def factorization_metadata(factorizations):
+    """Per-user covariances ``U diag(lam) U^H`` and ranks from KL factors."""
+    covariances = tuple(
+        (basis * eigvals) @ basis.conj().T for basis, eigvals in factorizations
+    )
+    ranks = tuple(len(eigvals) for _, eigvals in factorizations)
+    return covariances, ranks
+
+
 def lloyd_max_beta(bits, max_iters=200_000):
     """Distortion of the optimal scalar quantizer for a unit Gaussian.
 

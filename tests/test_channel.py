@@ -7,6 +7,7 @@ import pytest
 
 from rsma_sim import (
     ArrayGeometry,
+    ConvergenceFailure,
     DimensionMismatch,
     QuantizerProfile,
     UserGeometry,
@@ -19,8 +20,9 @@ from rsma_sim import (
     sample_channel,
     seeded_rng,
 )
+from rsma_sim.channel import MAX_QUADRATURE_NODES, _gauss_legendre
 
-from oracles import trapezoid_one_ring
+from oracles import dense_one_ring, factorization_metadata, trapezoid_one_ring
 
 
 class TestOneRingCovariance:
@@ -40,6 +42,42 @@ class TestOneRingCovariance:
         cov = one_ring_covariance(geom, user)
         oracle = trapezoid_one_ring(geom, user)
         assert np.abs(cov - oracle).max() < 1e-8
+
+    def test_matches_dense_oracle_exactly(self):
+        planar = ArrayGeometry(np.random.default_rng(12).uniform(-2.0, 2.0, (10, 2)))
+        cases = [
+            (half_wavelength_ula(n), aod)
+            for n in (1, 2, 4, 8)
+            for aod in (0.0, 0.2, 1.1, 2.7)
+        ]
+        cases += [(half_wavelength_ula(64), aod) for aod in (0.4, 2.3)]
+        cases += [(planar, 0.7), (planar, 1.9), (ArrayGeometry(np.zeros((3, 2))), 1.0)]
+        for geom, aod in cases:
+            user = UserGeometry(aod=aod)
+            np.testing.assert_array_equal(
+                one_ring_covariance(geom, user), dense_one_ring(geom, user)
+            )
+
+    def test_ula_is_hermitian_toeplitz(self):
+        cov = one_ring_covariance(half_wavelength_ula(8), UserGeometry(aod=1.1))
+        np.testing.assert_array_equal(cov, cov.conj().T)
+        for offset in range(-7, 8):
+            band = np.diagonal(cov, offset)
+            np.testing.assert_array_equal(band, np.full(band.shape, band[0]))
+
+    def test_cached_nodes_read_only(self):
+        one_ring_covariance(half_wavelength_ula(4), UserGeometry(aod=1.0))
+        nodes, weights = _gauss_legendre(16)
+        assert _gauss_legendre(16)[0] is nodes
+        for arr in (nodes, weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_far_pair_raises_convergence_failure(self):
+        geom = ArrayGeometry([[0.0, 0.0], [5000.0, 0.0]])
+        with pytest.raises(ConvergenceFailure, match=f"{MAX_QUADRATURE_NODES} nodes"):
+            one_ring_covariance(geom, UserGeometry(aod=1.3))
 
     def test_hermitian_and_nearly_psd(self):
         geom = half_wavelength_ula(6)
@@ -108,7 +146,7 @@ class TestSampleChannel:
         facs = [kl_factorize(np.zeros((3, 3)))]
         realization = sample_channel(facs, seeded_rng(1))
         np.testing.assert_array_equal(realization.matrix, np.zeros((3, 1)))
-        assert realization.ranks == (0,)
+        assert factorization_metadata(facs)[1] == (0,)
 
     def test_column_space(self):
         facs = self._factorizations()
@@ -134,8 +172,8 @@ class TestSampleChannel:
             assert rel < 0.02
 
     def test_covariance_metadata_unit_diagonal(self):
-        realization = sample_channel(self._factorizations(), seeded_rng(9))
-        for cov in realization.covariances:
+        covariances, _ = factorization_metadata(self._factorizations())
+        for cov in covariances:
             np.testing.assert_allclose(np.diag(cov).real, np.ones(4), atol=1e-9)
             assert np.abs(cov - cov.conj().T).max() < 1e-12
 
