@@ -12,10 +12,13 @@ class DimensionMismatch(RsmaSimError):
 class SingularMatrix(RsmaSimError):
     """A block of a block-diagonal solve is not safely positive definite.
 
-    Raised when the batched Cholesky factorization fails on a block
-    (singular or indefinite) or leaves a squared pivot below tolerance.
-    ``block_index`` identifies the offending block when the failure
-    occurred inside a block-diagonal solve, else it is None.
+    Raised by the block solve when a block has a negative weight on one of
+    its outer products (it may be indefinite), or when the shared diagonal
+    floor that bounds its smallest eigenvalue is not above tolerance
+    relative to its norm bound (it may be singular). The test oracles raise
+    it for a dense pivot below tolerance. ``block_index`` identifies the
+    offending block when the failure occurred inside a block-diagonal
+    solve, else it is None.
     """
 
     def __init__(self, message, block_index=None):

@@ -163,19 +163,6 @@ def objective(forms, w, tau):
     return lse_min(common, tau) + float(private.sum())
 
 
-def _gain_sum(m, coeffs, distortion_diags=None):
-    """``sum_k coeffs[k] * (m_k m_k^H + diag(distortion_diags[k]))`` over rows of m.
-
-    With the forms' channels and distortion diagonals, term k is user k's
-    N x N gain matrix G_k; without ``distortion_diags`` only the rank-one
-    beam terms are summed.
-    """
-    rank_part = (m.T * coeffs) @ m.conj()
-    if distortion_diags is None:
-        return rank_part
-    return rank_part + np.diag(coeffs @ distortion_diags)
-
-
 def kkt_matrices(forms, w, tau):
     """Block-diagonal pencil of the first-order optimality condition at w.
 
@@ -184,11 +171,15 @@ def kkt_matrices(forms, w, tau):
     contributions carry the softmin weight of that user's common rate.
     The overall scalar prefactors of the optimality condition are omitted:
     they rescale the pencil without moving its eigenvectors.
+
+    Every block is a coefficient-weighted sum of the users' gain matrices,
+    so both pencils share the distortion-plus-noise diagonal and differ
+    only in the weight each block puts on each beam gain ``m_k m_k^H``.
     """
     a_c, b_c, a_p, b_p = _quadratics(forms, w)
     m = forms.weighted_channels
     alpha = forms.adc_alpha
-    n, s = forms.n_antennas, forms.n_streams
+    users = np.arange(forms.n_users)
 
     if forms.include_common:
         mu = softmin_weights(np.log2(a_c / b_c), tau)
@@ -198,23 +189,21 @@ def kkt_matrices(forms, w, tau):
         coeff_a = 1.0 / a_p
         coeff_b = 1.0 / b_p
 
-    d = forms.distortion_diags
-    base_a = _gain_sum(m, coeff_a, d) + (coeff_a.sum() * forms.noise_over_power) * np.eye(n)
-    base_b = _gain_sum(m, coeff_b, d) + (coeff_b.sum() * forms.noise_over_power) * np.eye(n)
-
-    blocks_a = np.repeat(base_a[None, :, :], s, axis=0)
-    blocks_b = np.repeat(base_b[None, :, :], s, axis=0)
-    own = np.einsum("k,ki,kj->kij", alpha / b_p, m, m.conj())
+    d, noise = forms.distortion_diags, forms.noise_over_power
+    diag_a = coeff_a @ d + coeff_a.sum() * noise
+    diag_b = coeff_b @ d + coeff_b.sum() * noise
+    weights_a = np.repeat(coeff_a[None, :], forms.n_streams, axis=0)
+    weights_b = np.repeat(coeff_b[None, :], forms.n_streams, axis=0)
+    # Cancelling the common stream removes its beam gain from every
+    # private-rate numerator; each private stream's own gain leaves its
+    # denominator at that user's block. With alpha <= 1 the differences
+    # below stay nonnegative in floating point.
+    own_blocks = users + 1 if forms.include_common else users
+    weights_b[own_blocks, users] = coeff_b - alpha / b_p
     if forms.include_common:
-        # Cancelling the common stream removes its beam gain from every
-        # private-rate numerator; each private stream's own gain leaves its
-        # denominator at that user's block.
-        blocks_a[0] -= _gain_sum(m, alpha / a_p)
-        blocks_b[0] -= _gain_sum(m, alpha * coeff_b)
-        blocks_b[1:] -= own
-    else:
-        blocks_b -= own
-    return BlockDiag(blocks_a), BlockDiag(blocks_b)
+        weights_a[0] = coeff_a - alpha / a_p
+        weights_b[0] = (1.0 - alpha) * coeff_b
+    return BlockDiag(diag_a, m, weights_a), BlockDiag(diag_b, m, weights_b)
 
 
 @dataclass(frozen=True)
@@ -238,8 +227,9 @@ def nep_residual(forms, w, tau):
     w = np.asarray(w, dtype=complex)
     w = w / np.linalg.norm(w)
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
-    image = blockdiag_solve(pencil_b, pencil_a.matvec(w))
-    rho = float(np.vdot(w, pencil_a.matvec(w)).real / np.vdot(w, pencil_b.matvec(w)).real)
+    image_a = pencil_a.matvec(w)
+    image = blockdiag_solve(pencil_b, image_a)
+    rho = float(np.vdot(w, image_a).real / np.vdot(w, pencil_b.matvec(w)).real)
     return float(np.linalg.norm(image - rho * w))
 
 

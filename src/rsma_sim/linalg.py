@@ -1,12 +1,14 @@
 """Block-diagonal Hermitian solves, phase pinning, and seeded sampling.
 
 Everything here operates on plain complex numpy arrays. The block-diagonal
-container mirrors the structure of the solver's iteration matrices, whose
-inversion cost must stay linear in the number of blocks. Those matrices are
-positive definite by construction, so the block solve factors the whole
-(m, n, n) stack with one batched Cholesky call, which doubles as the
-singularity check: a block that is indefinite, or whose pivots fall below
-tolerance, raises SingularMatrix naming that block.
+container mirrors the structure of the solver's iteration matrices: every
+block is one real diagonal shared by all blocks plus nonnegatively weighted
+outer products of the same few vectors, so the blocks are Hermitian by
+construction and their smallest eigenvalue is at least the smallest
+diagonal entry. The block solve checks that floor against each block's
+norm bound, which costs no factorization, and then solves the whole
+(m, n, n) stack with one batched LU call; a block that fails the check
+raises SingularMatrix naming that block.
 """
 
 from dataclasses import dataclass
@@ -15,39 +17,58 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
-# Relative pivot tolerance for the Cholesky check. The iteration matrices
-# are positive definite but approach singularity at extreme SNR, so a
-# block whose smallest squared pivot is at most PIVOT_RTOL times its
-# Frobenius norm must raise instead of returning garbage.
+# Relative tolerance of the singularity check. The iteration matrices are
+# positive definite but approach singularity at extreme SNR, so a block
+# whose diagonal floor is at most PIVOT_RTOL times its Frobenius norm bound
+# must raise instead of returning garbage. The floor bounds every squared
+# Cholesky pivot from below and the norm bound is at least the Frobenius
+# norm, so no block with a squared Cholesky pivot at most PIVOT_RTOL times
+# its Frobenius norm passes.
 PIVOT_RTOL = 1e-14
 
 
 @dataclass(frozen=True)
 class BlockDiag:
-    """Block-diagonal Hermitian matrix stored as a (m, n, n) stack.
+    """Block-diagonal Hermitian matrix of m blocks of size n.
 
-    Block j acts on the j-th length-n slice of a stacked vector.
+    Block j is ``diag(diag) + sum_k weights[j, k] v_k v_k^H``, where v_k
+    is row k of ``vectors``: ``diag`` is (n,) real, ``vectors`` (K, n)
+    complex and ``weights`` (m, K) real. Block j acts on the j-th
+    length-n slice of a stacked vector.
     """
 
-    blocks: np.ndarray
+    diag: np.ndarray
+    vectors: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        blocks = np.ascontiguousarray(np.asarray(self.blocks, dtype=complex))
-        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
-            raise DimensionMismatch(f"expected (m, n, n) block stack, got {blocks.shape}")
-        herm_err = np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max()
-        scale = max(np.abs(blocks).max(), 1.0)
-        if herm_err > 1e-12 * scale:
-            raise DimensionMismatch(f"blocks are not Hermitian (deviation {herm_err:.3e})")
-        object.__setattr__(self, "blocks", blocks)
+        if np.iscomplexobj(self.diag) or np.iscomplexobj(self.weights):
+            raise DimensionMismatch("diag and weights must be real")
+        diag = np.asarray(self.diag, dtype=float)
+        vectors = np.asarray(self.vectors, dtype=complex)
+        weights = np.asarray(self.weights, dtype=float)
+        if (
+            diag.ndim != 1 or diag.size == 0 or weights.ndim != 2
+            or weights.shape[0] == 0 or vectors.shape != (weights.shape[1], diag.size)
+        ):
+            raise DimensionMismatch(
+                f"expected diag (n,), vectors (K, n), weights (m, K); got "
+                f"{diag.shape}, {vectors.shape}, {weights.shape}"
+            )
+        if not (np.isfinite(diag).all() and np.isfinite(weights).all()
+                and np.isfinite(vectors).all()):
+            raise DimensionMismatch("diag, vectors and weights must be finite")
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "vectors", vectors)
+        object.__setattr__(self, "weights", weights)
 
     @property
     def n_blocks(self):
-        return self.blocks.shape[0]
+        return self.weights.shape[0]
 
     @property
     def block_dim(self):
-        return self.blocks.shape[1]
+        return self.diag.size
 
     @property
     def size(self):
@@ -56,49 +77,40 @@ class BlockDiag:
     def matvec(self, v):
         """Apply the block-diagonal matrix to a stacked vector."""
         cols = np.asarray(v, dtype=complex).reshape(self.n_blocks, self.block_dim)
-        return np.einsum("bij,bj->bi", self.blocks, cols).reshape(-1)
-
-
-def _min_pivots(blocks):
-    """Smallest squared Cholesky pivot of each block of a (m, n, n) stack.
-
-    A block that is not positive definite gets -inf. The whole stack is
-    factored in one call; only when that call fails are the blocks
-    factored one at a time, to find which of them failed.
-    """
-    try:
-        factors = np.linalg.cholesky(blocks)
-    except np.linalg.LinAlgError:
-        if len(blocks) == 1:
-            return np.array([-np.inf])
-        return np.concatenate([_min_pivots(block[None]) for block in blocks])
-    return np.diagonal(factors, axis1=1, axis2=2).real.min(axis=1) ** 2
+        coords = self.weights * (cols @ self.vectors.conj().T)
+        return (cols * self.diag + coords @ self.vectors).reshape(-1)
 
 
 def blockdiag_solve(bd, v):
     """Solve ``bd @ x = v`` for all blocks in one batched call.
 
-    Every block must be positive definite, which the solver's denominator
-    pencils are by construction. A batched Cholesky factorization checks
-    this first: a block that is not positive definite, or whose smallest
-    squared pivot is at most ``PIVOT_RTOL * ||block||_F``, raises
-    SingularMatrix with its index.
+    Block j passes the singularity check when its weights are nonnegative
+    and the diagonal floor ``min(bd.diag)``, a lower bound on its smallest
+    eigenvalue, exceeds PIVOT_RTOL times ``||diag||_2 + sum_k weights[j, k]
+    ||v_k||^2``, an upper bound on its Frobenius norm. The first block
+    that fails raises SingularMatrix with its index. The blocks are then
+    formed with one batched matmul and solved with one batched LU.
     """
     v = np.asarray(v, dtype=complex)
     if v.shape != (bd.size,):
         raise DimensionMismatch(f"vector shape {v.shape} != ({bd.size},)")
-    pivots = _min_pivots(bd.blocks)
-    tol = PIVOT_RTOL * np.linalg.norm(bd.blocks, axis=(1, 2))
-    safe = pivots > tol
+    floor = bd.diag.min()
+    tol = PIVOT_RTOL * (
+        np.linalg.norm(bd.diag) + bd.weights @ (np.abs(bd.vectors) ** 2).sum(axis=1)
+    )
+    nonnegative = (bd.weights >= 0).all(axis=1)
+    safe = nonnegative & (floor > tol)
     if not safe.all():
         j = int(np.argmin(safe))
         reason = (
-            "not positive definite" if pivots[j] == -np.inf
-            else f"pivot {pivots[j]:.3e} below tolerance {tol[j]:.3e}"
+            "negative weight" if not nonnegative[j]
+            else f"diagonal floor {floor:.3e} below tolerance {tol[j]:.3e}"
         )
         raise SingularMatrix(f"block {j} singular: {reason}", block_index=j)
+    blocks = (bd.weights[:, None, :] * bd.vectors.T) @ bd.vectors.conj()
+    blocks.reshape(bd.n_blocks, -1)[:, :: bd.block_dim + 1] += bd.diag
     cols = v.reshape(bd.n_blocks, bd.block_dim, 1)
-    return np.linalg.solve(bd.blocks, cols).reshape(-1)
+    return np.linalg.solve(blocks, cols).reshape(-1)
 
 
 def canonical_phase(v):

@@ -18,8 +18,10 @@ from rsma_sim import (
     canonical_phase,
     check_power,
 )
+from rsma_sim.gpi import _quadratics
 from rsma_sim.linalg import PIVOT_RTOL
 from rsma_sim.quantization import adc_noise_variance, dac_noise_covariance
+from rsma_sim.rates import softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
 
@@ -176,13 +178,82 @@ def vector_angle(u, v):
     return float(np.arccos(min(1.0, cos)))
 
 
+def dense_blocks(bd):
+    """A BlockDiag's (m, n, n) block stack, one outer product at a time."""
+    blocks = np.zeros((bd.n_blocks, bd.block_dim, bd.block_dim), dtype=complex)
+    for j in range(bd.n_blocks):
+        blocks[j] = np.diag(bd.diag)
+        for weight, vec in zip(bd.weights[j], bd.vectors):
+            blocks[j] += weight * np.outer(vec, vec.conj())
+    return blocks
+
+
 def to_dense(bd):
     """Assemble a BlockDiag's full dense matrix."""
-    n, m = bd.block_dim, bd.n_blocks
-    out = np.zeros((m * n, m * n), dtype=complex)
-    for j in range(m):
-        out[j * n : (j + 1) * n, j * n : (j + 1) * n] = bd.blocks[j]
-    return out
+    return scipy.linalg.block_diag(*dense_blocks(bd))
+
+
+def dense_kkt(forms, w, tau):
+    """Dense numerator and denominator block stacks of the KKT pencil.
+
+    Builds each block as the full coefficient-weighted sum of the users'
+    gain matrices, ``base_a`` or ``base_b``, and then subtracts, block by
+    block, the beam gains that cancellation or the stream's own signal
+    removes. Returns ``(blocks_a, blocks_b, base_a, base_b)``, with
+    (K+1, N, N) stacks in RSMA mode and (K, N, N) in SDMA mode. The bases'
+    norms set the scale of the rounding error of the subtractions.
+    """
+    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    m = forms.weighted_channels
+    alpha = forms.adc_alpha
+    n, s = forms.n_antennas, forms.n_streams
+
+    def gain_sum(coeffs, distortion_diags=None):
+        rank_part = (m.T * coeffs) @ m.conj()
+        if distortion_diags is None:
+            return rank_part
+        return rank_part + np.diag(coeffs @ distortion_diags)
+
+    if forms.include_common:
+        mu = softmin_weights(np.log2(a_c / b_c), tau)
+        coeff_a = mu / a_c + 1.0 / a_p
+        coeff_b = mu / b_c + 1.0 / b_p
+    else:
+        coeff_a = 1.0 / a_p
+        coeff_b = 1.0 / b_p
+
+    d = forms.distortion_diags
+    base_a = gain_sum(coeff_a, d) + (coeff_a.sum() * forms.noise_over_power) * np.eye(n)
+    base_b = gain_sum(coeff_b, d) + (coeff_b.sum() * forms.noise_over_power) * np.eye(n)
+
+    blocks_a = np.repeat(base_a[None, :, :], s, axis=0)
+    blocks_b = np.repeat(base_b[None, :, :], s, axis=0)
+    own = np.einsum("k,ki,kj->kij", alpha / b_p, m, m.conj())
+    if forms.include_common:
+        blocks_a[0] -= gain_sum(alpha / a_p)
+        blocks_b[0] -= gain_sum(alpha * coeff_b)
+        blocks_b[1:] -= own
+    else:
+        blocks_b -= own
+    return blocks_a, blocks_b, base_a, base_b
+
+
+def cholesky_pivot_rule(blocks):
+    """Per-block verdict of the Cholesky pivot rule on a (m, n, n) stack.
+
+    A block passes when it is positive definite and its smallest squared
+    Cholesky pivot exceeds ``PIVOT_RTOL * ||block||_F``.
+    """
+    verdicts = []
+    for block in blocks:
+        try:
+            factor = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            verdicts.append(False)
+            continue
+        pivot = np.diagonal(factor).real.min() ** 2
+        verdicts.append(bool(pivot > PIVOT_RTOL * np.linalg.norm(block)))
+    return np.array(verdicts)
 
 
 def hermitian_solve(a, b):

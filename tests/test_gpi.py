@@ -41,6 +41,8 @@ from rsma_sim.gpi import _quadratics
 
 from oracles import (
     BIT_POOL,
+    dense_blocks,
+    dense_kkt,
     hermitian_solve,
     principal_gep_oracle,
     random_channel,
@@ -80,7 +82,9 @@ class TestBuildForms:
         np.testing.assert_allclose(common, 0.0, atol=1e-14)
         np.testing.assert_allclose(private, 0.0, atol=1e-14)
         pencil_a, pencil_b = kkt_matrices(forms, w, 0.3)
-        np.testing.assert_allclose(pencil_a.blocks, pencil_b.blocks, rtol=1e-13)
+        np.testing.assert_allclose(
+            dense_blocks(pencil_a), dense_blocks(pencil_b), rtol=1e-13
+        )
 
     def test_perfect_quantization_gain_matrices(self):
         rng = np.random.default_rng(1)
@@ -207,15 +211,50 @@ class TestKktMatrices:
     def test_denominator_pencil_positive_definite(
         self, seed, n, k_users, dac_bits, adc_bits, snr_db, include_common
     ):
-        # the block solve's Cholesky check relies on this for every iterate
+        # the block solve's singularity check relies on this for every iterate
         rng = np.random.default_rng(seed)
         profile = QuantizerProfile.from_bits(dac_bits[:n], adc_bits[:k_users])
         h = random_channel(rng, n, k_users)
         forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
         w = random_unit_stack(rng, forms.dim)
         _, pencil_b = kkt_matrices(forms, w, 1.0)
-        assert np.linalg.eigvalsh(pencil_b.blocks).min() > 0
-        blockdiag_solve(pencil_b, w)  # passes the pivot rule too
+        assert np.linalg.eigvalsh(dense_blocks(pencil_b)).min() > 0
+        blockdiag_solve(pencil_b, w)  # passes the singularity check too
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        k_users=st.integers(1, 4),
+        dac_bits=st.lists(st.sampled_from(BIT_POOL), min_size=6, max_size=6),
+        adc_bits=st.lists(st.sampled_from(BIT_POOL), min_size=4, max_size=4),
+        snr_db=st.floats(0.0, 80.0),
+        include_common=st.booleans(),
+    )
+    def test_blocks_match_dense_kkt(
+        self, seed, n, k_users, dac_bits, adc_bits, snr_db, include_common
+    ):
+        # The dense construction subtracts the cancelled beam gains from the
+        # full gain sum, so its rounding error scales with that sum's norm;
+        # the solve must stay within the condition bound of a dense solve.
+        rng = np.random.default_rng(seed)
+        profile = QuantizerProfile.from_bits(dac_bits[:n], adc_bits[:k_users])
+        h = random_channel(rng, n, k_users)
+        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+        w = random_unit_stack(rng, forms.dim)
+        pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
+        blocks_a, blocks_b, base_a, base_b = dense_kkt(forms, w, 1.0)
+        pairs = ((pencil_a, blocks_a, base_a), (pencil_b, blocks_b, base_b))
+        for pencil, blocks, base in pairs:
+            assert (pencil.weights >= 0).all()
+            error = np.linalg.norm(dense_blocks(pencil) - blocks)
+            assert error <= 1e-12 * np.linalg.norm(base)
+        rhs = pencil_a.matvec(w)
+        dense = to_dense(pencil_b)
+        got = blockdiag_solve(pencil_b, rhs)
+        want = hermitian_solve(dense, rhs)
+        tol = 1e-14 * np.linalg.cond(dense)
+        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
     @pytest.mark.parametrize("include_common", [True, False])
     @pytest.mark.parametrize("snr_db", [0.0, 30.0, 60.0])

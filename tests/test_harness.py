@@ -184,6 +184,19 @@ class TestRunExperiment:
         assert by_alg["QMRT"].converged
         assert by_alg["QMRT"].sum_se > 0.0
 
+    def test_single_user_high_snr_solves_do_not_fail(self):
+        # single-user pencils at 40-60 dB cancel most of the gain sum in
+        # their blocks; they are valid and must solve
+        spec = load_spec(json.dumps({
+            "N": 4, "K": 1, "snr_db": [0, 10, 20, 30, 40, 50, 60],
+            "dac_bits": 8, "adc_bits": 8, "channel_mode": "random_aod",
+            "trials": 10, "base_seed": 70, "algorithms": ["QGPIRS", "QGPISEM"],
+            "solver": {"tau": 1.0},
+        }))
+        records = run_experiment(spec, workers=1)
+        assert len(records) == 140
+        assert [r.note for r in records if r.note] == []
+
     def test_sum_se_consistency(self):
         records = run_experiment(small_spec(algorithms=["QGPIRS"], snr_db=[20]))
         rec = records[0]

@@ -17,7 +17,13 @@ from rsma_sim import (
     trial_rng,
 )
 
-from oracles import hermitian_solve, principal_gep_oracle, to_dense
+from oracles import (
+    cholesky_pivot_rule,
+    dense_blocks,
+    hermitian_solve,
+    principal_gep_oracle,
+    to_dense,
+)
 
 
 def random_hpd(rng, n, shift=0.5):
@@ -62,73 +68,127 @@ class TestHermitianSolve:
             hermitian_solve(np.ones((2, 3)), np.ones(2))
 
 
+def random_vectors(rng, k_vectors, n):
+    return rng.standard_normal((k_vectors, n)) + 1j * rng.standard_normal((k_vectors, n))
+
+
+def random_blockdiag(rng, n, m, k_vectors=2):
+    """Positive definite BlockDiag with random diagonal, vectors and weights."""
+    diag = rng.uniform(0.5, 2.0, n)
+    weights = rng.uniform(0.0, 3.0, (m, k_vectors))
+    return BlockDiag(diag, random_vectors(rng, k_vectors, n), weights)
+
+
 class TestBlockDiag:
     def test_identity_blocks(self):
-        bd = BlockDiag(np.array([np.eye(2), np.eye(2)]))
+        bd = BlockDiag(np.ones(2), np.zeros((0, 2)), np.zeros((2, 0)))
         v = np.ones(4, dtype=complex)
         np.testing.assert_allclose(blockdiag_solve(bd, v), v, atol=1e-14)
 
     def test_scalar_blocks(self):
-        bd = BlockDiag(np.array([[[2.0]], [[4.0]]], dtype=complex))
+        bd = BlockDiag(np.array([1.0]), np.array([[1.0j]]), np.array([[1.0], [3.0]]))
         np.testing.assert_allclose(
             blockdiag_solve(bd, np.array([2.0, 4.0])), [1.0, 1.0], atol=1e-14
         )
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
-        bd = BlockDiag(np.array([random_hpd(rng, 3) for _ in range(4)]))
+        bd = random_blockdiag(rng, 3, 4)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         np.testing.assert_allclose(bd.matvec(v), to_dense(bd) @ v, rtol=1e-12)
 
     def test_three_blocks_match_dense_solve(self):
         rng = np.random.default_rng(4)
-        bd = BlockDiag(np.array([random_hpd(rng, 4) for _ in range(3)]))
+        bd = random_blockdiag(rng, 4, 3)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         got = blockdiag_solve(bd, v)
         want = hermitian_solve(to_dense(bd), v)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 6), m=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
-    def test_blockwise_equals_dense_solve(self, n, m, seed):
+    @given(
+        n=st.integers(1, 6),
+        m=st.integers(1, 5),
+        k_vectors=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blockwise_equals_dense_solve(self, n, m, k_vectors, seed):
         rng = np.random.default_rng(seed)
-        bd = BlockDiag(np.array([random_hpd(rng, n) for _ in range(m)]))
+        bd = random_blockdiag(rng, n, m, k_vectors)
         v = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
         got = blockdiag_solve(bd, v)
         want = hermitian_solve(to_dense(bd), v)
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
 
     def test_singular_block_identified(self):
-        blocks = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
-        bd = BlockDiag(blocks)
+        # block 1 is I - e_0 e_0^H = diag(0, 1): exactly singular
+        vectors = np.array([[1.0, 0.0]])
+        bd = BlockDiag(np.ones(2), vectors, np.array([[0.5], [-1.0]]))
         with pytest.raises(SingularMatrix) as excinfo:
             blockdiag_solve(bd, np.ones(4))
         assert excinfo.value.block_index == 1
+        # a zero diagonal leaves every block without a floor
+        zero = BlockDiag(np.zeros(2), vectors, np.array([[1.0], [1.0]]))
+        with pytest.raises(SingularMatrix) as excinfo:
+            blockdiag_solve(zero, np.ones(4))
+        assert excinfo.value.block_index == 0
 
     def test_near_singular_block_identified(self):
-        # positive definite, so the batched Cholesky succeeds; the pivot
-        # rule still rejects the 1e-30 pivot
-        blocks = np.array([np.eye(2), 2.0 * np.eye(2), np.diag([1.0, 1e-30]), np.eye(2)])
+        # positive definite, but block 2 is diag(1 + 1e15, 1): its floor is
+        # within PIVOT_RTOL of its norm
+        weights = np.array([[0.0], [1.0], [1e15], [0.0]])
+        bd = BlockDiag(np.ones(2), np.array([[1.0, 0.0]]), weights)
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(BlockDiag(blocks), np.ones(8))
+            blockdiag_solve(bd, np.ones(8))
         assert excinfo.value.block_index == 2
 
     def test_indefinite_block_identified(self):
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        indefinite = x + x.conj().T - 10.0 * np.eye(3)
-        indefinite[0, 0] = 5.0
-        blocks = np.array([random_hpd(rng, 3), indefinite, random_hpd(rng, 3)])
+        weights = np.array([[1.0, 2.0], [1.0, -10.0], [0.5, 0.5]])
+        bd = BlockDiag(np.ones(3), random_vectors(rng, 2, 3), weights)
+        indefinite = dense_blocks(bd)[1]
         assert np.linalg.eigvalsh(indefinite).min() < 0 < np.linalg.eigvalsh(indefinite).max()
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(BlockDiag(blocks), np.ones(9))
+            blockdiag_solve(bd, np.ones(9))
         assert excinfo.value.block_index == 1
 
     def test_non_hermitian_rejected(self):
-        blocks = np.zeros((1, 2, 2), dtype=complex)
-        blocks[0] = [[1.0, 2.0], [0.0, 1.0]]
+        vectors = np.ones((1, 2), dtype=complex)
         with pytest.raises(DimensionMismatch):
-            BlockDiag(blocks)
+            BlockDiag(np.ones(2), vectors, np.array([[1.0 + 1e-3j]]))
+        with pytest.raises(DimensionMismatch):
+            BlockDiag(np.array([1.0, 1.0j]), vectors, np.ones((1, 1)))
+        with pytest.raises(DimensionMismatch):
+            BlockDiag(np.array([1.0, np.nan]), vectors, np.ones((1, 1)))
+        with pytest.raises(DimensionMismatch):
+            BlockDiag(np.ones(2), vectors, np.array([[np.inf]]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 4),
+        k_vectors=st.integers(1, 3),
+        log_floor=st.floats(-20.0, 0.0),
+        log_weight=st.floats(-3.0, 3.0),
+        negative=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_blocks_pass_cholesky_pivot_rule(
+        self, n, m, k_vectors, log_floor, log_weight, negative, seed
+    ):
+        # the structural check is at least as strict as the Cholesky pivot
+        # rule: whatever it accepts, the rule accepts too
+        rng = np.random.default_rng(seed)
+        diag = 10.0 ** log_floor * rng.uniform(1.0, 10.0, n)
+        weights = 10.0 ** log_weight * rng.uniform(0.0, 1.0, (m, k_vectors))
+        if negative:
+            weights[rng.integers(m), rng.integers(k_vectors)] *= -1e-3
+        bd = BlockDiag(diag, random_vectors(rng, k_vectors, n), weights)
+        try:
+            blockdiag_solve(bd, np.ones(bd.size))
+        except SingularMatrix:
+            return
+        assert cholesky_pivot_rule(dense_blocks(bd)).all()
 
 
 class TestPrincipalGepOracle:
