@@ -17,7 +17,6 @@ from .errors import (
     DimensionMismatch,
     InvalidProfile,
     InvalidResolution,
-    InvalidUser,
     ParseError,
     RankDeficient,
     RsmaSimError,
@@ -32,7 +31,6 @@ from .gpi import (
     SolverOptions,
     build_forms,
     extract_precoder,
-    gpi_sem_solve,
     gpi_solve,
     init_precoder,
     kkt_matrices,
@@ -64,9 +62,7 @@ from .linalg import (
 from .quantization import (
     BETA_TABLE,
     QuantizerProfile,
-    adc_noise_variance,
     beta_of_bits,
-    dac_noise_covariance,
     ideal_profile,
 )
 from .rates import (
@@ -74,8 +70,6 @@ from .rates import (
     check_power,
     lse_min,
     rate_report,
-    sinr_common,
-    sinr_private,
     softmin_weights,
 )
 

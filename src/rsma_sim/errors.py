@@ -39,10 +39,6 @@ class InvalidResolution(RsmaSimError):
     """Quantizer resolution is not a positive integer or infinity."""
 
 
-class InvalidUser(RsmaSimError):
-    """User index out of range."""
-
-
 class ZeroChannel(RsmaSimError):
     """All channel columns vanish; no precoder direction exists."""
 

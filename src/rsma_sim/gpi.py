@@ -8,10 +8,10 @@ inverse-denominator/numerator update of a generalized power iteration,
 renormalizing each step, until the iterate settles.
 
 The quantization-aware SDMA variant runs the same machinery without the
-common stream.
+common stream (``include_common=False``).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,7 @@ from .errors import (
     ZeroPrecoder,
 )
 from .linalg import BlockDiag, blockdiag_solve, canonical_phase
-from .rates import lse_min, softmin_weights
-
-MODES = ("RSMA", "SDMA")
+from .rates import lse_min, quadratic_terms, softmin_weights
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,6 @@ class SolverOptions:
     tau: float = 0.3
     epsilon: float = 0.01
     t_max: int = 500
-    mode: str = "RSMA"
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -49,8 +46,6 @@ class SolverOptions:
             raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if self.t_max < 1:
             raise ValidationError(f"t_max must be at least 1, got {self.t_max}")
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -121,10 +116,8 @@ def _quadratics(forms, w):
     if w.shape != (forms.dim,):
         raise DimensionMismatch(f"stacked vector must have length {forms.dim}")
     rows = w.reshape(forms.n_streams, forms.n_antennas)
-    beam = np.abs(forms.weighted_channels.conj() @ rows.T) ** 2     # (K, S)
-    distort = forms.distortion_diags @ (np.abs(rows) ** 2).T        # (K, S)
     noise = forms.noise_over_power * float(np.vdot(w, w).real)
-    totals = beam.sum(axis=1) + distort.sum(axis=1) + noise
+    beam, totals = quadratic_terms(forms.weighted_channels, forms.distortion_diags, rows, noise)
     users = np.arange(forms.n_users)
     if forms.include_common:
         a_common = totals
@@ -247,11 +240,6 @@ def gpi_solve(forms, options, w0):
     norm0 = np.linalg.norm(w0)
     if norm0 == 0:
         raise ZeroPrecoder("starting stacked precoder is zero")
-    expected_mode = "RSMA" if forms.include_common else "SDMA"
-    if options.mode != expected_mode:
-        raise DimensionMismatch(
-            f"options.mode {options.mode!r} inconsistent with forms ({expected_mode})"
-        )
 
     w = canonical_phase(w0 / norm0)
     trace = [objective(forms, w, options.tau)]
@@ -322,18 +310,16 @@ def extract_precoder(w, profile):
     return (rows.T / np.sqrt(profile.dac_alpha)[:, None]).copy()
 
 
-def init_precoder(channel, profile, mode):
+def init_precoder(channel, profile, include_common=True):
     """Matched-filter starting point, stacked and normalized to unit power.
 
-    Private columns are the user channels; in RSMA mode the common column
-    is the average of the user channels.
+    Private columns are the user channels; with ``include_common`` (RSMA)
+    a leading common column is the average of the user channels.
     """
     channel = np.asarray(channel, dtype=complex)
-    if mode not in MODES:
-        raise DimensionMismatch(f"mode must be one of {MODES}, got {mode!r}")
     if np.linalg.norm(channel) == 0:
         raise ZeroChannel("all channel columns vanish")
-    if mode == "RSMA":
+    if include_common:
         common = channel.mean(axis=1, keepdims=True)
         f_matrix = np.hstack([common, channel])
     else:
@@ -341,13 +327,3 @@ def init_precoder(channel, profile, mode):
     w = stack_precoder(f_matrix, profile)
     return canonical_phase(w / np.linalg.norm(w))
 
-
-def gpi_sem_solve(channel, profile, power, noise_power, options):
-    """Quantization-aware SDMA solver: same iteration, no common stream.
-
-    The returned precoder carries a zero common column so it evaluates
-    through the same rate computation as the RSMA solver.
-    """
-    forms = build_forms(channel, profile, power, noise_power, include_common=False)
-    w0 = init_precoder(channel, profile, "SDMA")
-    return gpi_solve(forms, replace(options, mode="SDMA"), w0)

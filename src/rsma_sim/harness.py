@@ -17,7 +17,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .channel import (
     sample_channel,
 )
 from .errors import ParseError, RsmaSimError, ValidationError
-from .gpi import SolverOptions, build_forms, gpi_sem_solve, gpi_solve, init_precoder
+from .gpi import SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
 from .rates import rate_report
@@ -240,40 +240,38 @@ def load_spec(document):
     )
 
 
-def _evaluate_algorithm(algorithm, channel, profile, power, noise_power, solver):
-    """Run one algorithm on one operating point; returns the record fields."""
+def _evaluate_algorithm(trial_index, snr_db, algorithm, channel, profile, power,
+                        noise_power, solver):
+    """Run one algorithm on one operating point and return its record.
+
+    QGPIRS and QGPISEM are the same solve with and without the common
+    stream; the other algorithms are closed-form baselines.
+    """
     started = time.perf_counter()
-    if algorithm == "QGPIRS":
-        forms = build_forms(channel, profile, power, noise_power)
-        w0 = init_precoder(channel, profile, "RSMA")
-        result = gpi_solve(forms, replace(solver, mode="RSMA"), w0)
+    if algorithm in ("QGPIRS", "QGPISEM"):
+        include_common = algorithm == "QGPIRS"
+        forms = build_forms(channel, profile, power, noise_power, include_common)
+        result = gpi_solve(forms, solver, init_precoder(channel, profile, include_common))
         f_matrix = result.precoder
-        iterations, converged, residual = (
-            result.iterations, result.converged, result.residual,
-        )
-    elif algorithm == "QGPISEM":
-        result = gpi_sem_solve(channel, profile, power, noise_power, solver)
-        f_matrix = result.precoder
-        iterations, converged, residual = (
-            result.iterations, result.converged, result.residual,
-        )
+        iterations, converged, residual = result.iterations, result.converged, result.residual
     else:
         f_matrix = baseline_precoder(algorithm, channel, profile, power, noise_power)
         iterations, converged, residual = 0, True, 0.0
 
     report = rate_report(channel, f_matrix, profile, power, noise_power)
-    row_power = np.sum(np.abs(f_matrix) ** 2, axis=1)
-    antenna_power = power * profile.dac_alpha * row_power
-    wall_ms = (time.perf_counter() - started) * 1e3
-    return (
-        report.sum_se,
-        report.common_rate,
-        tuple(float(r) for r in report.private_rates),
-        iterations,
-        converged,
-        residual,
-        wall_ms,
-        tuple(float(p) for p in antenna_power),
+    antenna_power = power * profile.dac_alpha * np.sum(np.abs(f_matrix) ** 2, axis=1)
+    return TrialRecord(
+        trial_index=trial_index,
+        snr_db=snr_db,
+        algorithm=algorithm,
+        sum_se=report.sum_se,
+        common_rate=report.common_rate,
+        private_rates=tuple(float(r) for r in report.private_rates),
+        iterations=iterations,
+        converged=converged,
+        residual=residual,
+        wall_time_ms=(time.perf_counter() - started) * 1e3,
+        per_antenna_power=tuple(float(p) for p in antenna_power),
     )
 
 
@@ -296,35 +294,21 @@ def _run_trial(spec, trial_index):
     records = []
     for snr_db in spec.snr_db:
         power = 10.0 ** (snr_db / 10.0)
-        noise_power = 1.0
         for algorithm in spec.algorithms:
             try:
-                (sum_se, common_rate, private_rates, iterations, converged,
-                 residual, wall_ms, antenna_power) = _evaluate_algorithm(
-                    algorithm, realization.matrix, profile, power, noise_power,
-                    spec.solver,
+                record = _evaluate_algorithm(
+                    trial_index, snr_db, algorithm, realization.matrix, profile,
+                    power, noise_power=1.0, solver=spec.solver,
                 )
-                note = ""
             except (RsmaSimError, np.linalg.LinAlgError) as exc:
-                sum_se = common_rate = residual = wall_ms = 0.0
-                private_rates = (0.0,) * spec.n_users
-                antenna_power = (0.0,) * spec.n_antennas
-                iterations, converged = 0, False
-                note = f"{type(exc).__name__}: {exc}"
-            records.append(TrialRecord(
-                trial_index=trial_index,
-                snr_db=snr_db,
-                algorithm=algorithm,
-                sum_se=sum_se,
-                common_rate=common_rate,
-                private_rates=private_rates,
-                iterations=iterations,
-                converged=converged,
-                residual=residual,
-                wall_time_ms=wall_ms,
-                per_antenna_power=antenna_power,
-                note=note,
-            ))
+                record = TrialRecord(
+                    trial_index=trial_index, snr_db=snr_db, algorithm=algorithm,
+                    sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * spec.n_users,
+                    iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
+                    per_antenna_power=(0.0,) * spec.n_antennas,
+                    note=f"{type(exc).__name__}: {exc}",
+                )
+            records.append(record)
     return records
 
 

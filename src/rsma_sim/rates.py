@@ -14,26 +14,41 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-_LN2 = np.log(2.0)
-
 
 @dataclass(frozen=True)
 class RateReport:
     """Per-user SINRs/rates and the resulting sum spectral efficiency."""
 
     common_sinrs: np.ndarray      # (K,)
+    private_sinrs: np.ndarray     # (K,) after the common stream is cancelled
     common_rates: np.ndarray      # (K,) bits/s/Hz supportable by each user
     common_rate: float            # min over users (exact, no smoothing)
     private_rates: np.ndarray     # (K,) bits/s/Hz
     sum_se: float                 # common_rate + sum(private_rates)
 
 
-def _stream_terms(k, channel, f_matrix, profile, power, noise_power):
-    """Per-stream received powers and the total interference budget for user k.
+def quadratic_terms(vectors, diag_weights, streams, noise):
+    """Beam gains and total received power of every user over every stream.
 
-    Returns (gains, total) where gains[i] = |h_k^H Phi_a f_i|^2 and
-    total = sum_i gains[i] + sum_i f_i^H Phi_a Phi_b diag(|h_k|^2) f_i
-    + noise_power / power.
+    Returns (beam, totals) where ``beam[k, i] = |v_k^H s_i|^2`` and
+    ``totals[k] = sum_i beam[k, i] + sum_i s_i^H diag(d_k) s_i + noise``,
+    with ``v_k = vectors[k]``, ``d_k = diag_weights[k]`` and
+    ``s_i = streams[i]``. Every stream rate is a ratio of two such sums.
+    """
+    beam = np.abs(vectors.conj() @ streams.T) ** 2                  # (K, S)
+    distort = diag_weights @ (np.abs(streams) ** 2).T               # (K, S)
+    return beam, beam.sum(axis=1) + distort.sum(axis=1) + noise
+
+
+def rate_report(channel, f_matrix, profile, power, noise_power):
+    """Evaluate all stream rates for a precoder.
+
+    User k sees stream i with gain ``|h_k^H Phi_a f_i|^2`` and DAC
+    distortion ``f_i^H Phi_a Phi_b diag(|h_k|^2) f_i``; the noise term is
+    ``noise_power / power`` whatever power F actually uses. The common
+    rate is the exact minimum over users of the rates at which each could
+    decode the common stream; the sum spectral efficiency adds the K
+    private rates.
     """
     channel = np.asarray(channel, dtype=complex)
     f_matrix = np.asarray(f_matrix, dtype=complex)
@@ -49,51 +64,25 @@ def _stream_terms(k, channel, f_matrix, profile, power, noise_power):
         raise DimensionMismatch(
             f"expected {profile.n_users + 1} precoder columns, got {f_matrix.shape[1]}"
         )
-    if not 0 <= k < profile.n_users:
-        raise DimensionMismatch(f"user index {k} out of range")
 
-    h_k = channel[:, k]
-    gains = np.abs((h_k.conj() * profile.dac_alpha) @ f_matrix) ** 2
-    diag_weights = profile.dac_alpha * profile.dac_beta * np.abs(h_k) ** 2
-    distortion = diag_weights @ (np.abs(f_matrix) ** 2)
-    total = gains.sum() + distortion.sum() + noise_power / power
-    return gains, total
-
-
-def sinr_common(k, channel, f_matrix, profile, power, noise_power):
-    """SINR of the common stream at user k."""
-    gains, total = _stream_terms(k, channel, f_matrix, profile, power, noise_power)
-    alpha_k = profile.adc_alpha[k]
-    denom = total - alpha_k * gains[0]
-    return float(alpha_k * gains[0] / denom)
-
-
-def sinr_private(k, channel, f_matrix, profile, power, noise_power):
-    """SINR of user k's private stream after the common stream is cancelled."""
-    gains, total = _stream_terms(k, channel, f_matrix, profile, power, noise_power)
-    alpha_k = profile.adc_alpha[k]
-    denom = total - alpha_k * (gains[0] + gains[k + 1])
-    return float(alpha_k * gains[k + 1] / denom)
-
-
-def rate_report(channel, f_matrix, profile, power, noise_power):
-    """Evaluate all stream rates for a precoder.
-
-    The common rate is the exact minimum over users of the rates at which
-    each could decode the common stream; the sum spectral efficiency adds
-    the K private rates.
-    """
-    n_users = profile.n_users
-    common_sinrs = np.empty(n_users)
-    private_sinrs = np.empty(n_users)
-    for k in range(n_users):
-        common_sinrs[k] = sinr_common(k, channel, f_matrix, profile, power, noise_power)
-        private_sinrs[k] = sinr_private(k, channel, f_matrix, profile, power, noise_power)
+    beam, totals = quadratic_terms(
+        channel.T * profile.dac_alpha,
+        profile.dac_alpha * profile.dac_beta * np.abs(channel.T) ** 2,
+        f_matrix.T,
+        noise_power / power,
+    )
+    alpha = profile.adc_alpha
+    users = np.arange(profile.n_users)
+    common = alpha * beam[:, 0]
+    private = alpha * beam[users, users + 1]
+    common_sinrs = common / (totals - common)
+    private_sinrs = private / (totals - alpha * (beam[:, 0] + beam[users, users + 1]))
     common_rates = np.log2(1.0 + common_sinrs)
     private_rates = np.log2(1.0 + private_sinrs)
     common_rate = float(common_rates.min())
     return RateReport(
         common_sinrs=common_sinrs,
+        private_sinrs=private_sinrs,
         common_rates=common_rates,
         common_rate=common_rate,
         private_rates=private_rates,

@@ -20,7 +20,6 @@ from rsma_sim import (
 )
 from rsma_sim.gpi import _quadratics
 from rsma_sim.linalg import PIVOT_RTOL
-from rsma_sim.quantization import adc_noise_variance, dac_noise_covariance
 from rsma_sim.rates import softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
@@ -47,6 +46,48 @@ def random_precoder(rng, profile, n_antennas, n_users, normalized=True):
     if normalized:
         f = f / np.sqrt(check_power(f, profile))
     return f
+
+
+def dac_noise_covariance(profile, f_matrix, power):
+    """Covariance of the DAC distortion for a given precoder.
+
+    Diagonal N x N matrix with entries
+    ``alpha_n * beta_n * power * sum_i |F[n, i]|^2``; exactly zero when
+    every DAC has infinite resolution.
+    """
+    f_matrix = np.asarray(f_matrix, dtype=complex)
+    if f_matrix.ndim != 2 or f_matrix.shape[0] != profile.n_antennas:
+        raise DimensionMismatch(
+            f"precoder has {f_matrix.shape} but profile covers {profile.n_antennas} antennas"
+        )
+    row_power = np.sum(np.abs(f_matrix) ** 2, axis=1)
+    return np.diag(profile.dac_alpha * profile.dac_beta * power * row_power)
+
+
+def adc_noise_variance(profile, k, channel, f_matrix, power, noise_power):
+    """Variance of the ADC distortion observed by user k.
+
+    Expands the distortion of the received analog signal in terms of the
+    precoder columns:
+
+        alpha_k * beta_k * (power * sum_i [ |h_k^H Phi_a f_i|^2
+            + f_i^H Phi_a Phi_b diag(|h_k|^2) f_i ] + noise_power)
+
+    Zero when user k's ADC has infinite resolution.
+    """
+    channel = np.asarray(channel, dtype=complex)
+    f_matrix = np.asarray(f_matrix, dtype=complex)
+    if channel.shape[0] != profile.n_antennas or f_matrix.shape[0] != profile.n_antennas:
+        raise DimensionMismatch("channel/precoder rows must match the antenna count")
+    if channel.shape[1] != profile.n_users:
+        raise DimensionMismatch("channel columns must match the user count")
+
+    h_k = channel[:, k]
+    beam_gains = np.abs((h_k.conj() * profile.dac_alpha) @ f_matrix) ** 2
+    diag_weights = profile.dac_alpha * profile.dac_beta * np.abs(h_k) ** 2
+    diag_terms = diag_weights @ (np.abs(f_matrix) ** 2)
+    total = power * (beam_gains.sum() + diag_terms.sum()) + noise_power
+    return float(profile.adc_alpha[k] * profile.adc_beta[k] * total)
 
 
 def direct_sinr_common(k, channel, f_matrix, profile, power, noise_power):

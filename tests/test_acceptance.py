@@ -23,7 +23,6 @@ from rsma_sim import (
     check_power,
     draw_aods,
     extract_precoder,
-    gpi_sem_solve,
     gpi_solve,
     half_wavelength_ula,
     ideal_profile,
@@ -38,15 +37,14 @@ from rsma_sim import (
     run_experiment,
     sample_channel,
     seeded_rng,
-    sinr_common,
-    sinr_private,
     summarize,
     trial_rng,
 )
 from rsma_sim.gpi import _quadratics
-from rsma_sim.quantization import adc_noise_variance, dac_noise_covariance
 
 from oracles import (
+    adc_noise_variance,
+    dac_noise_covariance,
     direct_sinr_common,
     direct_sinr_private,
     long_form_power,
@@ -85,11 +83,12 @@ def test_criterion_1_formula_equivalence():
         for _ in range(200):
             n, k_users, profile, h, power = sample_instance(rng)
             f = random_precoder(rng, profile, n, k_users)
+            report = rate_report(h, f, profile, power, 1.0)
             for k in range(k_users):
-                got_c = sinr_common(k, h, f, profile, power, 1.0)
+                got_c = report.common_sinrs[k]
                 want_c = direct_sinr_common(k, h, f, profile, power, 1.0)
                 assert abs(got_c - want_c) <= 1e-10 * max(abs(want_c), 1e-30)
-                got_p = sinr_private(k, h, f, profile, power, 1.0)
+                got_p = report.private_sinrs[k]
                 want_p = direct_sinr_private(k, h, f, profile, power, 1.0)
                 assert abs(got_p - want_p) <= 1e-10 * max(abs(want_p), 1e-30)
             reduced = check_power(f, profile)
@@ -110,10 +109,11 @@ def test_criterion_2_rayleigh_form_correctness():
             w = w / np.linalg.norm(w)
             f = extract_precoder(w, profile)
             a_c, b_c, a_p, b_p = _quadratics(forms, w)
+            report = rate_report(h, f, profile, power, 1.0)
             for k in range(k_users):
-                want = 1.0 + sinr_common(k, h, f, profile, power, 1.0)
+                want = 1.0 + report.common_sinrs[k]
                 assert abs(a_c[k] / b_c[k] - want) <= 1e-9 * want
-                want = 1.0 + sinr_private(k, h, f, profile, power, 1.0)
+                want = 1.0 + report.private_sinrs[k]
                 assert abs(a_p[k] / b_p[k] - want) <= 1e-9 * want
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -170,7 +170,7 @@ def test_criterion_4_nep_fixed_point():
             h = random_channel(rng, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 4.0)
             forms = build_forms(h, profile, power, 1.0)
-            result = gpi_solve(forms, opts, init_precoder(h, profile, "RSMA"))
+            result = gpi_solve(forms, opts, init_precoder(h, profile))
             if result.converged:
                 converged_count += 1
                 assert result.residual <= 0.1, f"residual {result.residual}"
@@ -326,7 +326,7 @@ def test_criterion_6_degeneration():
         # whole-solver degeneration: same trajectory as the dedicated
         # unquantized implementation, given the same channel draw
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
-        result = gpi_solve(forms, opts, init_precoder(h, profile, "RSMA"))
+        result = gpi_solve(forms, opts, init_precoder(h, profile))
         ref_w, ref_trace, ref_iters, ref_conv = _reference_unquantized_gpi_rs(
             h, power, opts.tau, opts.epsilon, opts.t_max
         )
@@ -384,8 +384,10 @@ def test_criterion_8_correlation_effect():
                 ]
                 h = sample_channel(facs, rng).matrix
                 forms = build_forms(h, profile, power, 1.0)
-                rs_res = gpi_solve(forms, opts, init_precoder(h, profile, "RSMA"))
-                sem_res = gpi_sem_solve(h, profile, power, 1.0, opts)
+                rs_res = gpi_solve(forms, opts, init_precoder(h, profile))
+                sem_forms = build_forms(h, profile, power, 1.0, include_common=False)
+                sem_w0 = init_precoder(h, profile, include_common=False)
+                sem_res = gpi_solve(sem_forms, opts, sem_w0)
                 se_rs = rate_report(h, rs_res.precoder, profile, power, 1.0).sum_se
                 se_sem = rate_report(h, sem_res.precoder, profile, power, 1.0).sum_se
                 gains.append(se_rs - se_sem)
@@ -431,7 +433,7 @@ def test_criterion_10_performance_envelope():
         profile = QuantizerProfile.from_bits([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0
         forms = build_forms(h, profile, power, 1.0)
-        w0 = init_precoder(h, profile, "RSMA")
+        w0 = init_precoder(h, profile)
         # an epsilon below attainable step sizes forces the full iteration budget
         opts = SolverOptions(tau=1.0, epsilon=1e-300, t_max=500)
         started = time.perf_counter()

@@ -17,7 +17,6 @@ from rsma_sim import (
     canonical_phase,
     check_power,
     extract_precoder,
-    gpi_sem_solve,
     gpi_solve,
     ideal_profile,
     init_precoder,
@@ -28,8 +27,6 @@ from rsma_sim import (
     one_ring_covariance,
     rate_report,
     sample_channel,
-    sinr_common,
-    sinr_private,
     stack_precoder,
     stream_rates,
     trial_rng,
@@ -108,9 +105,10 @@ class TestBuildForms:
             w = random_unit_stack(rng, forms.dim)
             f = extract_precoder(w, profile)
             common, private = stream_rates(forms, w)
+            report = rate_report(h, f, profile, power, 1.0)
             for k in range(k_users):
-                want_c = math.log2(1.0 + sinr_common(k, h, f, profile, power, 1.0))
-                want_p = math.log2(1.0 + sinr_private(k, h, f, profile, power, 1.0))
+                want_c = math.log2(1.0 + report.common_sinrs[k])
+                want_p = math.log2(1.0 + report.private_sinrs[k])
                 assert common[k] == pytest.approx(want_c, rel=1e-9, abs=1e-12)
                 assert private[k] == pytest.approx(want_p, rel=1e-9, abs=1e-12)
 
@@ -263,8 +261,8 @@ class TestKktMatrices:
         for seed in range(3):
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
-            opts = SolverOptions(tau=1.0, mode="RSMA" if include_common else "SDMA")
-            w0 = init_precoder(h, profile, opts.mode)
+            opts = SolverOptions(tau=1.0)
+            w0 = init_precoder(h, profile, include_common)
             for w in (w0, gpi_solve(forms, opts, w0).stacked):
                 pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
                 rhs = pencil_a.matvec(w)
@@ -291,7 +289,7 @@ class TestGpiSolve:
         h, profile = correlated_instance(1)
         power = 10.0 ** 2.0
         forms = build_forms(h, profile, power, 1.0)
-        w0 = init_precoder(h, profile, "RSMA")
+        w0 = init_precoder(h, profile)
         opts = SolverOptions(tau=0.3, epsilon=0.01, t_max=500)
         result = gpi_solve(forms, opts, w0)
         assert result.converged
@@ -336,7 +334,7 @@ class TestGpiSolve:
             for power in (10.0 ** 2.0, 10.0 ** 3.0):
                 h, profile = correlated_instance(seed)
                 forms = build_forms(h, profile, power, 1.0)
-                w0 = init_precoder(h, profile, "RSMA")
+                w0 = init_precoder(h, profile)
                 result = gpi_solve(forms, SolverOptions(tau=1.0), w0)
                 trace = result.objective_trace
                 steps = np.diff(trace)
@@ -344,12 +342,14 @@ class TestGpiSolve:
                 total += len(steps)
         assert increases / total >= 0.95
 
-    def test_mode_mismatch_rejected(self):
+    def test_start_of_other_mode_rejected(self):
+        # an RSMA start has one block too many for SDMA forms, and vice versa
         h, profile = correlated_instance(3)
-        forms = build_forms(h, profile, 10.0, 1.0, include_common=False)
-        w0 = random_unit_stack(np.random.default_rng(0), forms.dim)
-        with pytest.raises(DimensionMismatch):
-            gpi_solve(forms, SolverOptions(mode="RSMA"), w0)
+        for include_common in (True, False):
+            forms = build_forms(h, profile, 10.0, 1.0, include_common)
+            w0 = init_precoder(h, profile, not include_common)
+            with pytest.raises(DimensionMismatch, match="starting vector"):
+                gpi_solve(forms, SolverOptions(), w0)
 
     def test_zero_start_rejected(self):
         h, profile = correlated_instance(4)
@@ -366,8 +366,6 @@ class TestGpiSolve:
             SolverOptions(epsilon=-1.0)
         with pytest.raises(ValidationError):
             SolverOptions(t_max=0)
-        with pytest.raises(ValidationError):
-            SolverOptions(mode="NOMA")
 
 
 class TestInitAndExtract:
@@ -375,7 +373,7 @@ class TestInitAndExtract:
         rng = np.random.default_rng(10)
         h = random_channel(rng, 3, 1)
         profile = QuantizerProfile.from_bits([4, 4, 4], [6])
-        w = init_precoder(h, profile, "RSMA")
+        w = init_precoder(h, profile)
         f = extract_precoder(w, profile)
         # K=1: the common column equals the private column equals h
         assert vector_angle(f[:, 0], h[:, 0]) < 1e-6
@@ -384,22 +382,22 @@ class TestInitAndExtract:
     def test_orthogonal_channels_common_column(self):
         h = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
         profile = ideal_profile(3, 2)
-        f = extract_precoder(init_precoder(h, profile, "RSMA"), profile)
+        f = extract_precoder(init_precoder(h, profile), profile)
         assert vector_angle(f[:, 0], np.array([0.5, 0.5, 0.0])) < 1e-6
 
     def test_unit_norm(self):
         rng = np.random.default_rng(11)
-        for mode in ("RSMA", "SDMA"):
+        for include_common in (True, False):
             h = random_channel(rng, 4, 3)
             profile = random_profile(rng, 4, 3)
-            w = init_precoder(h, profile, mode)
+            w = init_precoder(h, profile, include_common)
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_channel_rejected(self):
         from rsma_sim import ZeroChannel
 
         with pytest.raises(ZeroChannel):
-            init_precoder(np.zeros((3, 2)), ideal_profile(3, 2), "RSMA")
+            init_precoder(np.zeros((3, 2)), ideal_profile(3, 2))
 
     def test_extract_is_identity_for_perfect_quantization(self):
         rng = np.random.default_rng(12)
@@ -454,17 +452,23 @@ class TestInitAndExtract:
             build_forms(np.ones((2, 1), dtype=complex), broken, 1.0, 1.0)
 
 
+def sdma_solve(h, profile, power, opts):
+    """Q-GPI-SEM: the power iteration without the common stream."""
+    forms = build_forms(h, profile, power, 1.0, include_common=False)
+    return gpi_solve(forms, opts, init_precoder(h, profile, include_common=False))
+
+
 class TestGpiSemSolve:
     def test_single_user_matched_filter(self):
         rng = np.random.default_rng(15)
         h = random_channel(rng, 4, 1)
         profile = ideal_profile(4, 1)
-        result = gpi_sem_solve(h, profile, 10.0 ** 4.0, 1.0, SolverOptions())
+        result = sdma_solve(h, profile, 10.0 ** 4.0, SolverOptions())
         assert vector_angle(result.precoder[:, 1], h[:, 0]) < 1e-3
 
     def test_common_column_zero(self):
         h, profile = correlated_instance(5)
-        result = gpi_sem_solve(h, profile, 100.0, 1.0, SolverOptions())
+        result = sdma_solve(h, profile, 100.0, SolverOptions())
         np.testing.assert_array_equal(result.precoder[:, 0], np.zeros(4))
         assert result.stacked.shape == (8,)  # N*K, no common block
 
@@ -483,8 +487,8 @@ class TestGpiSemSolve:
         for seed in range(100):
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, power, 1.0)
-            rs_result = gpi_solve(forms, opts, init_precoder(h, profile, "RSMA"))
-            sem_result = gpi_sem_solve(h, profile, power, 1.0, opts)
+            rs_result = gpi_solve(forms, opts, init_precoder(h, profile))
+            sem_result = sdma_solve(h, profile, power, opts)
             se_rs = rate_report(h, rs_result.precoder, profile, power, 1.0).sum_se
             se_sem = rate_report(h, sem_result.precoder, profile, power, 1.0).sum_se
             gains.append(se_rs - se_sem)
@@ -496,7 +500,7 @@ class TestNepResidual:
         h, profile = correlated_instance(7)
         forms = build_forms(h, profile, 10.0 ** 2.5, 1.0)
         opts = SolverOptions(tau=0.3, epsilon=1e-4, t_max=2000)
-        result = gpi_solve(forms, opts, init_precoder(h, profile, "RSMA"))
+        result = gpi_solve(forms, opts, init_precoder(h, profile))
         assert result.converged
         assert result.residual <= 10 * opts.epsilon
 

