@@ -3,7 +3,6 @@
 from .baselines import BASELINE_KINDS, baseline_precoder, normalize_power
 from .channel import (
     ArrayGeometry,
-    ChannelRealization,
     UserGeometry,
     draw_aods,
     effective_channel,
@@ -30,14 +29,12 @@ from .gpi import (
     SolveResult,
     SolverOptions,
     build_forms,
-    extract_precoder,
     gpi_solve,
     init_precoder,
     kkt_matrices,
     nep_residual,
     objective,
     stack_precoder,
-    stream_rates,
 )
 from .harness import (
     ALGORITHMS,
@@ -56,14 +53,12 @@ from .linalg import (
     blockdiag_solve,
     canonical_phase,
     sample_complex_gaussian,
-    seeded_rng,
     trial_rng,
 )
 from .quantization import (
     BETA_TABLE,
     QuantizerProfile,
     beta_of_bits,
-    ideal_profile,
 )
 from .rates import (
     RateReport,

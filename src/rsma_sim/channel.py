@@ -64,21 +64,6 @@ class UserGeometry:
             raise DimensionMismatch(f"spread must be positive, got {self.spread}")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One block-fading draw of the channel matrix."""
-
-    matrix: np.ndarray            # (N, K) complex, column k = user k
-
-    @property
-    def n_antennas(self):
-        return self.matrix.shape[0]
-
-    @property
-    def n_users(self):
-        return self.matrix.shape[1]
-
-
 def one_ring_covariance(geom, user, abs_tol=1e-10):
     """Spatial covariance of the one-ring model for one user.
 
@@ -162,7 +147,8 @@ def sample_channel(factorizations, rng):
 
     ``factorizations`` is a sequence of (U, eigenvalues) pairs as returned
     by :func:`kl_factorize`; user k's column is ``U_k diag(sqrt(lam_k)) g_k``
-    with a fresh standard complex Gaussian g_k.
+    with a fresh standard complex Gaussian g_k. Returns the (N, K)
+    complex channel matrix.
     """
     columns = []
     for basis, eigvals in factorizations:
@@ -172,7 +158,7 @@ def sample_channel(factorizations, rng):
         else:
             g = sample_complex_gaussian(rng, rank)
             columns.append(basis @ (np.sqrt(eigvals) * g))
-    return ChannelRealization(matrix=np.column_stack(columns))
+    return np.column_stack(columns)
 
 
 def draw_aods(rng, n_users, mode):

@@ -30,7 +30,7 @@ def _build_parser():
     run_p.add_argument("--config", required=True, help="path to the JSON experiment spec")
     run_p.add_argument("--out", required=True, help="path of the CSV to write")
     run_p.add_argument("--workers", type=int, default=None,
-                       help="parallel trial workers (default: RSMA_SIM_WORKERS or 1)")
+                       help="parallel trial workers, at least 1 (default: 1)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config's base_seed")
 

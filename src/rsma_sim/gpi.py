@@ -130,19 +130,6 @@ def _quadratics(forms, w):
     return None, None, a_private, b_private
 
 
-def stream_rates(forms, w):
-    """Rates (bits/s/Hz) of the common and private streams at w.
-
-    Returns (common_rates, private_rates); common_rates is None in SDMA
-    mode.
-    """
-    a_c, b_c, a_p, b_p = _quadratics(forms, w)
-    private = np.log2(a_p / b_p)
-    if a_c is None:
-        return None, private
-    return np.log2(a_c / b_c), private
-
-
 def objective(forms, w, tau):
     """Smoothed sum spectral efficiency at w (bits/s/Hz).
 
@@ -150,10 +137,11 @@ def objective(forms, w, tau):
     rates; SDMA: private rates only (tau unused). Invariant to scaling
     of w.
     """
-    common, private = stream_rates(forms, w)
-    if common is None:
-        return float(private.sum())
-    return lse_min(common, tau) + float(private.sum())
+    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    private = float(np.log2(a_p / b_p).sum())
+    if a_c is None:
+        return private
+    return lse_min(np.log2(a_c / b_c), tau) + private
 
 
 def kkt_matrices(forms, w, tau):
@@ -292,22 +280,6 @@ def stack_precoder(f_matrix, profile):
         raise DimensionMismatch("precoder rows must match the antenna count")
     weighted = np.sqrt(profile.dac_alpha)[:, None] * f_matrix
     return weighted.T.reshape(-1).copy()
-
-
-def extract_precoder(w, profile):
-    """Invert :func:`stack_precoder`: recover F from a stacked vector.
-
-    The resulting precoder uses transmit power ``||w||^2`` under the
-    reduced power constraint.
-    """
-    if np.any(profile.dac_alpha <= 0):
-        raise InvalidProfile("cannot unweight a profile with zero DAC gain")
-    w = np.asarray(w, dtype=complex)
-    n = profile.n_antennas
-    if w.ndim != 1 or w.size % n != 0:
-        raise DimensionMismatch(f"stacked length {w.size} not a multiple of {n}")
-    rows = w.reshape(-1, n)
-    return (rows.T / np.sqrt(profile.dac_alpha)[:, None]).copy()
 
 
 def init_precoder(channel, profile, include_common=True):

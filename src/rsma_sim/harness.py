@@ -13,7 +13,6 @@ not depend on execution order or the number of workers.
 
 import json
 import math
-import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -38,13 +37,14 @@ from .rates import rate_report
 
 ALGORITHMS = ("QGPIRS", "QGPISEM", "QMRT", "QZF", "QRZF")
 CHANNEL_MODES = ("random_aod", "correlated_aod")
-WORKERS_ENV_VAR = "RSMA_SIM_WORKERS"
 
 _ALLOWED_KEYS = {
     "N", "K", "snr_db", "dac_bits", "adc_bits", "channel_mode",
     "trials", "base_seed", "algorithms", "solver",
 }
-_ALLOWED_SOLVER_KEYS = {"tau", "epsilon", "t_max"}
+# JSON type each solver key takes; bools are rejected although Python
+# counts them as ints.
+_SOLVER_TYPES = {"tau": (int, float), "epsilon": (int, float), "t_max": int}
 _UNIFORM_RE = re.compile(r"^uniform-random\s+(\d+)\.\.(\d+)$")
 _MIXED_PART_RE = re.compile(r"^(\d+)@(\d+)$")
 
@@ -120,11 +120,7 @@ def _positive_int(raw, field):
 def _parse_bit_entry(raw, field):
     if isinstance(raw, str) and raw.strip().lower() == "inf":
         return math.inf
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ParseError(f"entries of {field!r} must be integers or \"inf\", got {raw!r}")
-    if raw < 1:
-        raise ValidationError(f"entries of {field!r} must be >= 1, got {raw}")
-    return raw
+    return _positive_int(raw, field)
 
 
 def _parse_bit_spec(raw, count, field):
@@ -140,34 +136,28 @@ def _parse_bit_spec(raw, count, field):
                 f"field {field!r} lists {len(raw)} resolutions but {count} are needed"
             )
         return BitSpec("fixed", count, tuple(_parse_bit_entry(v, field) for v in raw))
-    if isinstance(raw, int) and not isinstance(raw, bool):
+    if not isinstance(raw, str) or raw.strip().lower() == "inf":
         return BitSpec("fixed", count, (_parse_bit_entry(raw, field),) * count)
-    if isinstance(raw, str):
-        text = raw.strip()
-        if text.lower() == "inf":
-            return BitSpec("fixed", count, (math.inf,) * count)
-        match = _UNIFORM_RE.match(text)
-        if match:
-            lo, hi = int(match.group(1)), int(match.group(2))
-            if lo < 1 or hi < lo:
-                raise ValidationError(f"field {field!r}: bad range {lo}..{hi}")
-            return BitSpec("uniform", count, lo=lo, hi=hi)
-        if text.startswith("mixed"):
-            values = []
-            for part in text[len("mixed"):].split("+"):
-                m = _MIXED_PART_RE.match(part.strip())
-                if not m:
-                    raise ParseError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
-                reps, bits = int(m.group(1)), int(m.group(2))
-                if bits < 1:
-                    raise ValidationError(f"field {field!r}: resolution must be >= 1")
-                values.extend([bits] * reps)
-            if len(values) != count:
-                raise ValidationError(
-                    f"field {field!r}: mixed counts sum to {len(values)}, need {count}"
-                )
-            return BitSpec("fixed", count, tuple(values))
-        raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
+    text = raw.strip()
+    match = _UNIFORM_RE.match(text)
+    if match:
+        lo, hi = int(match.group(1)), int(match.group(2))
+        if lo < 1 or hi < lo:
+            raise ValidationError(f"field {field!r}: bad range {lo}..{hi}")
+        return BitSpec("uniform", count, lo=lo, hi=hi)
+    if text.startswith("mixed"):
+        values = []
+        for part in text[len("mixed"):].split("+"):
+            m = _MIXED_PART_RE.match(part.strip())
+            if not m:
+                raise ParseError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
+            bits = _positive_int(int(m.group(2)), field)
+            values.extend([bits] * int(m.group(1)))
+        if len(values) != count:
+            raise ValidationError(
+                f"field {field!r}: mixed counts sum to {len(values)}, need {count}"
+            )
+        return BitSpec("fixed", count, tuple(values))
     raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
 
 
@@ -195,6 +185,8 @@ def load_spec(document):
         raise ValidationError("snr_db must be a nonempty list")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in snr_db):
         raise ParseError("snr_db entries must be numbers")
+    if not all(math.isfinite(v) for v in snr_db):
+        raise ValidationError(f"snr_db entries must be finite, got {snr_db}")
 
     base_seed = data.get("base_seed", 0)
     if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
@@ -214,15 +206,15 @@ def load_spec(document):
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ParseError("solver must be a JSON object")
-    unknown = set(solver_raw) - _ALLOWED_SOLVER_KEYS
+    unknown = set(solver_raw) - set(_SOLVER_TYPES)
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
+    for key, value in solver_raw.items():
+        if isinstance(value, bool) or not isinstance(value, _SOLVER_TYPES[key]):
+            kind = "an integer" if key == "t_max" else "a number"
+            raise ParseError(f"solver {key!r} must be {kind}, got {value!r}")
     try:
-        solver = SolverOptions(
-            tau=float(solver_raw.get("tau", 0.3)),
-            epsilon=float(solver_raw.get("epsilon", 0.01)),
-            t_max=int(solver_raw.get("t_max", 500)),
-        )
+        solver = SolverOptions(**solver_raw)
     except RsmaSimError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -289,7 +281,7 @@ def _run_trial(spec, trial_index):
         kl_factorize(one_ring_covariance(geometry, UserGeometry(aod=float(theta))))
         for theta in aods
     ]
-    realization = sample_channel(factorizations, rng)
+    channel = sample_channel(factorizations, rng)
 
     records = []
     for snr_db in spec.snr_db:
@@ -297,7 +289,7 @@ def _run_trial(spec, trial_index):
         for algorithm in spec.algorithms:
             try:
                 record = _evaluate_algorithm(
-                    trial_index, snr_db, algorithm, realization.matrix, profile,
+                    trial_index, snr_db, algorithm, channel, profile,
                     power, noise_power=1.0, solver=spec.solver,
                 )
             except (RsmaSimError, np.linalg.LinAlgError) as exc:
@@ -312,25 +304,16 @@ def _run_trial(spec, trial_index):
     return records
 
 
-def _worker_count(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def run_experiment(spec, workers=None):
     """Execute the full sweep; returns records sorted by (trial, snr, algorithm).
 
     A solver failure inside one record is captured in that record's note
     (converged False, zeroed metrics); it never aborts the sweep.
+    ``workers`` trials run in parallel; None means 1.
     """
-    count = _worker_count(workers)
+    count = 1 if workers is None else workers
+    if count < 1:
+        raise ValidationError(f"workers must be >= 1, got {count}")
     if count == 1 or spec.trials == 1:
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:
@@ -341,18 +324,69 @@ def run_experiment(spec, workers=None):
     return records
 
 
-def _fmt(value):
-    """Serialize one float with 9 significant digits."""
+# Column groups of the results and summary CSVs, in dataclass field order.
+# A group is (field, kind): kind is the type of a one-column field, or,
+# for a vector field, the column prefix; a vector field spans one float
+# column per element, numbered from 1.
+_RECORD_COLUMNS = (
+    ("trial_index", int), ("snr_db", float), ("algorithm", str),
+    ("sum_se", float), ("common_rate", float), ("private_rates", "private_rate_"),
+    ("iterations", int), ("converged", bool), ("residual", float),
+    ("per_antenna_power", "per_antenna_power_"), ("note", str),
+)
+_SUMMARY_COLUMNS = (
+    ("snr_db", float), ("algorithm", str), ("n_records", int),
+    ("mean_sum_se", float), ("stderr_sum_se", float), ("mean_common_rate", float),
+    ("mean_power_ratio", "mean_power_ratio_"),
+)
+
+
+def _header(groups, widths):
+    """Column names; ``widths`` maps each vector field to its element count."""
+    columns = []
+    for field, kind in groups:
+        if isinstance(kind, str):
+            columns += [f"{kind}{i + 1}" for i in range(widths[field])]
+        else:
+            columns.append(field)
+    return columns
+
+
+def _format(kind, value):
+    """One cell: floats with 9 significant digits, text without commas or newlines."""
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if kind is str:
+        return value.replace(",", ";").replace("\n", " ")
     return format(float(value), ".9g")
 
 
-def csv_header(n_users, n_antennas):
-    columns = ["trial_index", "snr_db", "algorithm", "sum_se", "common_rate"]
-    columns += [f"private_rate_{k + 1}" for k in range(n_users)]
-    columns += ["iterations", "converged", "residual"]
-    columns += [f"per_antenna_power_{n + 1}" for n in range(n_antennas)]
-    columns += ["note"]
-    return columns
+def _parse(kind, cell):
+    if kind is bool:
+        if cell not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {cell!r}")
+        return cell == "true"
+    return cell if kind is str else kind(cell)
+
+
+def _write_table(groups, items, path):
+    """Write dataclass items as UTF-8 CSV with LF endings, one row each."""
+    widths = {field: len(getattr(items[0], field)) if items else 0
+              for field, kind in groups if isinstance(kind, str)}
+    lines = [",".join(_header(groups, widths))]
+    for item in items:
+        cells = []
+        for field, kind in groups:
+            value = getattr(item, field)
+            if isinstance(kind, str):
+                cells += [_format(float, v) for v in value]
+            else:
+                cells.append(_format(kind, value))
+        lines.append(",".join(cells))
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def write_csv(records, path):
@@ -362,31 +396,7 @@ def write_csv(records, path):
     diagnostic wall_time_ms is deliberately not serialized. Vector fields
     occupy one column per element, keeping the field order.
     """
-    lines = []
-    if records:
-        n_users = len(records[0].private_rates)
-        n_antennas = len(records[0].per_antenna_power)
-    else:
-        n_users = n_antennas = 0
-    lines.append(",".join(csv_header(n_users, n_antennas)))
-    for rec in records:
-        note = rec.note.replace(",", ";").replace("\n", " ")
-        cells = [
-            str(rec.trial_index),
-            _fmt(rec.snr_db),
-            rec.algorithm,
-            _fmt(rec.sum_se),
-            _fmt(rec.common_rate),
-            *[_fmt(v) for v in rec.private_rates],
-            str(rec.iterations),
-            "true" if rec.converged else "false",
-            _fmt(rec.residual),
-            *[_fmt(v) for v in rec.per_antenna_power],
-            note,
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_table(_RECORD_COLUMNS, records, path)
 
 
 def read_csv(path):
@@ -396,34 +406,26 @@ def read_csv(path):
     if not lines:
         raise ParseError(f"{path}: empty results file")
     header = lines[0].split(",")
-    n_users = sum(1 for c in header if c.startswith("private_rate_"))
-    n_antennas = sum(1 for c in header if c.startswith("per_antenna_power_"))
-    expected = csv_header(n_users, n_antennas)
-    if header != expected:
+    widths = {field: sum(c.startswith(kind) for c in header)
+              for field, kind in _RECORD_COLUMNS if isinstance(kind, str)}
+    if header != _header(_RECORD_COLUMNS, widths):
         raise ParseError(f"{path}: unexpected CSV header")
     records = []
-    for line in lines[1:]:
+    for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"{path}: row has {len(cells)} cells, expected {len(header)}")
-        pos = 0
-        trial_index = int(cells[pos]); pos += 1
-        snr_db = float(cells[pos]); pos += 1
-        algorithm = cells[pos]; pos += 1
-        sum_se = float(cells[pos]); pos += 1
-        common_rate = float(cells[pos]); pos += 1
-        private = tuple(float(c) for c in cells[pos:pos + n_users]); pos += n_users
-        iterations = int(cells[pos]); pos += 1
-        converged = cells[pos] == "true"; pos += 1
-        residual = float(cells[pos]); pos += 1
-        powers = tuple(float(c) for c in cells[pos:pos + n_antennas]); pos += n_antennas
-        note = cells[pos]
-        records.append(TrialRecord(
-            trial_index=trial_index, snr_db=snr_db, algorithm=algorithm,
-            sum_se=sum_se, common_rate=common_rate, private_rates=private,
-            iterations=iterations, converged=converged, residual=residual,
-            wall_time_ms=0.0, per_antenna_power=powers, note=note,
-        ))
+            raise ParseError(f"{path}: row {row} has {len(cells)} cells, expected {len(header)}")
+        cells = iter(cells)
+        fields = {}
+        try:
+            for field, kind in _RECORD_COLUMNS:
+                if isinstance(kind, str):
+                    fields[field] = tuple(float(next(cells)) for _ in range(widths[field]))
+                else:
+                    fields[field] = _parse(kind, next(cells))
+        except ValueError as exc:
+            raise ParseError(f"{path}: row {row}, column {field!r}: {exc}") from exc
+        records.append(TrialRecord(wall_time_ms=0.0, **fields))
     return records
 
 
@@ -471,18 +473,4 @@ def summarize(records):
 
 def write_summary_csv(rows, path):
     """Write summary rows as CSV (one power-ratio column per antenna)."""
-    n_antennas = len(rows[0].mean_power_ratio) if rows else 0
-    columns = ["snr_db", "algorithm", "n_records", "mean_sum_se",
-               "stderr_sum_se", "mean_common_rate"]
-    columns += [f"mean_power_ratio_{n + 1}" for n in range(n_antennas)]
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = [
-            _fmt(row.snr_db), row.algorithm, str(row.n_records),
-            _fmt(row.mean_sum_se), _fmt(row.stderr_sum_se),
-            _fmt(row.mean_common_rate),
-            *[_fmt(v) for v in row.mean_power_ratio],
-        ]
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write_table(_SUMMARY_COLUMNS, rows, path)

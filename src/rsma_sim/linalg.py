@@ -128,11 +128,6 @@ def canonical_phase(v):
     return v * (np.conj(pivot) / np.abs(pivot))
 
 
-def seeded_rng(seed):
-    """Counter-based (Philox) generator: same seed, same draws, any platform."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def trial_rng(base_seed, trial_index):
     """Independent per-trial stream keyed on (base_seed, trial_index).
 

@@ -75,16 +75,3 @@ class QuantizerProfile:
     @property
     def n_users(self):
         return len(self.adc_bits)
-
-    def is_unquantized(self):
-        return all(b == math.inf for b in self.dac_bits) and all(
-            b == math.inf for b in self.adc_bits
-        )
-
-
-def ideal_profile(n_antennas, n_users):
-    """Profile with infinite resolution everywhere (no quantization)."""
-    return QuantizerProfile.from_bits(
-        [math.inf] * n_antennas, [math.inf] * n_users
-    )
-

@@ -13,6 +13,7 @@ import scipy.linalg
 from rsma_sim import (
     ConvergenceFailure,
     DimensionMismatch,
+    InvalidProfile,
     QuantizerProfile,
     SingularMatrix,
     canonical_phase,
@@ -23,6 +24,35 @@ from rsma_sim.linalg import PIVOT_RTOL
 from rsma_sim.rates import softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
+
+
+def seeded_rng(seed):
+    """Counter-based (Philox) generator: same seed, same draws, any platform."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def ideal_profile(n_antennas, n_users):
+    """Profile with infinite resolution everywhere (no quantization)."""
+    return QuantizerProfile.from_bits([math.inf] * n_antennas, [math.inf] * n_users)
+
+
+def is_unquantized(profile):
+    return all(b == math.inf for b in profile.dac_bits + profile.adc_bits)
+
+
+def extract_precoder(w, profile):
+    """Invert ``stack_precoder``: F from a stacked vector, with power ``||w||^2``."""
+    if np.any(profile.dac_alpha <= 0):
+        raise InvalidProfile("cannot unweight a profile with zero DAC gain")
+    rows = np.asarray(w, dtype=complex).reshape(-1, profile.n_antennas)
+    return rows.T / np.sqrt(profile.dac_alpha)[:, None]
+
+
+def stream_rates(forms, w):
+    """Common and private stream rates (bits/s/Hz) at w; common is None for SDMA."""
+    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    common = None if a_c is None else np.log2(a_c / b_c)
+    return common, np.log2(a_p / b_p)
 
 
 def random_profile(rng, n_antennas, n_users, pool=BIT_POOL):

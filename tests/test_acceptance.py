@@ -22,10 +22,8 @@ from rsma_sim import (
     canonical_phase,
     check_power,
     draw_aods,
-    extract_precoder,
     gpi_solve,
     half_wavelength_ula,
-    ideal_profile,
     init_precoder,
     kkt_matrices,
     kl_factorize,
@@ -36,7 +34,6 @@ from rsma_sim import (
     rate_report,
     run_experiment,
     sample_channel,
-    seeded_rng,
     summarize,
     trial_rng,
 )
@@ -47,11 +44,14 @@ from oracles import (
     dac_noise_covariance,
     direct_sinr_common,
     direct_sinr_private,
+    extract_precoder,
+    ideal_profile,
     long_form_power,
     principal_gep_oracle,
     random_channel,
     random_precoder,
     random_profile,
+    seeded_rng,
     to_dense,
     vector_angle,
 )
@@ -309,7 +309,7 @@ def test_criterion_6_degeneration():
             kl_factorize(one_ring_covariance(geom, UserGeometry(aod=a)))
             for a in (0.9, 1.2)
         ]
-        h = sample_channel(facs, rng).matrix
+        h = sample_channel(facs, rng)
         f = random_precoder(rng, profile, n, k_users)
         power = 100.0
 
@@ -382,7 +382,7 @@ def test_criterion_8_correlation_effect():
                         one_ring_covariance(geom, UserGeometry(aod=center + delta))
                     ),
                 ]
-                h = sample_channel(facs, rng).matrix
+                h = sample_channel(facs, rng)
                 forms = build_forms(h, profile, power, 1.0)
                 rs_res = gpi_solve(forms, opts, init_precoder(h, profile))
                 sem_forms = build_forms(h, profile, power, 1.0, include_common=False)
@@ -429,7 +429,7 @@ def test_criterion_10_performance_envelope():
             kl_factorize(one_ring_covariance(geom, UserGeometry(aod=float(a))))
             for a in aods
         ]
-        h = sample_channel(facs, rng).matrix
+        h = sample_channel(facs, rng)
         profile = QuantizerProfile.from_bits([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0
         forms = build_forms(h, profile, power, 1.0)

@@ -11,12 +11,11 @@ from rsma_sim import (
     baseline_precoder,
     check_power,
     effective_channel,
-    ideal_profile,
     normalize_power,
     rate_report,
 )
 
-from oracles import random_channel, random_profile, vector_angle
+from oracles import ideal_profile, random_channel, random_profile, vector_angle
 
 
 class TestNormalizePower:

@@ -16,9 +16,7 @@ from rsma_sim import (
     build_forms,
     canonical_phase,
     check_power,
-    extract_precoder,
     gpi_solve,
-    ideal_profile,
     init_precoder,
     kkt_matrices,
     kl_factorize,
@@ -28,7 +26,6 @@ from rsma_sim import (
     rate_report,
     sample_channel,
     stack_precoder,
-    stream_rates,
     trial_rng,
     half_wavelength_ula,
     UserGeometry,
@@ -40,10 +37,13 @@ from oracles import (
     BIT_POOL,
     dense_blocks,
     dense_kkt,
+    extract_precoder,
     hermitian_solve,
+    ideal_profile,
     principal_gep_oracle,
     random_channel,
     random_profile,
+    stream_rates,
     to_dense,
     vector_angle,
 )
@@ -62,9 +62,9 @@ def correlated_instance(seed, n=4, k_users=2, dac=4, adc=6):
         kl_factorize(one_ring_covariance(geom, UserGeometry(aod=float(a))))
         for a in aods
     ]
-    chan = sample_channel(facs, rng)
+    h = sample_channel(facs, rng)
     profile = QuantizerProfile.from_bits([dac] * n, [adc] * k_users)
-    return chan.matrix, profile
+    return h, profile
 
 
 class TestBuildForms:

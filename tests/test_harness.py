@@ -132,6 +132,24 @@ class TestLoadSpec:
         with pytest.raises(ValidationError):
             load_spec(make_doc(solver={"tau": -1.0}))
 
+    @pytest.mark.parametrize("solver", [
+        {"tau": "abc"}, {"tau": [1]}, {"tau": None}, {"tau": "0.5"}, {"tau": True},
+        {"epsilon": "0.5"}, {"epsilon": None}, {"epsilon": False},
+        {"t_max": "9"}, {"t_max": 2.7}, {"t_max": True}, {"t_max": [1]}, {"t_max": None},
+    ])
+    def test_malformed_solver_value(self, solver):
+        with pytest.raises(ParseError):
+            load_spec(make_doc(solver=solver))
+
+    def test_partial_solver_keeps_other_defaults(self):
+        spec = load_spec(make_doc(solver={"tau": 1, "t_max": 20}))
+        assert (spec.solver.tau, spec.solver.epsilon, spec.solver.t_max) == (1, 0.01, 20)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            load_spec(make_doc(snr_db=[10, bad]))
+
 
 class TestRunExperiment:
     def test_record_count_and_order(self):
@@ -212,12 +230,10 @@ class TestRunExperiment:
         powers = {r.per_antenna_power for r in records}
         assert len(powers) > 1
 
-    def test_workers_env_fallback(self, monkeypatch):
-        spec = small_spec(trials=3)
-        serial = run_experiment(spec)
-        monkeypatch.setenv("RSMA_SIM_WORKERS", "2")
-        via_env = run_experiment(spec)
-        assert [r.sum_se for r in via_env] == [r.sum_se for r in serial]
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValidationError):
+            run_experiment(small_spec(), workers=workers)
 
 
 class TestCsvRoundTrip:
@@ -260,6 +276,19 @@ class TestCsvRoundTrip:
         path = tmp_path / "lf.csv"
         write_csv(run_experiment(small_spec()), path)
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("cell", ["True", "1", "yes", ""])
+    def test_bad_converged_cell_rejected(self, tmp_path, cell):
+        path = tmp_path / "results.csv"
+        write_csv(run_experiment(small_spec()), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("converged")
+        cells = lines[2].split(",")
+        cells[column] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="row 2, column .converged."):
+            read_csv(path)
 
 
 class TestSummarize:
@@ -345,6 +374,20 @@ class TestCli:
         bad.write_text(json.dumps({"N": 4}), encoding="utf-8")
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(bad), "--out", str(out)]) == 1
+
+    def test_malformed_solver_is_config_error(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, solver={"tau": "abc"})
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_workers_is_config_error(self, tmp_path, capsys):
+        config = self._write_config(tmp_path)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out),
+                         "--workers", "0"]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_missing_config_is_io_error(self, tmp_path):
         out = tmp_path / "never.csv"

@@ -13,7 +13,6 @@ from rsma_sim import (
     blockdiag_solve,
     canonical_phase,
     sample_complex_gaussian,
-    seeded_rng,
     trial_rng,
 )
 
@@ -22,6 +21,7 @@ from oracles import (
     dense_blocks,
     hermitian_solve,
     principal_gep_oracle,
+    seeded_rng,
     to_dense,
 )
 

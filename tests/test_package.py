@@ -1,5 +1,6 @@
 """Package-level guards."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,13 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_bench_layer_functions_exist():
+    # bench/tracing.py times package functions by name; a deleted or renamed
+    # one would otherwise show up only as zero calls in a traced run.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.missing_layers() == []

@@ -11,9 +11,15 @@ from rsma_sim import (
     InvalidResolution,
     QuantizerProfile,
     beta_of_bits,
-    ideal_profile,
 )
-from oracles import adc_noise_variance, dac_noise_covariance, lloyd_max_beta, random_channel
+from oracles import (
+    adc_noise_variance,
+    dac_noise_covariance,
+    ideal_profile,
+    is_unquantized,
+    lloyd_max_beta,
+    random_channel,
+)
 
 
 class TestBetaOfBits:
@@ -63,7 +69,7 @@ class TestQuantizerProfile:
         profile = ideal_profile(3, 2)
         assert np.all(profile.dac_alpha == 1.0)
         assert np.all(profile.dac_beta == 0.0)
-        assert profile.is_unquantized()
+        assert is_unquantized(profile)
 
 
 class TestDacNoiseCovariance:

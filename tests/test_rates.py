@@ -11,7 +11,6 @@ from rsma_sim import (
     DimensionMismatch,
     QuantizerProfile,
     check_power,
-    ideal_profile,
     lse_min,
     rate_report,
     softmin_weights,
@@ -20,6 +19,7 @@ from rsma_sim import (
 from oracles import (
     direct_sinr_common,
     direct_sinr_private,
+    ideal_profile,
     long_form_power,
     random_channel,
     random_precoder,
