@@ -2,11 +2,8 @@
 
 from .baselines import BASELINE_KINDS, baseline_precoder, normalize_power
 from .channel import (
-    ArrayGeometry,
-    UserGeometry,
     draw_aods,
     effective_channel,
-    half_wavelength_ula,
     kl_factorize,
     one_ring_covariance,
     sample_channel,

@@ -1,98 +1,62 @@
 """Spatially correlated channel generation via the one-ring scattering model.
 
+The access point is a uniform linear array with half-wavelength spacing.
 Each user's N x N spatial covariance is an integral over the scatter ring
 around its angle of departure; channels are then drawn through a
-Karhunen-Loeve factorization of that covariance. Antenna positions are
-expressed in carrier wavelengths, which absorbs the wavelength constant
-into the geometry.
+Karhunen-Loeve factorization of that covariance.
 """
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch
 from .linalg import sample_complex_gaussian
 
-DEFAULT_ANGULAR_SPREAD = math.pi / 6
+# Half-width of every user's scatter ring around its angle of departure.
+ANGULAR_SPREAD = math.pi / 6
+# The quadrature stops once no covariance entry moves by this much.
+QUADRATURE_TOL = 1e-10
 # Eigenvalues below this fraction of the largest are treated as numerical
 # rank deficiency and truncated.
-DEFAULT_RANK_TOL = 1e-10
+RANK_TOL = 1e-10
 # Node count past which the one-ring quadrature gives up.
 MAX_QUADRATURE_NODES = 4096
+CHANNEL_MODES = ("random_aod", "correlated_aod")
 
 
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Antenna positions in the plane, in units of wavelength."""
+def one_ring_covariance(n_antennas, aod):
+    """Spatial covariance of the one-ring model at a half-wavelength ULA.
 
-    positions: np.ndarray
-
-    def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        if pos.ndim != 2 or pos.shape[1] != 2 or pos.shape[0] < 1:
-            raise DimensionMismatch(f"positions must be (N, 2), got {pos.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise DimensionMismatch("antenna positions must be finite")
-        object.__setattr__(self, "positions", pos)
-
-    @property
-    def n_antennas(self):
-        return self.positions.shape[0]
-
-
-def half_wavelength_ula(n_antennas):
-    """Uniform linear array along the x axis with half-wavelength spacing."""
-    pos = np.zeros((n_antennas, 2))
-    pos[:, 0] = 0.5 * np.arange(n_antennas)
-    return ArrayGeometry(pos)
-
-
-@dataclass(frozen=True)
-class UserGeometry:
-    """Angle of departure (radians) and angular spread of one user's ring."""
-
-    aod: float
-    spread: float = DEFAULT_ANGULAR_SPREAD
-
-    def __post_init__(self):
-        if not 0.0 <= self.aod < math.pi:
-            raise DimensionMismatch(f"aod must lie in [0, pi), got {self.aod}")
-        if not self.spread > 0.0:
-            raise DimensionMismatch(f"spread must be positive, got {self.spread}")
-
-
-def one_ring_covariance(geom, user, abs_tol=1e-10):
-    """Spatial covariance of the one-ring model for one user.
-
-    Entry (n, m) averages ``exp(-j*2*pi * [cos x, sin x] . (r_n - r_m))``
-    over the ring ``x in [aod - spread, aod + spread]``. The integrand
-    depends only on the displacement ``r_n - r_m``, so the integral is
-    evaluated once per distinct displacement (2N - 1 of them for a ULA)
-    and scattered back to the N x N matrix. Gauss-Legendre quadrature,
-    with nodes cached per count, doubles the node count until every entry
-    changes by less than ``abs_tol``.
+    Entry (n, m) averages ``exp(-j*2*pi * cos(x) * (n - m) / 2)`` over the
+    ring ``x in [aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD]``. It depends
+    only on the lag n - m, and lag -d is the conjugate of lag d, so the
+    integral is evaluated once per displacement 0, 1/2, ..., (N - 1)/2 and
+    the matrix is filled as a Hermitian Toeplitz matrix. Gauss-Legendre
+    quadrature, with nodes cached per count, doubles the node count until
+    every entry changes by less than ``QUADRATURE_TOL``.
 
     Raises
     ------
+    DimensionMismatch
+        If ``n_antennas < 1`` or ``aod`` lies outside [0, pi).
     ConvergenceFailure
-        If the estimate still moves by ``abs_tol`` or more at
+        If the estimate still moves by ``QUADRATURE_TOL`` or more at
         ``MAX_QUADRATURE_NODES`` (4096) nodes.
     """
-    pos = geom.positions
-    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
-    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    disp, inverse = np.unique((dx + 1j * dy).ravel(), return_inverse=True)
-    dx, dy = disp.real, disp.imag
-    lo, hi = user.aod - user.spread, user.aod + user.spread
+    if n_antennas < 1:
+        raise DimensionMismatch(f"n_antennas must be >= 1, got {n_antennas}")
+    if not 0.0 <= aod < math.pi:
+        raise DimensionMismatch(f"aod must lie in [0, pi), got {aod}")
+    disp = 0.5 * np.arange(n_antennas)
+    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
 
     def estimate(n_nodes):
         nodes, weights = _gauss_legendre(n_nodes)
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights / (2.0 * user.spread)
-        phase = np.cos(x)[:, None] * dx + np.sin(x)[:, None] * dy
+        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
+        phase = np.cos(x)[:, None] * disp
         return np.einsum("q,qd->d", w, np.exp(-2j * math.pi * phase))
 
     n_nodes = 16
@@ -102,15 +66,16 @@ def one_ring_covariance(geom, user, abs_tol=1e-10):
         refined = estimate(n_nodes)
         change = np.abs(refined - values).max()
         values = refined
-        if change < abs_tol:
+        if change < QUADRATURE_TOL:
             break
         if n_nodes >= MAX_QUADRATURE_NODES:
             raise ConvergenceFailure(
                 f"one-ring quadrature still changed by {change:.3e} "
-                f"(tolerance {abs_tol:.1e}) at {n_nodes} nodes"
+                f"(tolerance {QUADRATURE_TOL:.1e}) at {n_nodes} nodes"
             )
-    cov = values[inverse].reshape(geom.n_antennas, geom.n_antennas)
-    cov = 0.5 * (cov + cov.conj().T)
+    lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
+    lower = values[np.abs(lag)]
+    cov = np.where(lag >= 0, lower, lower.conj())
     # zero displacement makes the integrand identically one
     np.fill_diagonal(cov, 1.0)
     return cov
@@ -129,16 +94,16 @@ def _gauss_legendre(n_nodes):
     return nodes, weights
 
 
-def kl_factorize(cov, rank_tol=DEFAULT_RANK_TOL):
+def kl_factorize(cov):
     """Truncated eigenfactorization ``cov ~= U diag(lam) U^H``.
 
     Returns orthonormal eigenvectors U (N x r) and the r eigenvalues above
-    ``rank_tol`` times the largest, sorted descending.
+    ``RANK_TOL`` times the largest, sorted descending.
     """
     cov = np.asarray(cov, dtype=complex)
     vals, vecs = np.linalg.eigh(cov)
     vals, vecs = vals[::-1], vecs[:, ::-1]
-    keep = vals > rank_tol * max(vals[0], 0.0)
+    keep = vals > RANK_TOL * max(vals[0], 0.0)
     return np.ascontiguousarray(vecs[:, keep]), vals[keep].copy()
 
 
@@ -161,20 +126,20 @@ def sample_channel(factorizations, rng):
     return np.column_stack(columns)
 
 
-def draw_aods(rng, n_users, mode):
+def draw_aods(rng, n_users, channel_mode):
     """Draw user angles of departure.
 
-    "random" draws each angle i.i.d. uniform over [0, pi). "correlated"
-    draws a common center uniformly over [pi/12, pi - pi/12] and then
-    per-user offsets uniform over [-pi/12, pi/12], so all pairwise angle
-    differences stay within pi/6.
+    "random_aod" draws each angle i.i.d. uniform over [0, pi).
+    "correlated_aod" draws a common center uniformly over
+    [pi/12, pi - pi/12] and then per-user offsets uniform over
+    [-pi/12, pi/12], so all pairwise angle differences stay within pi/6.
     """
-    if mode == "random":
+    if channel_mode == "random_aod":
         return rng.uniform(0.0, math.pi, size=n_users)
-    if mode == "correlated":
+    if channel_mode == "correlated_aod":
         center = rng.uniform(math.pi / 12, math.pi - math.pi / 12)
         return center + rng.uniform(-math.pi / 12, math.pi / 12, size=n_users)
-    raise DimensionMismatch(f"unknown aod mode {mode!r}")
+    raise DimensionMismatch(f"unknown channel mode {channel_mode!r}")
 
 
 def effective_channel(profile, channel):

@@ -11,6 +11,7 @@ The quantization-aware SDMA variant runs the same machinery without the
 common stream (``include_common=False``).
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,11 @@ class SolverOptions:
     t_max: int = 500
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if not self.epsilon > 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
+        for name in ("tau", "epsilon"):
+            value = getattr(self, name)
+            # also false for NaN, infinity and ints too large for a float
+            if not 0 < value <= sys.float_info.max:
+                raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.t_max < 1:
             raise ValidationError(f"t_max must be at least 1, got {self.t_max}")
 

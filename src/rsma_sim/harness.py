@@ -22,9 +22,8 @@ import numpy as np
 
 from .baselines import baseline_precoder
 from .channel import (
-    UserGeometry,
+    CHANNEL_MODES,
     draw_aods,
-    half_wavelength_ula,
     kl_factorize,
     one_ring_covariance,
     sample_channel,
@@ -36,7 +35,6 @@ from .quantization import QuantizerProfile
 from .rates import rate_report
 
 ALGORITHMS = ("QGPIRS", "QGPISEM", "QMRT", "QZF", "QRZF")
-CHANNEL_MODES = ("random_aod", "correlated_aod")
 
 _ALLOWED_KEYS = {
     "N", "K", "snr_db", "dac_bits", "adc_bits", "channel_mode",
@@ -185,8 +183,13 @@ def load_spec(document):
         raise ValidationError("snr_db must be a nonempty list")
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in snr_db):
         raise ParseError("snr_db entries must be numbers")
-    if not all(math.isfinite(v) for v in snr_db):
-        raise ValidationError(f"snr_db entries must be finite, got {snr_db}")
+    for v in snr_db:
+        try:
+            power = 10.0 ** (v / 10.0)
+        except OverflowError:
+            power = math.inf
+        if not 0.0 < power < math.inf:
+            raise ValidationError(f"snr_db entry {v}: 10^(snr_db/10) is not positive and finite")
 
     base_seed = data.get("base_seed", 0)
     if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
@@ -274,12 +277,9 @@ def _run_trial(spec, trial_index):
     adc_bits = spec.adc_bits.resolve(rng)
     profile = QuantizerProfile.from_bits(dac_bits, adc_bits)
 
-    mode = "random" if spec.channel_mode == "random_aod" else "correlated"
-    aods = draw_aods(rng, spec.n_users, mode)
-    geometry = half_wavelength_ula(spec.n_antennas)
+    aods = draw_aods(rng, spec.n_users, spec.channel_mode)
     factorizations = [
-        kl_factorize(one_ring_covariance(geometry, UserGeometry(aod=float(theta))))
-        for theta in aods
+        kl_factorize(one_ring_covariance(spec.n_antennas, float(theta))) for theta in aods
     ]
     channel = sample_channel(factorizations, rng)
 

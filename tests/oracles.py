@@ -19,6 +19,7 @@ from rsma_sim import (
     canonical_phase,
     check_power,
 )
+from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
 from rsma_sim.gpi import _quadratics
 from rsma_sim.linalg import PIVOT_RTOL
 from rsma_sim.rates import softmin_weights
@@ -156,33 +157,38 @@ def long_form_power(f_matrix, profile, power):
     return float(np.trace(cov).real / power)
 
 
-def trapezoid_one_ring(geom, user, n_points=100_000):
-    """One-ring covariance by brute-force trapezoid quadrature."""
-    pos = geom.positions
+def _ula_displacements(n_antennas):
+    """All N^2 pairwise displacements r_n - r_m of a half-wavelength ULA."""
+    pos = np.zeros((n_antennas, 2))
+    pos[:, 0] = 0.5 * np.arange(n_antennas)
     dx = pos[:, 0][:, None] - pos[:, 0][None, :]
     dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    x = np.linspace(user.aod - user.spread, user.aod + user.spread, n_points)
+    return dx, dy
+
+
+def trapezoid_one_ring(n_antennas, aod, n_points=100_000):
+    """One-ring covariance by brute-force trapezoid quadrature."""
+    dx, dy = _ula_displacements(n_antennas)
+    x = np.linspace(aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD, n_points)
     phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
     values = np.exp(-2j * math.pi * phase)
-    return np.trapezoid(values, x, axis=0) / (2.0 * user.spread)
+    return np.trapezoid(values, x, axis=0) / (2.0 * ANGULAR_SPREAD)
 
 
-def dense_one_ring(geom, user, abs_tol=1e-10):
+def dense_one_ring(n_antennas, aod):
     """One-ring covariance by Gauss-Legendre doubling over all N^2 entries.
 
-    Evaluates the integrand at every antenna pair, with fresh nodes for
-    each count, and returns the last estimate even if the doubling stops
-    at 4096 nodes without meeting ``abs_tol``.
+    Evaluates the planar integrand at every antenna pair, with fresh nodes
+    for each count, and returns the last estimate even if the doubling
+    stops at 4096 nodes without meeting ``QUADRATURE_TOL``.
     """
-    pos = geom.positions
-    dx = pos[:, 0][:, None] - pos[:, 0][None, :]
-    dy = pos[:, 1][:, None] - pos[:, 1][None, :]
-    lo, hi = user.aod - user.spread, user.aod + user.spread
+    dx, dy = _ula_displacements(n_antennas)
+    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
 
     def estimate(n_nodes):
         nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights / (2.0 * user.spread)
+        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
         phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
         return np.einsum("q,qnm->nm", w, np.exp(-2j * math.pi * phase))
 
@@ -191,7 +197,7 @@ def dense_one_ring(geom, user, abs_tol=1e-10):
     while n_nodes < 4096:
         n_nodes *= 2
         refined = estimate(n_nodes)
-        if np.abs(refined - cov).max() < abs_tol:
+        if np.abs(refined - cov).max() < QUADRATURE_TOL:
             cov = refined
             break
         cov = refined

@@ -16,14 +16,12 @@ import pytest
 from rsma_sim import (
     QuantizerProfile,
     SolverOptions,
-    UserGeometry,
     blockdiag_solve,
     build_forms,
     canonical_phase,
     check_power,
     draw_aods,
     gpi_solve,
-    half_wavelength_ula,
     init_precoder,
     kkt_matrices,
     kl_factorize,
@@ -304,11 +302,7 @@ def test_criterion_6_degeneration():
         n, k_users = 4, 2
         profile = ideal_profile(n, k_users)
         rng = seeded_rng(606)
-        geom = half_wavelength_ula(n)
-        facs = [
-            kl_factorize(one_ring_covariance(geom, UserGeometry(aod=a)))
-            for a in (0.9, 1.2)
-        ]
+        facs = [kl_factorize(one_ring_covariance(n, a)) for a in (0.9, 1.2)]
         h = sample_channel(facs, rng)
         f = random_precoder(rng, profile, n, k_users)
         power = 100.0
@@ -366,7 +360,6 @@ def test_criterion_8_correlation_effect():
     with criterion(8, "RSMA-over-SDMA gain grows as user angles close in"):
         started = time.perf_counter()
         n, k_users = 4, 2
-        geom = half_wavelength_ula(n)
         profile = QuantizerProfile.from_bits([4] * n, [8] * k_users)
         power = 10.0 ** 5.0
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
@@ -377,10 +370,8 @@ def test_criterion_8_correlation_effect():
                 rng = trial_rng(808, t)
                 center = rng.uniform(0.3, math.pi - 0.3 - delta)
                 facs = [
-                    kl_factorize(one_ring_covariance(geom, UserGeometry(aod=center))),
-                    kl_factorize(
-                        one_ring_covariance(geom, UserGeometry(aod=center + delta))
-                    ),
+                    kl_factorize(one_ring_covariance(n, center)),
+                    kl_factorize(one_ring_covariance(n, center + delta)),
                 ]
                 h = sample_channel(facs, rng)
                 forms = build_forms(h, profile, power, 1.0)
@@ -423,12 +414,8 @@ def test_criterion_10_performance_envelope():
     with criterion(10, "N=8, K=4 solve completes 500 iterations under 1 s"):
         n, k_users = 8, 4
         rng = trial_rng(1010, 0)
-        geom = half_wavelength_ula(n)
-        aods = draw_aods(rng, k_users, "correlated")
-        facs = [
-            kl_factorize(one_ring_covariance(geom, UserGeometry(aod=float(a))))
-            for a in aods
-        ]
+        aods = draw_aods(rng, k_users, "correlated_aod")
+        facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
         h = sample_channel(facs, rng)
         profile = QuantizerProfile.from_bits([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0

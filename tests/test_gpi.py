@@ -27,8 +27,6 @@ from rsma_sim import (
     sample_channel,
     stack_precoder,
     trial_rng,
-    half_wavelength_ula,
-    UserGeometry,
     draw_aods,
 )
 from rsma_sim.gpi import _quadratics
@@ -56,12 +54,8 @@ def random_unit_stack(rng, dim):
 
 def correlated_instance(seed, n=4, k_users=2, dac=4, adc=6):
     rng = trial_rng(seed, 0)
-    geom = half_wavelength_ula(n)
-    aods = draw_aods(rng, k_users, "correlated")
-    facs = [
-        kl_factorize(one_ring_covariance(geom, UserGeometry(aod=float(a))))
-        for a in aods
-    ]
+    aods = draw_aods(rng, k_users, "correlated_aod")
+    facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
     h = sample_channel(facs, rng)
     profile = QuantizerProfile.from_bits([dac] * n, [adc] * k_users)
     return h, profile

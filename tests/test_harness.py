@@ -141,6 +141,14 @@ class TestLoadSpec:
         with pytest.raises(ParseError):
             load_spec(make_doc(solver=solver))
 
+    @pytest.mark.parametrize("solver", [
+        {"tau": math.inf}, {"tau": math.nan}, {"tau": 10**400},
+        {"epsilon": math.inf}, {"epsilon": math.nan},
+    ])
+    def test_non_finite_solver_value_rejected(self, solver):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            load_spec(make_doc(solver=solver))
+
     def test_partial_solver_keeps_other_defaults(self):
         spec = load_spec(make_doc(solver={"tau": 1, "t_max": 20}))
         assert (spec.solver.tau, spec.solver.epsilon, spec.solver.t_max) == (1, 0.01, 20)
@@ -148,6 +156,13 @@ class TestLoadSpec:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_snr_rejected(self, bad):
         with pytest.raises(ValidationError):
+            load_spec(make_doc(snr_db=[10, bad]))
+
+    @pytest.mark.parametrize("bad", [1e308, -4000, -1e308, 10**400],
+                             ids=["1e308", "-4000", "-1e308", "401-digit-int"])
+    def test_snr_power_outside_float_range_rejected(self, bad):
+        # 10^(snr/10) overflows, underflows to zero, or cannot be computed
+        with pytest.raises(ValidationError, match="snr_db entry"):
             load_spec(make_doc(snr_db=[10, bad]))
 
 
@@ -377,6 +392,13 @@ class TestCli:
 
     def test_malformed_solver_is_config_error(self, tmp_path, capsys):
         config = self._write_config(tmp_path, solver={"tau": "abc"})
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_snr_overflow_is_config_error(self, tmp_path, capsys):
+        config = self._write_config(tmp_path, snr_db=[1e308])
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err

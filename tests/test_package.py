@@ -34,3 +34,13 @@ def test_bench_layer_functions_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.missing_layers() == []
+
+
+def test_readme_library_example_runs(capsys):
+    # The README's library example is run as written, so a renamed or
+    # re-signatured entry point fails here rather than in a reader's hands.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()
