@@ -11,7 +11,6 @@ from .channel import (
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
-    InvalidProfile,
     InvalidResolution,
     ParseError,
     RankDeficient,
@@ -31,7 +30,6 @@ from .gpi import (
     kkt_matrices,
     nep_residual,
     objective,
-    stack_precoder,
 )
 from .harness import (
     ALGORITHMS,

@@ -24,13 +24,13 @@ def normalize_power(f_matrix, profile):
     return np.asarray(f_matrix, dtype=complex) / np.sqrt(used)
 
 
-def baseline_precoder(kind, channel, profile, power, noise_power):
+def baseline_precoder(kind, channel, profile, snr):
     """Quantization-aware MRT/ZF/RZF precoder on the effective channel.
 
     Returns an (N, K+1) precoder with a zero common column, per-stream
     directions normalized to equal power, and the total scaled so the
     reduced power constraint holds with equality. The RZF loading is
-    ``K * noise_power / power``.
+    ``K / snr``, with ``snr`` the linear transmit power over the noise power.
     """
     if kind not in BASELINE_KINDS:
         raise DimensionMismatch(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
@@ -42,7 +42,7 @@ def baseline_precoder(kind, channel, profile, power, noise_power):
     else:
         gram = h_eff.conj().T @ h_eff
         if kind == "QRZF":
-            gram = gram + (n_users * noise_power / power) * np.eye(n_users)
+            gram = gram + (n_users / snr) * np.eye(n_users)
         eigvals = np.linalg.eigvalsh(gram)
         if eigvals[-1] <= 0 or eigvals[0] <= _GRAM_RTOL * eigvals[-1]:
             raise RankDeficient(

@@ -43,10 +43,6 @@ class ZeroChannel(RsmaSimError):
     """All channel columns vanish; no precoder direction exists."""
 
 
-class InvalidProfile(RsmaSimError):
-    """Quantizer profile cannot be used (e.g. zero gain on some element)."""
-
-
 class RankDeficient(RsmaSimError):
     """Effective channel Gram matrix is singular beyond tolerance."""
 

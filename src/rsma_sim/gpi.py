@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidProfile,
-    ValidationError,
-    ZeroChannel,
-    ZeroPrecoder,
-)
+from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder
 from .linalg import BlockDiag, blockdiag_solve, canonical_phase
 from .rates import lse_min, quadratic_terms, softmin_weights
 
@@ -85,23 +79,24 @@ class QuadraticForms:
         return self.n_streams * self.n_antennas
 
 
-def build_forms(channel, profile, power, noise_power, include_common=True):
-    """Assemble the quadratic forms for a channel/profile/SNR operating point."""
+def build_forms(channel, profile, snr, include_common=True):
+    """Assemble the quadratic forms for a channel/profile/SNR operating point.
+
+    ``snr`` is the linear transmit power over the noise power.
+    """
     channel = np.asarray(channel, dtype=complex)
     if channel.shape != (profile.n_antennas, profile.n_users):
         raise DimensionMismatch(
             f"channel {channel.shape} inconsistent with profile "
             f"({profile.n_antennas} antennas, {profile.n_users} users)"
         )
-    if np.any(profile.dac_alpha <= 0):
-        raise InvalidProfile("DAC gains must be strictly positive")
     sqrt_alpha = np.sqrt(profile.dac_alpha)
     return QuadraticForms(
         weighted_channels=(sqrt_alpha[:, None] * channel).T.copy(),
         distortion_diags=(profile.dac_beta[:, None] * np.abs(channel) ** 2).T.copy(),
         adc_alpha=profile.adc_alpha.copy(),
         dac_alpha=profile.dac_alpha.copy(),
-        noise_over_power=noise_power / power,
+        noise_over_power=1.0 / snr,
         include_common=include_common,
     )
 
@@ -271,33 +266,15 @@ def _to_full_precoder(forms, w):
     return np.hstack([zero, f_matrix])
 
 
-def stack_precoder(f_matrix, profile):
-    """Stack a precoder into the gain-weighted vector the solver iterates on.
-
-    Column j maps to block j via ``w_j = sqrt(Phi_a) f_j``; no
-    normalization is applied.
-    """
-    f_matrix = np.asarray(f_matrix, dtype=complex)
-    if f_matrix.shape[0] != profile.n_antennas:
-        raise DimensionMismatch("precoder rows must match the antenna count")
-    weighted = np.sqrt(profile.dac_alpha)[:, None] * f_matrix
-    return weighted.T.reshape(-1).copy()
-
-
-def init_precoder(channel, profile, include_common=True):
+def init_precoder(forms):
     """Matched-filter starting point, stacked and normalized to unit power.
 
-    Private columns are the user channels; with ``include_common`` (RSMA)
-    a leading common column is the average of the user channels.
+    Private blocks are the gain-weighted user channels; with
+    ``forms.include_common`` (RSMA) a leading common block is their mean.
     """
-    channel = np.asarray(channel, dtype=complex)
-    if np.linalg.norm(channel) == 0:
+    m = forms.weighted_channels
+    if np.linalg.norm(m) == 0:
         raise ZeroChannel("all channel columns vanish")
-    if include_common:
-        common = channel.mean(axis=1, keepdims=True)
-        f_matrix = np.hstack([common, channel])
-    else:
-        f_matrix = channel
-    w = stack_precoder(f_matrix, profile)
+    rows = np.vstack([m.mean(axis=0), m]) if forms.include_common else m
+    w = rows.reshape(-1)
     return canonical_phase(w / np.linalg.norm(w))
-

@@ -140,22 +140,21 @@ def _parse_bit_spec(raw, count, field):
     match = _UNIFORM_RE.match(text)
     if match:
         lo, hi = int(match.group(1)), int(match.group(2))
-        if lo < 1 or hi < lo:
+        # each trial draws from the range with numpy's int64 integers
+        if lo < 1 or hi < lo or hi > np.iinfo(np.int64).max:
             raise ValidationError(f"field {field!r}: bad range {lo}..{hi}")
         return BitSpec("uniform", count, lo=lo, hi=hi)
     if text.startswith("mixed"):
-        values = []
+        parts = []
         for part in text[len("mixed"):].split("+"):
             m = _MIXED_PART_RE.match(part.strip())
             if not m:
                 raise ParseError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
-            bits = _positive_int(int(m.group(2)), field)
-            values.extend([bits] * int(m.group(1)))
-        if len(values) != count:
-            raise ValidationError(
-                f"field {field!r}: mixed counts sum to {len(values)}, need {count}"
-            )
-        return BitSpec("fixed", count, tuple(values))
+            parts.append((int(m.group(1)), _positive_int(int(m.group(2)), field)))
+        total = sum(n for n, _ in parts)
+        if total != count:
+            raise ValidationError(f"field {field!r}: mixed counts sum to {total}, need {count}")
+        return BitSpec("fixed", count, tuple(bits for n, bits in parts for _ in range(n)))
     raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
 
 
@@ -184,12 +183,15 @@ def load_spec(document):
     if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in snr_db):
         raise ParseError("snr_db entries must be numbers")
     for v in snr_db:
+        # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite
         try:
-            power = 10.0 ** (v / 10.0)
-        except OverflowError:
-            power = math.inf
-        if not 0.0 < power < math.inf:
-            raise ValidationError(f"snr_db entry {v}: 10^(snr_db/10) is not positive and finite")
+            loading = n_users / 10.0 ** (v / 10.0)
+        except (OverflowError, ZeroDivisionError):
+            loading = math.inf
+        if not 0.0 < loading < math.inf:
+            raise ValidationError(
+                f"snr_db entry {v}: K * 10^(-snr_db/10) is not positive and finite"
+            )
 
     base_seed = data.get("base_seed", 0)
     if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
@@ -235,8 +237,7 @@ def load_spec(document):
     )
 
 
-def _evaluate_algorithm(trial_index, snr_db, algorithm, channel, profile, power,
-                        noise_power, solver):
+def _evaluate_algorithm(trial_index, snr_db, algorithm, channel, profile, snr, solver):
     """Run one algorithm on one operating point and return its record.
 
     QGPIRS and QGPISEM are the same solve with and without the common
@@ -244,17 +245,16 @@ def _evaluate_algorithm(trial_index, snr_db, algorithm, channel, profile, power,
     """
     started = time.perf_counter()
     if algorithm in ("QGPIRS", "QGPISEM"):
-        include_common = algorithm == "QGPIRS"
-        forms = build_forms(channel, profile, power, noise_power, include_common)
-        result = gpi_solve(forms, solver, init_precoder(channel, profile, include_common))
+        forms = build_forms(channel, profile, snr, include_common=algorithm == "QGPIRS")
+        result = gpi_solve(forms, solver, init_precoder(forms))
         f_matrix = result.precoder
         iterations, converged, residual = result.iterations, result.converged, result.residual
     else:
-        f_matrix = baseline_precoder(algorithm, channel, profile, power, noise_power)
+        f_matrix = baseline_precoder(algorithm, channel, profile, snr)
         iterations, converged, residual = 0, True, 0.0
 
-    report = rate_report(channel, f_matrix, profile, power, noise_power)
-    antenna_power = power * profile.dac_alpha * np.sum(np.abs(f_matrix) ** 2, axis=1)
+    report = rate_report(channel, f_matrix, profile, snr)
+    antenna_power = snr * profile.dac_alpha * np.sum(np.abs(f_matrix) ** 2, axis=1)
     return TrialRecord(
         trial_index=trial_index,
         snr_db=snr_db,
@@ -275,7 +275,7 @@ def _run_trial(spec, trial_index):
     rng = trial_rng(spec.base_seed, trial_index)
     dac_bits = spec.dac_bits.resolve(rng)
     adc_bits = spec.adc_bits.resolve(rng)
-    profile = QuantizerProfile.from_bits(dac_bits, adc_bits)
+    profile = QuantizerProfile(dac_bits, adc_bits)
 
     aods = draw_aods(rng, spec.n_users, spec.channel_mode)
     factorizations = [
@@ -285,12 +285,11 @@ def _run_trial(spec, trial_index):
 
     records = []
     for snr_db in spec.snr_db:
-        power = 10.0 ** (snr_db / 10.0)
+        snr = 10.0 ** (snr_db / 10.0)
         for algorithm in spec.algorithms:
             try:
                 record = _evaluate_algorithm(
-                    trial_index, snr_db, algorithm, channel, profile,
-                    power, noise_power=1.0, solver=spec.solver,
+                    trial_index, snr_db, algorithm, channel, profile, snr, spec.solver
                 )
             except (RsmaSimError, np.linalg.LinAlgError) as exc:
                 record = TrialRecord(
@@ -304,20 +303,19 @@ def _run_trial(spec, trial_index):
     return records
 
 
-def run_experiment(spec, workers=None):
+def run_experiment(spec, workers=1):
     """Execute the full sweep; returns records sorted by (trial, snr, algorithm).
 
     A solver failure inside one record is captured in that record's note
     (converged False, zeroed metrics); it never aborts the sweep.
-    ``workers`` trials run in parallel; None means 1.
+    ``workers`` trials run in parallel.
     """
-    count = 1 if workers is None else workers
-    if count < 1:
-        raise ValidationError(f"workers must be >= 1, got {count}")
-    if count == 1 or spec.trials == 1:
+    if workers < 1:
+        raise ValidationError(f"workers must be >= 1, got {workers}")
+    if workers == 1 or spec.trials == 1:
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:
-        with ProcessPoolExecutor(max_workers=count) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_trial, [spec] * spec.trials, range(spec.trials)))
     records = [record for batch in batches for record in batch]
     records.sort(key=lambda r: (r.trial_index, r.snr_db, r.algorithm))

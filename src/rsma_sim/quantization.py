@@ -8,7 +8,7 @@ means a distortion-free converter and shares the same code path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,8 @@ def beta_of_bits(bits):
     """Normalized quantization distortion for a b-bit converter.
 
     Tabulated for 1..5 bits, closed-form ``(pi*sqrt(3)/2) * 4^-b`` above,
-    exactly zero for infinite resolution.
+    exactly zero for infinite resolution. Any positive int is accepted;
+    the closed form underflows to zero for very large ones.
     """
     if bits == math.inf:
         return 0.0
@@ -34,7 +35,7 @@ def beta_of_bits(bits):
         raise InvalidResolution(f"resolution must be positive, got {bits}")
     if bits <= 5:
         return BETA_TABLE[int(bits)]
-    return (math.pi * math.sqrt(3.0) / 2.0) * 2.0 ** (-2 * int(bits))
+    return math.ldexp(math.pi * math.sqrt(3.0) / 2.0, -2 * int(bits))
 
 
 def _gains(bits_list):
@@ -50,23 +51,26 @@ def _gains(bits_list):
 
 @dataclass(frozen=True)
 class QuantizerProfile:
-    """Per-antenna DAC and per-user ADC resolutions with derived gains."""
+    """Per-antenna DAC and per-user ADC resolutions with derived gains.
+
+    Built from the two resolution lists (ints or ``math.inf``); the gains
+    are derived from them and take no part in equality.
+    """
 
     dac_bits: tuple
     adc_bits: tuple
-    dac_alpha: np.ndarray
-    dac_beta: np.ndarray
-    adc_alpha: np.ndarray
-    adc_beta: np.ndarray
+    dac_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    dac_beta: np.ndarray = field(init=False, repr=False, compare=False)
+    adc_alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    adc_beta: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @classmethod
-    def from_bits(cls, dac_bits, adc_bits):
-        """Build a profile from resolution lists (ints or ``math.inf``)."""
-        dac_bits = tuple(dac_bits)
-        adc_bits = tuple(adc_bits)
-        dac_alpha, dac_beta = _gains(dac_bits)
-        adc_alpha, adc_beta = _gains(adc_bits)
-        return cls(dac_bits, adc_bits, dac_alpha, dac_beta, adc_alpha, adc_beta)
+    def __post_init__(self):
+        for bank in ("dac", "adc"):
+            bits = tuple(getattr(self, f"{bank}_bits"))
+            alpha, beta = _gains(bits)
+            object.__setattr__(self, f"{bank}_bits", bits)
+            object.__setattr__(self, f"{bank}_alpha", alpha)
+            object.__setattr__(self, f"{bank}_beta", beta)
 
     @property
     def n_antennas(self):

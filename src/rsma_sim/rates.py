@@ -40,39 +40,33 @@ def quadratic_terms(vectors, diag_weights, streams, noise):
     return beam, beam.sum(axis=1) + distort.sum(axis=1) + noise
 
 
-def rate_report(channel, f_matrix, profile, power, noise_power):
+def rate_report(channel, f_matrix, profile, snr):
     """Evaluate all stream rates for a precoder.
 
     User k sees stream i with gain ``|h_k^H Phi_a f_i|^2`` and DAC
     distortion ``f_i^H Phi_a Phi_b diag(|h_k|^2) f_i``; the noise term is
-    ``noise_power / power`` whatever power F actually uses. The common
-    rate is the exact minimum over users of the rates at which each could
-    decode the common stream; the sum spectral efficiency adds the K
-    private rates.
+    ``1 / snr`` whatever power F actually uses. The common rate is the
+    exact minimum over users of the rates at which each could decode the
+    common stream; the sum spectral efficiency adds the K private rates.
     """
     channel = np.asarray(channel, dtype=complex)
     f_matrix = np.asarray(f_matrix, dtype=complex)
-    if channel.ndim != 2 or f_matrix.ndim != 2:
-        raise DimensionMismatch("channel and precoder must be matrices")
-    if channel.shape[0] != f_matrix.shape[0]:
+    n_antennas, n_users = profile.n_antennas, profile.n_users
+    if channel.shape != (n_antennas, n_users):
+        raise DimensionMismatch(f"channel shape {channel.shape}, expected {(n_antennas, n_users)}")
+    if f_matrix.shape != (n_antennas, n_users + 1):
         raise DimensionMismatch(
-            f"channel rows {channel.shape[0]} != precoder rows {f_matrix.shape[0]}"
-        )
-    if channel.shape != (profile.n_antennas, profile.n_users):
-        raise DimensionMismatch("channel shape inconsistent with quantizer profile")
-    if f_matrix.shape[1] != profile.n_users + 1:
-        raise DimensionMismatch(
-            f"expected {profile.n_users + 1} precoder columns, got {f_matrix.shape[1]}"
+            f"precoder shape {f_matrix.shape}, expected {(n_antennas, n_users + 1)}"
         )
 
     beam, totals = quadratic_terms(
         channel.T * profile.dac_alpha,
         profile.dac_alpha * profile.dac_beta * np.abs(channel.T) ** 2,
         f_matrix.T,
-        noise_power / power,
+        1.0 / snr,
     )
     alpha = profile.adc_alpha
-    users = np.arange(profile.n_users)
+    users = np.arange(n_users)
     common = alpha * beam[:, 0]
     private = alpha * beam[users, users + 1]
     common_sinrs = common / (totals - common)

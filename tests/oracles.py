@@ -13,7 +13,6 @@ import scipy.linalg
 from rsma_sim import (
     ConvergenceFailure,
     DimensionMismatch,
-    InvalidProfile,
     QuantizerProfile,
     SingularMatrix,
     canonical_phase,
@@ -34,17 +33,28 @@ def seeded_rng(seed):
 
 def ideal_profile(n_antennas, n_users):
     """Profile with infinite resolution everywhere (no quantization)."""
-    return QuantizerProfile.from_bits([math.inf] * n_antennas, [math.inf] * n_users)
+    return QuantizerProfile([math.inf] * n_antennas, [math.inf] * n_users)
 
 
 def is_unquantized(profile):
     return all(b == math.inf for b in profile.dac_bits + profile.adc_bits)
 
 
+def stack_precoder(f_matrix, profile):
+    """Stack a precoder into the gain-weighted vector the solver iterates on.
+
+    Column j maps to block j via ``w_j = sqrt(Phi_a) f_j``; no
+    normalization is applied.
+    """
+    f_matrix = np.asarray(f_matrix, dtype=complex)
+    if f_matrix.shape[0] != profile.n_antennas:
+        raise DimensionMismatch("precoder rows must match the antenna count")
+    weighted = np.sqrt(profile.dac_alpha)[:, None] * f_matrix
+    return weighted.T.reshape(-1).copy()
+
+
 def extract_precoder(w, profile):
     """Invert ``stack_precoder``: F from a stacked vector, with power ``||w||^2``."""
-    if np.any(profile.dac_alpha <= 0):
-        raise InvalidProfile("cannot unweight a profile with zero DAC gain")
     rows = np.asarray(w, dtype=complex).reshape(-1, profile.n_antennas)
     return rows.T / np.sqrt(profile.dac_alpha)[:, None]
 
@@ -59,7 +69,7 @@ def stream_rates(forms, w):
 def random_profile(rng, n_antennas, n_users, pool=BIT_POOL):
     dac = [pool[i] for i in rng.integers(0, len(pool), n_antennas)]
     adc = [pool[i] for i in rng.integers(0, len(pool), n_users)]
-    return QuantizerProfile.from_bits(dac, adc)
+    return QuantizerProfile(dac, adc)
 
 
 def random_channel(rng, n_antennas, n_users):

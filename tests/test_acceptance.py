@@ -81,7 +81,7 @@ def test_criterion_1_formula_equivalence():
         for _ in range(200):
             n, k_users, profile, h, power = sample_instance(rng)
             f = random_precoder(rng, profile, n, k_users)
-            report = rate_report(h, f, profile, power, 1.0)
+            report = rate_report(h, f, profile, power)
             for k in range(k_users):
                 got_c = report.common_sinrs[k]
                 want_c = direct_sinr_common(k, h, f, profile, power, 1.0)
@@ -102,12 +102,12 @@ def test_criterion_2_rayleigh_form_correctness():
         rng = np.random.default_rng(2025)
         for _ in range(200):
             n, k_users, profile, h, power = sample_instance(rng)
-            forms = build_forms(h, profile, power, 1.0)
+            forms = build_forms(h, profile, power)
             w = rng.standard_normal(forms.dim) + 1j * rng.standard_normal(forms.dim)
             w = w / np.linalg.norm(w)
             f = extract_precoder(w, profile)
             a_c, b_c, a_p, b_p = _quadratics(forms, w)
-            report = rate_report(h, f, profile, power, 1.0)
+            report = rate_report(h, f, profile, power)
             for k in range(k_users):
                 want = 1.0 + report.common_sinrs[k]
                 assert abs(a_c[k] / b_c[k] - want) <= 1e-9 * want
@@ -128,7 +128,7 @@ def test_criterion_3_gradient_check():
             profile = random_profile(rng, n, k_users)
             h = random_channel(rng, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 3.0)
-            forms = build_forms(h, profile, power, 1.0)
+            forms = build_forms(h, profile, power)
             w = rng.standard_normal(forms.dim) + 1j * rng.standard_normal(forms.dim)
             w = w / np.linalg.norm(w)
             pencil_a, pencil_b = kkt_matrices(forms, w, tau)
@@ -167,8 +167,8 @@ def test_criterion_4_nep_fixed_point():
             profile = random_profile(rng, n, k_users)
             h = random_channel(rng, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 4.0)
-            forms = build_forms(h, profile, power, 1.0)
-            result = gpi_solve(forms, opts, init_precoder(h, profile))
+            forms = build_forms(h, profile, power)
+            result = gpi_solve(forms, opts, init_precoder(forms))
             if result.converged:
                 converged_count += 1
                 assert result.residual <= 0.1, f"residual {result.residual}"
@@ -176,8 +176,8 @@ def test_criterion_4_nep_fixed_point():
 
         # frozen pencil: plain generalized power iteration vs dense oracle
         h = random_channel(rng, 4, 2)
-        profile = QuantizerProfile.from_bits([4] * 4, [6] * 2)
-        forms = build_forms(h, profile, 100.0, 1.0)
+        profile = QuantizerProfile([4] * 4, [6] * 2)
+        forms = build_forms(h, profile, 100.0)
         w = rng.standard_normal(forms.dim) + 1j * rng.standard_normal(forms.dim)
         w = w / np.linalg.norm(w)
         pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
@@ -313,14 +313,14 @@ def test_criterion_6_degeneration():
             assert adc_noise_variance(profile, k, h, f, power, 1.0) == 0.0
 
         # the general forms carry no distortion terms at all
-        forms = build_forms(h, profile, power, 1.0)
+        forms = build_forms(h, profile, power)
         assert np.all(forms.distortion_diags == 0.0)
         np.testing.assert_array_equal(forms.weighted_channels, h.T)
 
         # whole-solver degeneration: same trajectory as the dedicated
         # unquantized implementation, given the same channel draw
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
-        result = gpi_solve(forms, opts, init_precoder(h, profile))
+        result = gpi_solve(forms, opts, init_precoder(forms))
         ref_w, ref_trace, ref_iters, ref_conv = _reference_unquantized_gpi_rs(
             h, power, opts.tau, opts.epsilon, opts.t_max
         )
@@ -360,7 +360,7 @@ def test_criterion_8_correlation_effect():
     with criterion(8, "RSMA-over-SDMA gain grows as user angles close in"):
         started = time.perf_counter()
         n, k_users = 4, 2
-        profile = QuantizerProfile.from_bits([4] * n, [8] * k_users)
+        profile = QuantizerProfile([4] * n, [8] * k_users)
         power = 10.0 ** 5.0
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
 
@@ -374,13 +374,13 @@ def test_criterion_8_correlation_effect():
                     kl_factorize(one_ring_covariance(n, center + delta)),
                 ]
                 h = sample_channel(facs, rng)
-                forms = build_forms(h, profile, power, 1.0)
-                rs_res = gpi_solve(forms, opts, init_precoder(h, profile))
-                sem_forms = build_forms(h, profile, power, 1.0, include_common=False)
-                sem_w0 = init_precoder(h, profile, include_common=False)
+                forms = build_forms(h, profile, power)
+                rs_res = gpi_solve(forms, opts, init_precoder(forms))
+                sem_forms = build_forms(h, profile, power, include_common=False)
+                sem_w0 = init_precoder(sem_forms)
                 sem_res = gpi_solve(sem_forms, opts, sem_w0)
-                se_rs = rate_report(h, rs_res.precoder, profile, power, 1.0).sum_se
-                se_sem = rate_report(h, sem_res.precoder, profile, power, 1.0).sum_se
+                se_rs = rate_report(h, rs_res.precoder, profile, power).sum_se
+                se_sem = rate_report(h, sem_res.precoder, profile, power).sum_se
                 gains.append(se_rs - se_sem)
             return float(np.mean(gains))
 
@@ -417,10 +417,10 @@ def test_criterion_10_performance_envelope():
         aods = draw_aods(rng, k_users, "correlated_aod")
         facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
         h = sample_channel(facs, rng)
-        profile = QuantizerProfile.from_bits([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
+        profile = QuantizerProfile([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0
-        forms = build_forms(h, profile, power, 1.0)
-        w0 = init_precoder(h, profile)
+        forms = build_forms(h, profile, power)
+        w0 = init_precoder(forms)
         # an epsilon below attainable step sizes forces the full iteration budget
         opts = SolverOptions(tau=1.0, epsilon=1e-300, t_max=500)
         started = time.perf_counter()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rsma_sim import (
+    BETA_TABLE,
     ConvergenceFailure,
     DimensionMismatch,
     QuantizerProfile,
@@ -186,22 +187,17 @@ class TestEffectiveChannel:
         np.testing.assert_array_equal(effective_channel(ideal_profile(3, 2), h), h)
 
     def test_elementwise_example(self):
-        profile = QuantizerProfile(
-            dac_bits=(1, math.inf),
-            adc_bits=(1,),
-            dac_alpha=np.array([0.5, 1.0]),
-            dac_beta=np.array([0.5, 0.0]),
-            adc_alpha=np.array([0.5]),
-            adc_beta=np.array([0.5]),
-        )
+        # a 1-bit converter scales by 1 - BETA_TABLE[1], an ideal one by 1
+        profile = QuantizerProfile((1, math.inf), (1,))
+        alpha = 1.0 - BETA_TABLE[1]
         h = np.array([[1.0], [1.0]], dtype=complex)
         np.testing.assert_allclose(
-            effective_channel(profile, h), [[0.25], [0.5]], rtol=1e-15
+            effective_channel(profile, h), [[alpha * alpha], [alpha]], rtol=1e-15
         )
 
     def test_matches_diag_products(self):
         rng = seeded_rng(10)
-        profile = QuantizerProfile.from_bits([2, 4, 9], [3, 5])
+        profile = QuantizerProfile([2, 4, 9], [3, 5])
         h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
         want = np.diag(profile.dac_alpha) @ h @ np.diag(profile.adc_alpha)
         np.testing.assert_allclose(effective_channel(profile, h), want, rtol=1e-13)

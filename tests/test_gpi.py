@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsma_sim import (
+    BETA_TABLE,
     DimensionMismatch,
     QuantizerProfile,
     SolverOptions,
@@ -25,7 +26,6 @@ from rsma_sim import (
     one_ring_covariance,
     rate_report,
     sample_channel,
-    stack_precoder,
     trial_rng,
     draw_aods,
 )
@@ -41,6 +41,7 @@ from oracles import (
     principal_gep_oracle,
     random_channel,
     random_profile,
+    stack_precoder,
     stream_rates,
     to_dense,
     vector_angle,
@@ -57,14 +58,14 @@ def correlated_instance(seed, n=4, k_users=2, dac=4, adc=6):
     aods = draw_aods(rng, k_users, "correlated_aod")
     facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
     h = sample_channel(facs, rng)
-    profile = QuantizerProfile.from_bits([dac] * n, [adc] * k_users)
+    profile = QuantizerProfile([dac] * n, [adc] * k_users)
     return h, profile
 
 
 class TestBuildForms:
     def test_zero_channel_degenerates(self):
-        profile = QuantizerProfile.from_bits([4, 4], [6, 6])
-        forms = build_forms(np.zeros((2, 2)), profile, 10.0, 1.0)
+        profile = QuantizerProfile([4, 4], [6, 6])
+        forms = build_forms(np.zeros((2, 2)), profile, 10.0)
         w = random_unit_stack(np.random.default_rng(0), forms.dim)
         a_c, b_c, a_p, b_p = _quadratics(forms, w)
         np.testing.assert_allclose(a_c / b_c, np.ones(2), rtol=1e-14)
@@ -80,7 +81,7 @@ class TestBuildForms:
     def test_perfect_quantization_gain_matrices(self):
         rng = np.random.default_rng(1)
         h = random_channel(rng, 3, 2)
-        forms = build_forms(h, ideal_profile(3, 2), 5.0, 1.0)
+        forms = build_forms(h, ideal_profile(3, 2), 5.0)
         np.testing.assert_array_equal(forms.weighted_channels, h.T)
         np.testing.assert_array_equal(forms.distortion_diags, np.zeros((2, 3)))
         np.testing.assert_array_equal(forms.adc_alpha, np.ones(2))
@@ -95,11 +96,11 @@ class TestBuildForms:
             profile = random_profile(rng, n, k_users)
             h = random_channel(rng, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 3.0)
-            forms = build_forms(h, profile, power, 1.0)
+            forms = build_forms(h, profile, power)
             w = random_unit_stack(rng, forms.dim)
             f = extract_precoder(w, profile)
             common, private = stream_rates(forms, w)
-            report = rate_report(h, f, profile, power, 1.0)
+            report = rate_report(h, f, profile, power)
             for k in range(k_users):
                 want_c = math.log2(1.0 + report.common_sinrs[k])
                 want_p = math.log2(1.0 + report.private_sinrs[k])
@@ -111,8 +112,8 @@ class TestObjective:
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         h = random_channel(rng, 4, 2)
-        profile = QuantizerProfile.from_bits([3] * 4, [5] * 2)
-        forms = build_forms(h, profile, 60.0, 1.0)
+        profile = QuantizerProfile([3] * 4, [5] * 2)
+        forms = build_forms(h, profile, 60.0)
         w = random_unit_stack(rng, forms.dim)
         base = objective(forms, w, 0.3)
         for factor in (2.0, 1e-3, -4.0, 0.7 - 2.1j):
@@ -121,12 +122,12 @@ class TestObjective:
     def test_single_user_composition(self):
         rng = np.random.default_rng(4)
         h = random_channel(rng, 3, 1)
-        profile = QuantizerProfile.from_bits([4, 4, 4], [6])
+        profile = QuantizerProfile([4, 4, 4], [6])
         power = 20.0
-        forms = build_forms(h, profile, power, 1.0)
+        forms = build_forms(h, profile, power)
         w = random_unit_stack(rng, forms.dim)
         f = extract_precoder(w, profile)
-        report = rate_report(h, f, profile, power, 1.0)
+        report = rate_report(h, f, profile, power)
         # single user: smoothed min over one value is exact
         assert objective(forms, w, 0.5) == pytest.approx(
             report.common_rate + report.private_rates.sum(), rel=1e-9
@@ -135,8 +136,8 @@ class TestObjective:
     def test_small_tau_approaches_exact_min(self):
         rng = np.random.default_rng(5)
         h = random_channel(rng, 4, 3)
-        profile = QuantizerProfile.from_bits([4] * 4, [6] * 3)
-        forms = build_forms(h, profile, 30.0, 1.0)
+        profile = QuantizerProfile([4] * 4, [6] * 3)
+        forms = build_forms(h, profile, 30.0)
         w = random_unit_stack(rng, forms.dim)
         common, private = stream_rates(forms, w)
         exact = common.min() + private.sum()
@@ -148,8 +149,8 @@ class TestKktMatrices:
     def test_block_structure(self):
         rng = np.random.default_rng(6)
         h = random_channel(rng, 3, 2)
-        profile = QuantizerProfile.from_bits([2, 4, 6], [3, 7])
-        forms = build_forms(h, profile, 15.0, 1.0)
+        profile = QuantizerProfile([2, 4, 6], [3, 7])
+        forms = build_forms(h, profile, 15.0)
         w = random_unit_stack(rng, forms.dim)
         pencil_a, pencil_b = kkt_matrices(forms, w, 0.3)
         assert pencil_a.n_blocks == 3 and pencil_a.block_dim == 3
@@ -165,7 +166,7 @@ class TestKktMatrices:
             k_users = int(rng.integers(1, 4))
             profile = random_profile(rng, n, k_users)
             h = random_channel(rng, n, k_users)
-            forms = build_forms(h, profile, 10.0 ** rng.uniform(0, 3), 1.0)
+            forms = build_forms(h, profile, 10.0 ** rng.uniform(0, 3))
             w = random_unit_stack(rng, forms.dim)
             tau = 0.5
             pencil_a, pencil_b = kkt_matrices(forms, w, tau)
@@ -205,9 +206,9 @@ class TestKktMatrices:
     ):
         # the block solve's singularity check relies on this for every iterate
         rng = np.random.default_rng(seed)
-        profile = QuantizerProfile.from_bits(dac_bits[:n], adc_bits[:k_users])
+        profile = QuantizerProfile(dac_bits[:n], adc_bits[:k_users])
         h = random_channel(rng, n, k_users)
-        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
         w = random_unit_stack(rng, forms.dim)
         _, pencil_b = kkt_matrices(forms, w, 1.0)
         assert np.linalg.eigvalsh(dense_blocks(pencil_b)).min() > 0
@@ -230,9 +231,9 @@ class TestKktMatrices:
         # full gain sum, so its rounding error scales with that sum's norm;
         # the solve must stay within the condition bound of a dense solve.
         rng = np.random.default_rng(seed)
-        profile = QuantizerProfile.from_bits(dac_bits[:n], adc_bits[:k_users])
+        profile = QuantizerProfile(dac_bits[:n], adc_bits[:k_users])
         h = random_channel(rng, n, k_users)
-        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
         w = random_unit_stack(rng, forms.dim)
         pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
         blocks_a, blocks_b, base_a, base_b = dense_kkt(forms, w, 1.0)
@@ -254,9 +255,9 @@ class TestKktMatrices:
         # pencils at the start and the end of real solves, correlated users
         for seed in range(3):
             h, profile = correlated_instance(seed)
-            forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), 1.0, include_common)
+            forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
             opts = SolverOptions(tau=1.0)
-            w0 = init_precoder(h, profile, include_common)
+            w0 = init_precoder(forms)
             for w in (w0, gpi_solve(forms, opts, w0).stacked):
                 pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
                 rhs = pencil_a.matvec(w)
@@ -271,8 +272,8 @@ class TestGpiSolve:
     def test_equal_pencil_fixed_point(self):
         # zero channel makes numerator and denominator matrices equal, so
         # any start is a fixed point
-        profile = QuantizerProfile.from_bits([4, 4], [6, 6])
-        forms = build_forms(np.zeros((2, 2)), profile, 10.0, 1.0)
+        profile = QuantizerProfile([4, 4], [6, 6])
+        forms = build_forms(np.zeros((2, 2)), profile, 10.0)
         w0 = random_unit_stack(np.random.default_rng(8), forms.dim)
         result = gpi_solve(forms, SolverOptions(), w0)
         assert result.converged
@@ -282,8 +283,8 @@ class TestGpiSolve:
     def test_converged_solve_properties(self):
         h, profile = correlated_instance(1)
         power = 10.0 ** 2.0
-        forms = build_forms(h, profile, power, 1.0)
-        w0 = init_precoder(h, profile)
+        forms = build_forms(h, profile, power)
+        w0 = init_precoder(forms)
         opts = SolverOptions(tau=0.3, epsilon=0.01, t_max=500)
         result = gpi_solve(forms, opts, w0)
         assert result.converged
@@ -304,7 +305,7 @@ class TestGpiSolve:
         # iteration and must land on the dominant eigenvector
         rng = np.random.default_rng(9)
         h, profile = correlated_instance(2)
-        forms = build_forms(h, profile, 100.0, 1.0)
+        forms = build_forms(h, profile, 100.0)
         w = random_unit_stack(rng, forms.dim)
         pencil_a, pencil_b = kkt_matrices(forms, w, 0.3)
         v = random_unit_stack(rng, forms.dim)
@@ -327,8 +328,8 @@ class TestGpiSolve:
         for seed in range(10):
             for power in (10.0 ** 2.0, 10.0 ** 3.0):
                 h, profile = correlated_instance(seed)
-                forms = build_forms(h, profile, power, 1.0)
-                w0 = init_precoder(h, profile)
+                forms = build_forms(h, profile, power)
+                w0 = init_precoder(forms)
                 result = gpi_solve(forms, SolverOptions(tau=1.0), w0)
                 trace = result.objective_trace
                 steps = np.diff(trace)
@@ -340,14 +341,14 @@ class TestGpiSolve:
         # an RSMA start has one block too many for SDMA forms, and vice versa
         h, profile = correlated_instance(3)
         for include_common in (True, False):
-            forms = build_forms(h, profile, 10.0, 1.0, include_common)
-            w0 = init_precoder(h, profile, not include_common)
+            forms = build_forms(h, profile, 10.0, include_common)
+            w0 = init_precoder(build_forms(h, profile, 10.0, not include_common))
             with pytest.raises(DimensionMismatch, match="starting vector"):
                 gpi_solve(forms, SolverOptions(), w0)
 
     def test_zero_start_rejected(self):
         h, profile = correlated_instance(4)
-        forms = build_forms(h, profile, 10.0, 1.0)
+        forms = build_forms(h, profile, 10.0)
         with pytest.raises(ZeroPrecoder):
             gpi_solve(forms, SolverOptions(), np.zeros(forms.dim))
 
@@ -366,8 +367,8 @@ class TestInitAndExtract:
     def test_single_user_init(self):
         rng = np.random.default_rng(10)
         h = random_channel(rng, 3, 1)
-        profile = QuantizerProfile.from_bits([4, 4, 4], [6])
-        w = init_precoder(h, profile)
+        profile = QuantizerProfile([4, 4, 4], [6])
+        w = init_precoder(build_forms(h, profile, 1.0))
         f = extract_precoder(w, profile)
         # K=1: the common column equals the private column equals h
         assert vector_angle(f[:, 0], h[:, 0]) < 1e-6
@@ -376,7 +377,7 @@ class TestInitAndExtract:
     def test_orthogonal_channels_common_column(self):
         h = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], dtype=complex)
         profile = ideal_profile(3, 2)
-        f = extract_precoder(init_precoder(h, profile), profile)
+        f = extract_precoder(init_precoder(build_forms(h, profile, 1.0)), profile)
         assert vector_angle(f[:, 0], np.array([0.5, 0.5, 0.0])) < 1e-6
 
     def test_unit_norm(self):
@@ -384,14 +385,14 @@ class TestInitAndExtract:
         for include_common in (True, False):
             h = random_channel(rng, 4, 3)
             profile = random_profile(rng, 4, 3)
-            w = init_precoder(h, profile, include_common)
+            w = init_precoder(build_forms(h, profile, 1.0, include_common))
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_channel_rejected(self):
         from rsma_sim import ZeroChannel
 
         with pytest.raises(ZeroChannel):
-            init_precoder(np.zeros((3, 2)), ideal_profile(3, 2))
+            init_precoder(build_forms(np.zeros((3, 2)), ideal_profile(3, 2), 1.0))
 
     def test_extract_is_identity_for_perfect_quantization(self):
         rng = np.random.default_rng(12)
@@ -401,19 +402,29 @@ class TestInitAndExtract:
         np.testing.assert_allclose(f.T.reshape(-1), w, rtol=1e-15)
 
     def test_extract_scales_rows(self):
-        profile = QuantizerProfile(
-            dac_bits=(1, math.inf),
-            adc_bits=(4,),
-            dac_alpha=np.array([0.25, 1.0]),
-            dac_beta=np.array([0.75, 0.0]),
-            adc_alpha=np.array([1.0]),
-            adc_beta=np.array([0.0]),
-        )
+        profile = QuantizerProfile((1, math.inf), (4,))
         w = np.array([1.0, 1.0, 1.0, 1.0], dtype=complex)
         f = extract_precoder(w, profile)
-        # sqrt(0.25) = 0.5, so the first row doubles relative to the stack
-        np.testing.assert_allclose(f[0], [2.0, 2.0], rtol=1e-15)
-        np.testing.assert_allclose(f[1], [1.0, 1.0], rtol=1e-15)
+        # a 1-bit DAC has gain 1 - BETA_TABLE[1]; its row is unweighted by
+        # the square root, the infinite-resolution row is unchanged
+        np.testing.assert_allclose(f[0], [(1.0 - BETA_TABLE[1]) ** -0.5] * 2, rtol=1e-15)
+        np.testing.assert_array_equal(f[1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("include_common", [True, False])
+    def test_init_matches_stacked_matched_filter(self, include_common):
+        rng = np.random.default_rng(16)
+        for _ in range(10):
+            h = random_channel(rng, 4, 3)
+            profile = random_profile(rng, 4, 3)
+            got = init_precoder(build_forms(h, profile, 10.0, include_common))
+            f = np.hstack([h.mean(axis=1, keepdims=True), h]) if include_common else h
+            want = stack_precoder(f, profile)
+            want = canonical_phase(want / np.linalg.norm(want))
+            if include_common:
+                # the common block averages weighted rather than raw channels
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
@@ -429,27 +440,11 @@ class TestInitAndExtract:
         f = extract_precoder(w, profile)
         assert check_power(f, profile) == pytest.approx(1.0, abs=1e-10)
 
-    def test_zero_gain_profile_rejected(self):
-        from rsma_sim import InvalidProfile
-
-        broken = QuantizerProfile(
-            dac_bits=(1, 1),
-            adc_bits=(4,),
-            dac_alpha=np.array([0.0, 1.0]),
-            dac_beta=np.array([1.0, 0.0]),
-            adc_alpha=np.array([1.0]),
-            adc_beta=np.array([0.0]),
-        )
-        with pytest.raises(InvalidProfile):
-            extract_precoder(np.ones(4, dtype=complex), broken)
-        with pytest.raises(InvalidProfile):
-            build_forms(np.ones((2, 1), dtype=complex), broken, 1.0, 1.0)
-
 
 def sdma_solve(h, profile, power, opts):
     """Q-GPI-SEM: the power iteration without the common stream."""
-    forms = build_forms(h, profile, power, 1.0, include_common=False)
-    return gpi_solve(forms, opts, init_precoder(h, profile, include_common=False))
+    forms = build_forms(h, profile, power, include_common=False)
+    return gpi_solve(forms, opts, init_precoder(forms))
 
 
 class TestGpiSemSolve:
@@ -468,7 +463,7 @@ class TestGpiSemSolve:
 
     def test_objective_ignores_tau(self):
         h, profile = correlated_instance(6)
-        forms = build_forms(h, profile, 100.0, 1.0, include_common=False)
+        forms = build_forms(h, profile, 100.0, include_common=False)
         w = random_unit_stack(np.random.default_rng(16), forms.dim)
         assert objective(forms, w, 0.01) == objective(forms, w, 10.0)
 
@@ -480,11 +475,11 @@ class TestGpiSemSolve:
         power = 10.0 ** 4.0
         for seed in range(100):
             h, profile = correlated_instance(seed)
-            forms = build_forms(h, profile, power, 1.0)
-            rs_result = gpi_solve(forms, opts, init_precoder(h, profile))
+            forms = build_forms(h, profile, power)
+            rs_result = gpi_solve(forms, opts, init_precoder(forms))
             sem_result = sdma_solve(h, profile, power, opts)
-            se_rs = rate_report(h, rs_result.precoder, profile, power, 1.0).sum_se
-            se_sem = rate_report(h, sem_result.precoder, profile, power, 1.0).sum_se
+            se_rs = rate_report(h, rs_result.precoder, profile, power).sum_se
+            se_sem = rate_report(h, sem_result.precoder, profile, power).sum_se
             gains.append(se_rs - se_sem)
         assert np.mean(gains) >= 0.0
 
@@ -492,14 +487,14 @@ class TestGpiSemSolve:
 class TestNepResidual:
     def test_small_at_convergence(self):
         h, profile = correlated_instance(7)
-        forms = build_forms(h, profile, 10.0 ** 2.5, 1.0)
+        forms = build_forms(h, profile, 10.0 ** 2.5)
         opts = SolverOptions(tau=0.3, epsilon=1e-4, t_max=2000)
-        result = gpi_solve(forms, opts, init_precoder(h, profile))
+        result = gpi_solve(forms, opts, init_precoder(forms))
         assert result.converged
         assert result.residual <= 10 * opts.epsilon
 
     def test_large_away_from_stationarity(self):
         h, profile = correlated_instance(8)
-        forms = build_forms(h, profile, 100.0, 1.0)
+        forms = build_forms(h, profile, 100.0)
         w = random_unit_stack(np.random.default_rng(17), forms.dim)
         assert nep_residual(forms, w, 0.3) > 1e-3

@@ -58,6 +58,11 @@ class TestLoadSpec:
         spec = load_spec(make_doc(dac_bits="mixed 3@3 + 1@8"))
         assert spec.dac_bits.resolve(None) == (3, 3, 3, 8)
 
+    def test_uniform_range_up_to_int64_max(self):
+        spec = load_spec(make_doc(dac_bits="uniform-random 9223372036854775806..9223372036854775807"))
+        drawn = spec.dac_bits.resolve(np.random.default_rng(0))
+        assert all(b >= 9223372036854775806 for b in drawn)
+
     def test_uniform_random_grammar(self):
         spec = load_spec(make_doc(dac_bits="uniform-random 2..8"))
         rng = np.random.default_rng(0)
@@ -164,6 +169,10 @@ class TestLoadSpec:
         # 10^(snr/10) overflows, underflows to zero, or cannot be computed
         with pytest.raises(ValidationError, match="snr_db entry"):
             load_spec(make_doc(snr_db=[10, bad]))
+
+    def test_tiny_snr_with_finite_loading_loads(self):
+        # K * 10^300 is still a finite RZF loading
+        assert load_spec(make_doc(snr_db=[-3000])).snr_db == (-3000.0,)
 
 
 class TestRunExperiment:
@@ -399,6 +408,39 @@ class TestCli:
 
     def test_snr_overflow_is_config_error(self, tmp_path, capsys):
         config = self._write_config(tmp_path, snr_db=[1e308])
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr_db", [-3080, -3200])
+    def test_snr_with_infinite_loading_is_config_error(self, tmp_path, capsys, snr_db):
+        # K / snr overflows although the power 10^(snr_db/10) is positive
+        config = self._write_config(tmp_path, snr_db=[snr_db])
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dac_bits", [
+        [10**400, 3, 3, 3],
+        "mixed 2@" + "9" * 400 + " + 2@3",
+    ], ids=["401-digit-list-entry", "400-digit-mixed-bits"])
+    def test_huge_resolution_runs_cleanly(self, tmp_path, dac_bits):
+        config = self._write_config(tmp_path, dac_bits=dac_bits)
+        out = tmp_path / "results.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+        records = read_csv(out)
+        assert len(records) == 2
+        assert all(r.note == "" and np.isfinite(r.sum_se) for r in records)
+
+    @pytest.mark.parametrize("dac_bits", [
+        "uniform-random 2.." + "9" * 30,
+        "uniform-random 2..9223372036854775808",
+        "mixed " + "9" * 400 + "@2",
+    ], ids=["30-digit-range", "int64-max-plus-one", "400-digit-mixed-count"])
+    def test_unrepresentable_resolution_is_config_error(self, tmp_path, capsys, dac_bits):
+        config = self._write_config(tmp_path, dac_bits=dac_bits)
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err

@@ -47,6 +47,10 @@ class TestBetaOfBits:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert 0.0 <= min(values) and max(values) <= 0.3634
 
+    def test_huge_resolution_underflows_to_zero(self):
+        assert beta_of_bits(10**400) == 0.0
+        assert beta_of_bits(np.int64(2**62)) == 0.0
+
     @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
     def test_invalid_resolution(self, bad):
         with pytest.raises(InvalidResolution):
@@ -56,12 +60,21 @@ class TestBetaOfBits:
 class TestQuantizerProfile:
     def test_alpha_plus_beta_exactly_one(self):
         bits = list(range(1, 13)) + [math.inf]
-        profile = QuantizerProfile.from_bits(bits, bits)
+        profile = QuantizerProfile(bits, bits)
         assert np.all(profile.dac_alpha + profile.dac_beta == 1.0)
         assert np.all(profile.adc_alpha + profile.adc_beta == 1.0)
 
+    def test_gains_derived_from_bits(self):
+        dac, adc = [1, 3, 6, 40, math.inf], [2, 9]
+        profile = QuantizerProfile(dac, adc)
+        assert profile == QuantizerProfile(tuple(dac), tuple(adc))
+        assert profile != QuantizerProfile(dac, [2, 8])
+        assert profile.dac_bits == tuple(dac)
+        for bits, alpha in ((dac, profile.dac_alpha), (adc, profile.adc_alpha)):
+            np.testing.assert_array_equal(alpha, [1.0 - beta_of_bits(b) for b in bits])
+
     def test_alpha_range(self):
-        profile = QuantizerProfile.from_bits(list(range(1, 9)), [1])
+        profile = QuantizerProfile(list(range(1, 9)), [1])
         assert np.all(profile.dac_alpha > 0.6)
         assert np.all(profile.dac_alpha <= 1.0)
 
@@ -79,7 +92,7 @@ class TestDacNoiseCovariance:
         assert np.all(dac_noise_covariance(profile, f, 5.0) == 0.0)
 
     def test_single_antenna_example(self):
-        profile = QuantizerProfile.from_bits([6], [])
+        profile = QuantizerProfile([6], [])
         beta = math.pi * math.sqrt(3.0) / 2.0 * 2.0**-12
         expected = (1.0 - beta) * beta
         cov = dac_noise_covariance(profile, np.array([[1.0 + 0j]]), 1.0)
@@ -88,7 +101,7 @@ class TestDacNoiseCovariance:
 
     def test_entries_match_elementwise_brute_force(self):
         rng = np.random.default_rng(21)
-        profile = QuantizerProfile.from_bits([1, 3, 8, math.inf], [4, 4])
+        profile = QuantizerProfile([1, 3, 8, math.inf], [4, 4])
         f = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
         power = 2.5
         cov = dac_noise_covariance(profile, f, power)
@@ -104,14 +117,14 @@ class TestDacNoiseCovariance:
         assert np.all(np.diag(cov) >= 0.0)
 
     def test_dimension_mismatch(self):
-        profile = QuantizerProfile.from_bits([4, 4], [4])
+        profile = QuantizerProfile([4, 4], [4])
         with pytest.raises(DimensionMismatch):
             dac_noise_covariance(profile, np.ones((3, 2)), 1.0)
 
 
 class TestAdcNoiseVariance:
     def test_infinite_adc_is_exact_zero(self):
-        profile = QuantizerProfile.from_bits([3, 3], [math.inf, 4])
+        profile = QuantizerProfile([3, 3], [math.inf, 4])
         h = np.ones((2, 2), dtype=complex)
         f = np.ones((2, 3), dtype=complex)
         assert adc_noise_variance(profile, 0, h, f, 1.0, 1.0) == 0.0
@@ -119,7 +132,7 @@ class TestAdcNoiseVariance:
     def test_scalar_example(self):
         # One antenna with an ideal DAC, unit channel, all power on the
         # private stream: variance is alpha*beta*(P + sigma^2) = 2*alpha*beta.
-        profile = QuantizerProfile.from_bits([math.inf], [6])
+        profile = QuantizerProfile([math.inf], [6])
         h = np.array([[1.0 + 0j]])
         f = np.array([[0.0, 1.0]], dtype=complex)
         beta = math.pi * math.sqrt(3.0) / 2.0 * 2.0**-12
@@ -132,7 +145,7 @@ class TestAdcNoiseVariance:
         # Direct form: alpha*beta*(h^H E[x_q x_q^H] h + sigma^2) with the
         # transmit covariance assembled from the DAC noise covariance.
         rng = np.random.default_rng(31)
-        profile = QuantizerProfile.from_bits([2, 5, 7], [3, 6])
+        profile = QuantizerProfile([2, 5, 7], [3, 6])
         h = random_channel(rng, 3, 2)
         f = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         power, noise = 4.0, 1.5
@@ -151,12 +164,12 @@ class TestAdcNoiseVariance:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(32)
-        profile = QuantizerProfile.from_bits([1, 1], [1, 1])
+        profile = QuantizerProfile([1, 1], [1, 1])
         h = random_channel(rng, 2, 2)
         f = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
         assert adc_noise_variance(profile, 1, h, f, 10.0, 1.0) >= 0.0
 
     def test_dimension_mismatch(self):
-        profile = QuantizerProfile.from_bits([4, 4], [4])
+        profile = QuantizerProfile([4, 4], [4])
         with pytest.raises(DimensionMismatch):
             adc_noise_variance(profile, 0, np.ones((3, 1)), np.ones((3, 2)), 1.0, 1.0)

@@ -29,7 +29,7 @@ from oracles import (
 
 def sinrs(h, f, profile, power):
     """Per-user (common, private) SINRs from one rate report."""
-    report = rate_report(h, f, profile, power, 1.0)
+    report = rate_report(h, f, profile, power)
     return report.common_sinrs, report.private_sinrs
 
 
@@ -53,7 +53,7 @@ class TestSinrTrivial:
         private_only = np.array([[0.0, 1.0]], dtype=complex)
         assert sinrs(h, common_only, profile, 1.0)[0][0] == pytest.approx(1.0)
         assert sinrs(h, private_only, profile, 1.0)[1][0] == pytest.approx(1.0)
-        report = rate_report(h, private_only, profile, 1.0, 1.0)
+        report = rate_report(h, private_only, profile, 1.0)
         assert report.private_rates[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -87,7 +87,7 @@ class TestSinrAgainstLongForm:
         rng = np.random.default_rng(102)
         for _ in range(25):
             n, k_users = 4, 3
-            profile = QuantizerProfile.from_bits(
+            profile = QuantizerProfile(
                 [math.inf] * n, [int(b) for b in rng.integers(1, 9, k_users)]
             )
             h = random_channel(rng, n, k_users)
@@ -111,7 +111,7 @@ class TestSinrAgainstLongForm:
         rng = np.random.default_rng(103)
         for bits in (1, 3, 5):
             n, k_users = 3, 2
-            profile = QuantizerProfile.from_bits([bits] * n, [math.inf] * k_users)
+            profile = QuantizerProfile([bits] * n, [math.inf] * k_users)
             h = random_channel(rng, n, k_users)
             f = random_precoder(rng, profile, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 3.0)
@@ -152,7 +152,7 @@ class TestRateReport:
     def test_zero_precoder(self):
         profile = ideal_profile(2, 2)
         h = random_channel(np.random.default_rng(1), 2, 2)
-        report = rate_report(h, np.zeros((2, 3)), profile, 1.0, 1.0)
+        report = rate_report(h, np.zeros((2, 3)), profile, 1.0)
         assert report.common_rate == 0.0
         assert report.sum_se == 0.0
         np.testing.assert_array_equal(report.private_rates, np.zeros(2))
@@ -162,8 +162,8 @@ class TestRateReport:
         h1 = (rng.standard_normal(3) + 1j * rng.standard_normal(3)) / np.sqrt(2)
         h = np.column_stack([h1, h1])
         f = np.column_stack([h1, h1, h1]) / np.sqrt(3 * np.linalg.norm(h1) ** 2)
-        profile = QuantizerProfile.from_bits([4, 4, 4], [6, 6])
-        report = rate_report(h, f, profile, 10.0, 1.0)
+        profile = QuantizerProfile([4, 4, 4], [6, 6])
+        report = rate_report(h, f, profile, 10.0)
         assert report.common_rates[0] == report.common_rates[1] == report.common_rate
 
     def test_sum_recomposition(self):
@@ -171,7 +171,7 @@ class TestRateReport:
         profile = random_profile(rng, 4, 3)
         h = random_channel(rng, 4, 3)
         f = random_precoder(rng, profile, 4, 3)
-        report = rate_report(h, f, profile, 100.0, 1.0)
+        report = rate_report(h, f, profile, 100.0)
         recomputed = report.common_rates.min() + report.private_rates.sum()
         assert report.sum_se == pytest.approx(recomputed, rel=1e-14)
         assert report.common_rate == report.common_rates.min()
@@ -182,16 +182,17 @@ class TestRateReport:
         profile = ideal_profile(3, 2)
         h = np.ones((3, 2), dtype=complex)
         f = np.ones((3, 3), dtype=complex)
-        assert rate_report(h, f, profile, 1.0, 1.0).sum_se > 0
+        assert rate_report(h, f, profile, 1.0).sum_se > 0
         cases = [
-            (np.ones(3), f, "must be matrices"),
-            (h, np.ones((4, 3)), "channel rows 3 != precoder rows 4"),
-            (np.ones((4, 2)), np.ones((4, 3)), "inconsistent with quantizer profile"),
-            (h, np.ones((3, 2)), "expected 3 precoder columns, got 2"),
+            (np.ones(3), f, r"channel shape \(3,\), expected \(3, 2\)"),
+            (h, np.ones(3), r"precoder shape \(3,\), expected \(3, 3\)"),
+            (h, np.ones((4, 3)), r"precoder shape \(4, 3\), expected \(3, 3\)"),
+            (np.ones((4, 2)), np.ones((4, 3)), r"channel shape \(4, 2\), expected \(3, 2\)"),
+            (h, np.ones((3, 2)), r"precoder shape \(3, 2\), expected \(3, 3\)"),
         ]
         for channel, f_matrix, message in cases:
             with pytest.raises(DimensionMismatch, match=message):
-                rate_report(channel, f_matrix, profile, 1.0, 1.0)
+                rate_report(channel, f_matrix, profile, 1.0)
 
 
 class TestCheckPower:
