@@ -50,10 +50,13 @@ def baseline_precoder(kind, channel, profile, snr):
             )
         directions = np.linalg.solve(gram, h_eff.conj().T).conj().T
 
-    norms = np.linalg.norm(directions, axis=0)
-    if np.any(norms == 0):
+    # scaling each column by its peak first keeps the norm from underflowing
+    # when a huge RZF loading leaves entries near the smallest float
+    peaks = np.abs(directions).max(axis=0)
+    if np.any(peaks == 0):
         raise ZeroPrecoder("an effective channel column vanishes")
-    directions = directions / norms
+    directions = directions / peaks
+    directions = directions / np.linalg.norm(directions, axis=0)
 
     f_matrix = np.hstack(
         [np.zeros((channel.shape[0], 1), dtype=complex), directions / np.sqrt(n_users)]

@@ -5,7 +5,8 @@ precoding vector, so the smoothed objective's first-order optimality
 condition is a nonlinear eigenvalue problem: a block-diagonal pencil whose
 matrices depend on the current iterate. The solver repeatedly applies the
 inverse-denominator/numerator update of a generalized power iteration,
-renormalizing each step, until the iterate settles.
+renormalizing each step, until the iterate is an eigenvector of the
+pencil to within a relative residual.
 
 The quantization-aware SDMA variant runs the same machinery without the
 common stream (``include_common=False``).
@@ -26,8 +27,8 @@ class SolverOptions:
     """Iteration controls for the power-iteration solvers.
 
     tau is the smoothing temperature of the common-rate minimum (bits);
-    epsilon the iterate-difference convergence threshold; t_max the
-    iteration cap.
+    epsilon the bound on the relative NEP residual at which a solve has
+    converged; t_max the iteration cap.
     """
 
     tau: float = 0.3
@@ -191,33 +192,37 @@ class SolveResult:
     precoder: np.ndarray          # (N, K+1); column 0 zero for SDMA
     stacked: np.ndarray           # unit-norm stacked vector actually returned
     iterations: int
-    objective_trace: np.ndarray   # objective at start plus after each iteration
-    converged: bool
-    residual: float               # eigenvector-equation residual at the returned point
+    converged: bool               # residual <= epsilon
+    residual: float               # relative NEP residual at the returned point
+
+
+def _image_and_residual(forms, w, tau):
+    """Image ``x = B(w)^-1 A(w) w`` of a unit vector w, and the relative
+    residual ``||x - (w^H x) w|| / ||x||``, the sine of the angle between them."""
+    pencil_a, pencil_b = kkt_matrices(forms, w, tau)
+    image = blockdiag_solve(pencil_b, pencil_a.matvec(w))
+    return image, float(np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image))
 
 
 def nep_residual(forms, w, tau):
-    """Fixed-point residual ``||B^-1 A w - rho w||`` of the pencil at w.
+    """Relative residual of the eigenvector equation ``B(w)^-1 A(w) w ~ w``.
 
-    rho is the generalized Rayleigh quotient of the pair at w; the value
-    vanishes exactly at stationary points of the smoothed objective.
+    Invariant to the scale and phase of w; it vanishes exactly at
+    stationary points of the smoothed objective.
     """
     w = np.asarray(w, dtype=complex)
-    w = w / np.linalg.norm(w)
-    pencil_a, pencil_b = kkt_matrices(forms, w, tau)
-    image_a = pencil_a.matvec(w)
-    image = blockdiag_solve(pencil_b, image_a)
-    rho = float(np.vdot(w, image_a).real / np.vdot(w, pencil_b.matvec(w)).real)
-    return float(np.linalg.norm(image - rho * w))
+    return _image_and_residual(forms, w / np.linalg.norm(w), tau)[1]
 
 
 def gpi_solve(forms, options, w0):
     """Run the generalized power iteration from a stacked starting point.
 
-    Iterates ``w <- normalize(B(w)^-1 A(w) w)`` until the canonical-phase
-    iterate difference drops to ``options.epsilon`` or ``options.t_max``
-    is reached. The visited point with the highest objective is returned;
-    the iteration itself is not guaranteed monotone.
+    Each iteration maps w to ``T(w) = normalize(B(w)^-1 A(w) w)``. Once a
+    period-2 cycle shows (``T(w)`` lands nearer the previous iterate than
+    the current one), every later step is the half step
+    ``normalize(w + T(w))``. The solve returns the first iterate whose
+    relative residual is at most ``options.epsilon``, or the iterate
+    reached after ``options.t_max`` steps.
     """
     w0 = np.asarray(w0, dtype=complex)
     if w0.shape != (forms.dim,):
@@ -226,33 +231,24 @@ def gpi_solve(forms, options, w0):
     if norm0 == 0:
         raise ZeroPrecoder("starting stacked precoder is zero")
 
-    w = canonical_phase(w0 / norm0)
-    trace = [objective(forms, w, options.tau)]
-    best_w, best_obj = w, trace[0]
-    converged = False
-    iterations = 0
-    for _ in range(options.t_max):
-        pencil_a, pencil_b = kkt_matrices(forms, w, options.tau)
-        image = blockdiag_solve(pencil_b, pencil_a.matvec(w))
-        w_next = canonical_phase(image / np.linalg.norm(image))
-        iterations += 1
-        value = objective(forms, w_next, options.tau)
-        trace.append(value)
-        if value > best_obj:
-            best_obj, best_w = value, w_next
-        step = np.linalg.norm(w_next - w)
-        w = w_next
-        if step <= options.epsilon:
-            converged = True
+    w = w_prev = canonical_phase(w0 / norm0)
+    damped = False
+    for iterations in range(options.t_max + 1):
+        image, residual = _image_and_residual(forms, w, options.tau)
+        if residual <= options.epsilon or iterations == options.t_max:
             break
+        step = canonical_phase(image / np.linalg.norm(image))
+        damped = damped or np.linalg.norm(step - w_prev) < 0.5 * np.linalg.norm(step - w)
+        if damped:
+            step = canonical_phase((w + step) / np.linalg.norm(w + step))
+        w_prev, w = w, step
 
     return SolveResult(
-        precoder=_to_full_precoder(forms, best_w),
-        stacked=best_w,
+        precoder=_to_full_precoder(forms, w),
+        stacked=w,
         iterations=iterations,
-        objective_trace=np.asarray(trace),
-        converged=converged,
-        residual=nep_residual(forms, best_w, options.tau),
+        converged=residual <= options.epsilon,
+        residual=residual,
     )
 
 

@@ -156,7 +156,7 @@ def test_criterion_3_gradient_check():
 
 
 def test_criterion_4_nep_fixed_point():
-    with criterion(4, "converged solves have residual <= 0.1; frozen pencil hits oracle"):
+    with criterion(4, "converged solves have residual <= epsilon; frozen pencil hits oracle"):
         started = time.perf_counter()
         rng = np.random.default_rng(2027)
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
@@ -171,7 +171,7 @@ def test_criterion_4_nep_fixed_point():
             result = gpi_solve(forms, opts, init_precoder(forms))
             if result.converged:
                 converged_count += 1
-                assert result.residual <= 0.1, f"residual {result.residual}"
+                assert result.residual <= opts.epsilon, f"residual {result.residual}"
         assert converged_count >= 25  # ensure the check actually exercised solves
 
         # frozen pencil: plain generalized power iteration vs dense oracle
@@ -257,18 +257,9 @@ def _reference_unquantized_gpi_rs(h, power, tau, epsilon, t_max):
         qb_p = np.array([np.vdot(vec, m @ vec).real for m in mats_b_p])
         return qa_c, qb_c, qa_p, qb_p
 
-    def smoothed_objective(vec):
-        qa_c, qb_c, qa_p, qb_p = rates(vec)
-        common = np.log2(qa_c / qb_c)
-        private = np.log2(qa_p / qb_p)
-        shifted = np.exp(-(common - common.min()) / tau)
-        return common.min() - tau * math.log(shifted.sum()) + private.sum()
-
-    trace = [smoothed_objective(w)]
-    best_w, best_obj = w, trace[0]
-    converged = False
+    damped, w_prev = False, None
     iterations = 0
-    for _ in range(t_max):
+    while True:
         qa_c, qb_c, qa_p, qb_p = rates(w)
         common = np.log2(qa_c / qb_c)
         shifted = np.exp(-(common - common.min()) / tau)
@@ -282,18 +273,21 @@ def _reference_unquantized_gpi_rs(h, power, tau, epsilon, t_max):
             for k in range(k_users)
         )
         image = np.linalg.solve(big_b, big_a @ w)
+        # sine of the angle between w and its image
+        residual = np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image)
+        if residual <= epsilon or iterations == t_max:
+            return w, residual, iterations, residual <= epsilon
         w_next = pin_phase(image / np.linalg.norm(image))
+        # a step that lands nearer the previous iterate is half of a
+        # 2-cycle; from then on average each step with the current point
+        if w_prev is not None and (
+            np.linalg.norm(w_next - w_prev) < 0.5 * np.linalg.norm(w_next - w)
+        ):
+            damped = True
+        if damped:
+            w_next = pin_phase((w + w_next) / np.linalg.norm(w + w_next))
+        w_prev, w = w, w_next
         iterations += 1
-        value = smoothed_objective(w_next)
-        trace.append(value)
-        if value > best_obj:
-            best_obj, best_w = value, w_next
-        step = np.linalg.norm(w_next - w)
-        w = w_next
-        if step <= epsilon:
-            converged = True
-            break
-    return best_w, np.array(trace), iterations, converged
 
 
 def test_criterion_6_degeneration():
@@ -321,12 +315,12 @@ def test_criterion_6_degeneration():
         # unquantized implementation, given the same channel draw
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
         result = gpi_solve(forms, opts, init_precoder(forms))
-        ref_w, ref_trace, ref_iters, ref_conv = _reference_unquantized_gpi_rs(
+        ref_w, ref_residual, ref_iters, ref_conv = _reference_unquantized_gpi_rs(
             h, power, opts.tau, opts.epsilon, opts.t_max
         )
         assert result.iterations == ref_iters
         assert result.converged == ref_conv
-        np.testing.assert_allclose(result.objective_trace, ref_trace, rtol=1e-9)
+        np.testing.assert_allclose(result.residual, ref_residual, rtol=1e-9)
         np.testing.assert_allclose(result.stacked, ref_w, atol=1e-9)
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -392,7 +386,7 @@ def test_criterion_8_correlation_effect():
 
 
 def test_criterion_9_mixed_dac_power_concentration():
-    with criterion(9, "RSMA parks transmit power on the high-resolution DAC antenna"):
+    with criterion(9, "RSMA converges and parks power on the high-resolution DAC antenna"):
         started = time.perf_counter()
         spec = load_spec(json.dumps({
             "N": 4, "K": 2, "snr_db": [50],
@@ -401,8 +395,11 @@ def test_criterion_9_mixed_dac_power_concentration():
             "algorithms": ["QGPIRS", "QGPISEM"],
             "solver": {"tau": 1.0, "epsilon": 0.01, "t_max": 500},
         }))
-        rows = summarize(run_experiment(spec))
-        ratios = {r.algorithm: r.mean_power_ratio for r in rows}
+        records = run_experiment(spec)
+        rsma = [r for r in records if r.algorithm == "QGPIRS"]
+        settled = sum(r.converged and r.residual <= spec.solver.epsilon for r in rsma) / len(rsma)
+        assert settled >= 0.95, f"only {settled:.2f} of QGPIRS solves converge"
+        ratios = {r.algorithm: r.mean_power_ratio for r in summarize(records)}
         rsma_frac = ratios["QGPIRS"][3]   # antenna 4 carries the 8-bit DAC
         sdma_frac = ratios["QGPISEM"][3]
         assert rsma_frac > sdma_frac, f"{rsma_frac:.3f} <= {sdma_frac:.3f}"

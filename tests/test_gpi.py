@@ -1,5 +1,6 @@
 """Quadratic forms, smoothed objective, KKT pencil, power-iteration solvers."""
 
+import itertools
 import math
 
 import numpy as np
@@ -277,7 +278,7 @@ class TestGpiSolve:
         w0 = random_unit_stack(np.random.default_rng(8), forms.dim)
         result = gpi_solve(forms, SolverOptions(), w0)
         assert result.converged
-        assert result.iterations == 1
+        assert result.iterations == 0
         assert result.residual < 1e-10
 
     def test_converged_solve_properties(self):
@@ -289,14 +290,9 @@ class TestGpiSolve:
         result = gpi_solve(forms, opts, w0)
         assert result.converged
         assert np.linalg.norm(result.stacked) == pytest.approx(1.0, abs=1e-12)
-        assert len(result.objective_trace) == result.iterations + 1
-        # fixed-point residual within 10x the convergence threshold
-        assert result.residual <= 10 * opts.epsilon
+        assert result.residual <= opts.epsilon
         # the returned point is at least as good as the start
-        assert result.objective_trace[-1] >= result.objective_trace[0] - 1e-9
-        assert max(result.objective_trace) == pytest.approx(
-            objective(forms, result.stacked, opts.tau), rel=1e-12
-        )
+        assert objective(forms, result.stacked, opts.tau) >= objective(forms, w0, opts.tau) - 1e-9
         # power constraint holds with equality for the extracted precoder
         assert check_power(result.precoder, profile) == pytest.approx(1.0, abs=1e-10)
 
@@ -319,23 +315,29 @@ class TestGpiSolve:
         _, oracle_vec = principal_gep_oracle(to_dense(pencil_a), to_dense(pencil_b))
         assert vector_angle(v, oracle_vec) < 1e-6
 
-    def test_objective_mostly_nondecreasing(self):
-        # the iteration has no monotonicity guarantee, and at badly chosen
-        # smoothing temperatures it can cycle; at the tuned temperature
-        # essentially every step improves the smoothed objective
-        increases = 0
-        total = 0
+    def test_returned_objective_at_least_start(self):
+        # the iteration has no monotonicity guarantee, but at the tuned
+        # temperature the point it stops at improves on the matched filter
         for seed in range(10):
-            for power in (10.0 ** 2.0, 10.0 ** 3.0):
+            for power, include_common in itertools.product((1e2, 1e3), (True, False)):
                 h, profile = correlated_instance(seed)
-                forms = build_forms(h, profile, power)
+                forms = build_forms(h, profile, power, include_common)
                 w0 = init_precoder(forms)
                 result = gpi_solve(forms, SolverOptions(tau=1.0), w0)
-                trace = result.objective_trace
-                steps = np.diff(trace)
-                increases += int(np.sum(steps >= -1e-9))
-                total += len(steps)
-        assert increases / total >= 0.95
+                assert objective(forms, result.stacked, 1.0) >= objective(forms, w0, 1.0) - 1e-9
+
+    def test_cycling_mixed_dac_trial_converges(self):
+        # trial 0 of the mixed-DAC sweep (three 3-bit DACs and one 8-bit DAC,
+        # 50 dB) cycles under the plain step; the damped step settles it
+        rng = trial_rng(90, 0)
+        aods = draw_aods(rng, 2, "correlated_aod")
+        h = sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        forms = build_forms(h, QuantizerProfile([3, 3, 3, 8], [8, 8]), 10.0 ** 5.0)
+        opts = SolverOptions(tau=1.0)
+        result = gpi_solve(forms, opts, init_precoder(forms))
+        assert result.converged
+        assert result.iterations < 20
+        assert result.residual <= opts.epsilon
 
     def test_start_of_other_mode_rejected(self):
         # an RSMA start has one block too many for SDMA forms, and vice versa
@@ -491,10 +493,28 @@ class TestNepResidual:
         opts = SolverOptions(tau=0.3, epsilon=1e-4, t_max=2000)
         result = gpi_solve(forms, opts, init_precoder(forms))
         assert result.converged
-        assert result.residual <= 10 * opts.epsilon
+        assert result.residual <= opts.epsilon
 
     def test_large_away_from_stationarity(self):
         h, profile = correlated_instance(8)
         forms = build_forms(h, profile, 100.0)
         w = random_unit_stack(np.random.default_rng(17), forms.dim)
         assert nep_residual(forms, w, 0.3) > 1e-3
+
+    def test_scale_free(self):
+        h, profile = correlated_instance(8)
+        forms = build_forms(h, profile, 100.0)
+        w = random_unit_stack(np.random.default_rng(18), forms.dim)
+        assert nep_residual(forms, 3.7 * w, 0.3) == pytest.approx(
+            nep_residual(forms, w, 0.3), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("include_common", [True, False])
+    def test_matches_solve_residual(self, include_common):
+        for seed in range(3):
+            h, profile = correlated_instance(seed)
+            forms = build_forms(h, profile, 10.0 ** 3.0, include_common)
+            result = gpi_solve(forms, SolverOptions(tau=1.0), init_precoder(forms))
+            assert nep_residual(forms, result.stacked, 1.0) == pytest.approx(
+                result.residual, rel=1e-9
+            )

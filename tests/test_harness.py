@@ -183,6 +183,13 @@ class TestRunExperiment:
         keys = [(r.trial_index, r.snr_db, r.algorithm) for r in records]
         assert keys == sorted(keys)
 
+    def test_rzf_at_tiny_snr_runs(self):
+        # a 2e300 loading leaves direction entries near 1e-301, whose squares
+        # underflow; the column norms must still come out positive
+        (record,) = run_experiment(small_spec(snr_db=[-3000], algorithms=["QRZF"]))
+        assert record.note == ""
+        assert math.isfinite(record.sum_se)
+
     def test_paired_channel_across_algorithms(self):
         # algorithm results must match whether run together or separately,
         # because the channel/bit draws come before any algorithm runs
