@@ -8,12 +8,16 @@ inverse-denominator/numerator update of a generalized power iteration,
 renormalizing each step, until the iterate is an eigenvector of the
 pencil to within a relative residual.
 
+Forms, pencils and iterates carry a leading batch axis over a trial's SNR
+points (a scalar SNR is a batch of one): one pencil build and block solve
+per iteration serve them all, and each keeps its own stop test and step.
+
 The quantization-aware SDMA variant runs the same machinery without the
 common stream (``include_common=False``).
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,8 +64,12 @@ class QuadraticForms:
     distortion_diags: np.ndarray    # (K, N) real, nonnegative
     adc_alpha: np.ndarray           # (K,)
     dac_alpha: np.ndarray           # (N,), needed to unstack precoders
-    noise_over_power: float
+    noise_over_power: np.ndarray    # (B,), the only per-element field
     include_common: bool = True
+
+    @property
+    def batch(self):
+        return self.noise_over_power.size
 
     @property
     def n_users(self):
@@ -81,9 +89,10 @@ class QuadraticForms:
 
 
 def build_forms(channel, profile, snr, include_common=True):
-    """Assemble the quadratic forms for a channel/profile/SNR operating point.
+    """Assemble the quadratic forms for a channel and profile at B SNR points.
 
-    ``snr`` is the linear transmit power over the noise power.
+    ``snr`` is the linear transmit power over the noise power: a sequence
+    of B values, or a scalar for a batch of one.
     """
     channel = np.asarray(channel, dtype=complex)
     if channel.shape != (profile.n_antennas, profile.n_users):
@@ -97,46 +106,52 @@ def build_forms(channel, profile, snr, include_common=True):
         distortion_diags=(profile.dac_beta[:, None] * np.abs(channel) ** 2).T.copy(),
         adc_alpha=profile.adc_alpha.copy(),
         dac_alpha=profile.dac_alpha.copy(),
-        noise_over_power=1.0 / snr,
+        noise_over_power=1.0 / np.asarray(snr, dtype=float).reshape(-1),
         include_common=include_common,
     )
 
 
-def _quadratics(forms, w):
-    """Numerator/denominator values of the rate quotients at a stacked vector.
-
-    Returns (a_common, b_common, a_private, b_private); the common pair is
-    None in SDMA mode. Valid for any nonzero w, not just unit norm: the
-    noise term scales with ||w||^2, which keeps every quotient invariant
-    to scaling.
-    """
+def _stacked(forms, w, name="stacked vector"):
+    """w as a (B, dim) stack; a single stacked vector serves every element."""
     w = np.asarray(w, dtype=complex)
-    if w.shape != (forms.dim,):
-        raise DimensionMismatch(f"stacked vector must have length {forms.dim}")
-    rows = w.reshape(forms.n_streams, forms.n_antennas)
-    noise = forms.noise_over_power * float(np.vdot(w, w).real)
+    if w.shape not in ((forms.dim,), (forms.batch, forms.dim)):
+        raise DimensionMismatch(f"{name} must have length {forms.dim}")
+    return w if w.ndim == 2 else np.broadcast_to(w, (forms.batch, forms.dim))
+
+
+def _quadratics(forms, w):
+    """Numerator/denominator values of the rate quotients at stacked vectors.
+
+    Returns (a_common, b_common, a_private, b_private), each (B, K); the
+    common pair is None in SDMA mode. Valid for any nonzero w, not just
+    unit norm: the noise term scales with ||w||^2, which keeps every
+    quotient invariant to scaling.
+    """
+    w = _stacked(forms, w)
+    rows = w.reshape(forms.batch, forms.n_streams, forms.n_antennas)
+    noise = forms.noise_over_power[:, None] * (w.conj() * w).real.sum(axis=1, keepdims=True)
     beam, totals = quadratic_terms(forms.weighted_channels, forms.distortion_diags, rows, noise)
     users = np.arange(forms.n_users)
     if forms.include_common:
         a_common = totals
-        b_common = a_common - forms.adc_alpha * beam[:, 0]
+        b_common = a_common - forms.adc_alpha * beam[..., 0]
         a_private = b_common
-        b_private = a_private - forms.adc_alpha * beam[users, users + 1]
+        b_private = a_private - forms.adc_alpha * beam[:, users, users + 1]
         return a_common, b_common, a_private, b_private
     a_private = totals
-    b_private = a_private - forms.adc_alpha * beam[users, users]
+    b_private = a_private - forms.adc_alpha * beam[:, users, users]
     return None, None, a_private, b_private
 
 
 def objective(forms, w, tau):
-    """Smoothed sum spectral efficiency at w (bits/s/Hz).
+    """Smoothed sum spectral efficiency at w (bits/s/Hz), one per element.
 
     RSMA: smoothed minimum of the per-user common rates plus the private
     rates; SDMA: private rates only (tau unused). Invariant to scaling
     of w.
     """
     a_c, b_c, a_p, b_p = _quadratics(forms, w)
-    private = float(np.log2(a_p / b_p).sum())
+    private = np.log2(a_p / b_p).sum(axis=1)
     if a_c is None:
         return private
     return lse_min(np.log2(a_c / b_c), tau) + private
@@ -168,50 +183,58 @@ def kkt_matrices(forms, w, tau):
         coeff_a = 1.0 / a_p
         coeff_b = 1.0 / b_p
 
-    d, noise = forms.distortion_diags, forms.noise_over_power
-    diag_a = coeff_a @ d + coeff_a.sum() * noise
-    diag_b = coeff_b @ d + coeff_b.sum() * noise
-    weights_a = np.repeat(coeff_a[None, :], forms.n_streams, axis=0)
-    weights_b = np.repeat(coeff_b[None, :], forms.n_streams, axis=0)
+    d, noise = forms.distortion_diags, forms.noise_over_power[:, None]
+    diag_a = coeff_a @ d + coeff_a.sum(axis=1, keepdims=True) * noise
+    diag_b = coeff_b @ d + coeff_b.sum(axis=1, keepdims=True) * noise
+    weights_a = np.repeat(coeff_a[:, None, :], forms.n_streams, axis=1)
+    weights_b = np.repeat(coeff_b[:, None, :], forms.n_streams, axis=1)
     # Cancelling the common stream removes its beam gain from every
     # private-rate numerator; each private stream's own gain leaves its
     # denominator at that user's block. With alpha <= 1 the differences
     # below stay nonnegative in floating point.
     own_blocks = users + 1 if forms.include_common else users
-    weights_b[own_blocks, users] = coeff_b - alpha / b_p
+    weights_b[:, own_blocks, users] = coeff_b - alpha / b_p
     if forms.include_common:
-        weights_a[0] = coeff_a - alpha / a_p
-        weights_b[0] = (1.0 - alpha) * coeff_b
+        weights_a[:, 0] = coeff_a - alpha / a_p
+        weights_b[:, 0] = (1.0 - alpha) * coeff_b
     return BlockDiag(diag_a, m, weights_a), BlockDiag(diag_b, m, weights_b)
 
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one power-iteration solve."""
+    """One operating point's precoder and how the solve that found it ended."""
 
     precoder: np.ndarray          # (N, K+1); column 0 zero for SDMA
-    stacked: np.ndarray           # unit-norm stacked vector actually returned
+    stacked: np.ndarray           # unit-norm stacked vector returned; None if closed-form
     iterations: int
     converged: bool               # residual <= epsilon
     residual: float               # relative NEP residual at the returned point
 
 
 def _image_and_residual(forms, w, tau):
-    """Image ``x = B(w)^-1 A(w) w`` of a unit vector w, and the relative
-    residual ``||x - (w^H x) w|| / ||x||``, the sine of the angle between them."""
+    """Images ``x = B(w)^-1 A(w) w`` of the unit rows of w, their relative
+    residuals ``||x - (w^H x) w|| / ||x||``, and the block solve's faults."""
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
-    image = blockdiag_solve(pencil_b, pencil_a.matvec(w))
-    return image, float(np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image))
+    image, faults = blockdiag_solve(pencil_b, pencil_a.matvec(w))
+    residual = np.linalg.norm(image - (w.conj() * image).sum(1, keepdims=True) * w, axis=1)
+    return image, residual / np.linalg.norm(image, axis=1), faults
+
+
+def _unit(v):
+    return canonical_phase(v / np.linalg.norm(v, axis=-1, keepdims=True))
 
 
 def nep_residual(forms, w, tau):
     """Relative residual of the eigenvector equation ``B(w)^-1 A(w) w ~ w``.
 
-    Invariant to the scale and phase of w; it vanishes exactly at
-    stationary points of the smoothed objective.
+    One per element; raises the first block-solve fault. Invariant to the
+    scale and phase of w; it vanishes exactly at stationary points of the
+    smoothed objective.
     """
-    w = np.asarray(w, dtype=complex)
-    return _image_and_residual(forms, w / np.linalg.norm(w), tau)[1]
+    _, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
+    for fault in filter(None, faults):
+        raise fault
+    return residual
 
 
 def gpi_solve(forms, options, w0):
@@ -223,43 +246,43 @@ def gpi_solve(forms, options, w0):
     ``normalize(w + T(w))``. The solve returns the first iterate whose
     relative residual is at most ``options.epsilon``, or the iterate
     reached after ``options.t_max`` steps.
+
+    Each batch element has its own stop test and half-step switch and
+    leaves the batch when it stops or fails the block solve. ``w0`` is one
+    start or a (B, dim) stack; returns each element's SolveResult or error.
     """
-    w0 = np.asarray(w0, dtype=complex)
-    if w0.shape != (forms.dim,):
-        raise DimensionMismatch(f"starting vector must have length {forms.dim}")
-    norm0 = np.linalg.norm(w0)
-    if norm0 == 0:
+    w = _stacked(forms, w0, "starting vector")
+    if (np.linalg.norm(w, axis=1) == 0).any():
         raise ZeroPrecoder("starting stacked precoder is zero")
-
-    w = w_prev = canonical_phase(w0 / norm0)
-    damped = False
-    for iterations in range(options.t_max + 1):
-        image, residual = _image_and_residual(forms, w, options.tau)
-        if residual <= options.epsilon or iterations == options.t_max:
-            break
-        step = canonical_phase(image / np.linalg.norm(image))
-        damped = damped or np.linalg.norm(step - w_prev) < 0.5 * np.linalg.norm(step - w)
-        if damped:
-            step = canonical_phase((w + step) / np.linalg.norm(w + step))
+    w = w_prev = _unit(w)
+    # row i of w, w_prev, damped and image is batch element rows[i]; part has their forms
+    results, rows, part = [None] * forms.batch, np.arange(forms.batch), forms
+    damped = np.zeros(forms.batch, dtype=bool)
+    for t in range(options.t_max + 1):
+        image, residual, faults = _image_and_residual(part, w, options.tau)
+        going = (residual > options.epsilon) & (t < options.t_max)  # False for a fault's NaN
+        if not going.all():
+            for i in np.flatnonzero(~going):
+                results[rows[i]] = faults[i] or SolveResult(
+                    _to_full_precoder(forms, w[i]), w[i], t,
+                    bool(residual[i] <= options.epsilon), float(residual[i]))
+            if not going.any():
+                return results
+            rows, w, w_prev, damped, image = (a[going] for a in (rows, w, w_prev, damped, image))
+            part = replace(forms, noise_over_power=forms.noise_over_power[rows])
+        step = _unit(image)
+        damped |= np.linalg.norm(step - w_prev, axis=1) < 0.5 * np.linalg.norm(step - w, axis=1)
+        if damped.any():
+            step[damped] = _unit(w[damped] + step[damped])
         w_prev, w = w, step
-
-    return SolveResult(
-        precoder=_to_full_precoder(forms, w),
-        stacked=w,
-        iterations=iterations,
-        converged=residual <= options.epsilon,
-        residual=residual,
-    )
 
 
 def _to_full_precoder(forms, w):
     """Unstack to an (N, K+1) precoder, inserting a zero common column for SDMA."""
-    rows = np.asarray(w, dtype=complex).reshape(forms.n_streams, forms.n_antennas)
-    f_matrix = (rows.T / np.sqrt(forms.dac_alpha)[:, None]).copy()
-    if forms.include_common:
-        return f_matrix
-    zero = np.zeros((forms.n_antennas, 1), dtype=complex)
-    return np.hstack([zero, f_matrix])
+    rows = w.reshape(forms.n_streams, forms.n_antennas)
+    if not forms.include_common:
+        rows = np.vstack([np.zeros_like(rows[:1]), rows])
+    return np.ascontiguousarray(rows.T) / np.sqrt(forms.dac_alpha)[:, None]
 
 
 def init_precoder(forms):

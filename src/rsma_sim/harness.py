@@ -29,7 +29,7 @@ from .channel import (
     sample_channel,
 )
 from .errors import ParseError, RsmaSimError, ValidationError
-from .gpi import SolverOptions, build_forms, gpi_solve, init_precoder
+from .gpi import SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
 from .rates import rate_report
@@ -90,7 +90,8 @@ class TrialRecord:
     per_antenna_power is the diagonal of the transmit covariance
     (signal plus converter distortion); it sums to at most the power
     budget. wall_time_ms is a runtime diagnostic and is not serialized
-    to CSV, which keeps output files byte-deterministic.
+    to CSV, which keeps output files byte-deterministic; it is an equal share of
+    its algorithm's time over the trial's SNR points plus its own rate evaluation.
     """
 
     trial_index: int
@@ -237,35 +238,34 @@ def load_spec(document):
     )
 
 
-def _evaluate_algorithm(trial_index, snr_db, algorithm, channel, profile, snr, solver):
-    """Run one algorithm on one operating point and return its record.
+def _baseline(algorithm, channel, profile, snr):
+    """A closed-form precoder as a zero-iteration SolveResult, or its error."""
+    try:
+        return SolveResult(baseline_precoder(algorithm, channel, profile, snr), None, 0, True, 0.0)
+    except (RsmaSimError, np.linalg.LinAlgError) as exc:
+        return exc
 
-    QGPIRS and QGPISEM are the same solve with and without the common
-    stream; the other algorithms are closed-form baselines.
-    """
+
+def _record(trial_index, snr_db, algorithm, channel, profile, snr, result, share):
+    """A SolveResult's record, ``share`` ms of solve time added; an error's is zeroed."""
     started = time.perf_counter()
-    if algorithm in ("QGPIRS", "QGPISEM"):
-        forms = build_forms(channel, profile, snr, include_common=algorithm == "QGPIRS")
-        result = gpi_solve(forms, solver, init_precoder(forms))
-        f_matrix = result.precoder
-        iterations, converged, residual = result.iterations, result.converged, result.residual
-    else:
-        f_matrix = baseline_precoder(algorithm, channel, profile, snr)
-        iterations, converged, residual = 0, True, 0.0
-
-    report = rate_report(channel, f_matrix, profile, snr)
-    antenna_power = snr * profile.dac_alpha * np.sum(np.abs(f_matrix) ** 2, axis=1)
+    key = {"trial_index": trial_index, "snr_db": snr_db, "algorithm": algorithm}
+    try:
+        if isinstance(result, Exception):
+            raise result
+        report = rate_report(channel, result.precoder, profile, snr)
+    except (RsmaSimError, np.linalg.LinAlgError) as exc:
+        return TrialRecord(
+            **key, sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * profile.n_users,
+            iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
+            per_antenna_power=(0.0,) * profile.n_antennas, note=f"{type(exc).__name__}: {exc}",
+        )
+    antenna_power = snr * profile.dac_alpha * np.sum(np.abs(result.precoder) ** 2, axis=1)
     return TrialRecord(
-        trial_index=trial_index,
-        snr_db=snr_db,
-        algorithm=algorithm,
-        sum_se=report.sum_se,
-        common_rate=report.common_rate,
+        **key, sum_se=report.sum_se, common_rate=report.common_rate,
         private_rates=tuple(float(r) for r in report.private_rates),
-        iterations=iterations,
-        converged=converged,
-        residual=residual,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
+        iterations=result.iterations, converged=result.converged, residual=result.residual,
+        wall_time_ms=share + (time.perf_counter() - started) * 1e3,
         per_antenna_power=tuple(float(p) for p in antenna_power),
     )
 
@@ -283,23 +283,21 @@ def _run_trial(spec, trial_index):
     ]
     channel = sample_channel(factorizations, rng)
 
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     records = []
-    for snr_db in spec.snr_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        for algorithm in spec.algorithms:
-            try:
-                record = _evaluate_algorithm(
-                    trial_index, snr_db, algorithm, channel, profile, snr, spec.solver
-                )
-            except (RsmaSimError, np.linalg.LinAlgError) as exc:
-                record = TrialRecord(
-                    trial_index=trial_index, snr_db=snr_db, algorithm=algorithm,
-                    sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * spec.n_users,
-                    iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
-                    per_antenna_power=(0.0,) * spec.n_antennas,
-                    note=f"{type(exc).__name__}: {exc}",
-                )
-            records.append(record)
+    for algorithm in spec.algorithms:
+        started = time.perf_counter()
+        try:
+            if algorithm in ("QGPIRS", "QGPISEM"):
+                forms = build_forms(channel, profile, snrs, include_common=algorithm == "QGPIRS")
+                results = gpi_solve(forms, spec.solver, init_precoder(forms))
+            else:
+                results = [_baseline(algorithm, channel, profile, snr) for snr in snrs]
+        except (RsmaSimError, np.linalg.LinAlgError) as exc:
+            results = [exc] * len(snrs)
+        share = (time.perf_counter() - started) * 1e3 / len(snrs)
+        records += [_record(trial_index, snr_db, algorithm, channel, profile, snr, result, share)
+                    for snr_db, snr, result in zip(spec.snr_db, snrs, results)]
     return records
 
 

@@ -1,14 +1,13 @@
 """Block-diagonal Hermitian solves, phase pinning, and seeded sampling.
 
 Everything here operates on plain complex numpy arrays. The block-diagonal
-container mirrors the structure of the solver's iteration matrices: every
-block is one real diagonal shared by all blocks plus nonnegatively weighted
-outer products of the same few vectors, so the blocks are Hermitian by
-construction and their smallest eigenvalue is at least the smallest
-diagonal entry. The block solve checks that floor against each block's
-norm bound, which costs no factorization, and then solves the whole
-(m, n, n) stack with one batched LU call; a block that fails the check
-raises SingularMatrix naming that block.
+container mirrors the structure of the solver's iteration matrices, one
+per batch element: every block is one real diagonal shared by all blocks
+plus nonnegatively weighted outer products of the same few vectors, so the
+blocks are Hermitian by construction and their smallest eigenvalue is at
+least the smallest diagonal entry. The block solve checks that floor
+against each block's norm bound, which costs no factorization, and then
+solves the (B, m, n, n) stack with one batched LU call.
 """
 
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ from .errors import DimensionMismatch, SingularMatrix
 # Relative tolerance of the singularity check. The iteration matrices are
 # positive definite but approach singularity at extreme SNR, so a block
 # whose diagonal floor is at most PIVOT_RTOL times its Frobenius norm bound
-# must raise instead of returning garbage. The floor bounds every squared
+# must fail instead of returning garbage. The floor bounds every squared
 # Cholesky pivot from below and the norm bound is at least the Frobenius
 # norm, so no block with a squared Cholesky pivot at most PIVOT_RTOL times
 # its Frobenius norm passes.
@@ -29,12 +28,12 @@ PIVOT_RTOL = 1e-14
 
 @dataclass(frozen=True)
 class BlockDiag:
-    """Block-diagonal Hermitian matrix of m blocks of size n.
+    """Batch of B block-diagonal Hermitian matrices of m blocks of size n.
 
-    Block j is ``diag(diag) + sum_k weights[j, k] v_k v_k^H``, where v_k
-    is row k of ``vectors``: ``diag`` is (n,) real, ``vectors`` (K, n)
-    complex and ``weights`` (m, K) real. Block j acts on the j-th
-    length-n slice of a stacked vector.
+    Block j of element b is ``diag(diag[b]) + sum_k weights[b, j, k] v_k v_k^H``,
+    where v_k is row k of ``vectors``: ``diag`` is (B, n) real, ``vectors``
+    (K, n) complex and shared, ``weights`` (B, m, K) real. Block j acts on
+    the j-th length-n slice of a stacked vector.
     """
 
     diag: np.ndarray
@@ -47,70 +46,77 @@ class BlockDiag:
         diag = np.asarray(self.diag, dtype=float)
         vectors = np.asarray(self.vectors, dtype=complex)
         weights = np.asarray(self.weights, dtype=float)
-        if (
-            diag.ndim != 1 or diag.size == 0 or weights.ndim != 2
-            or weights.shape[0] == 0 or vectors.shape != (weights.shape[1], diag.size)
-        ):
+        if (diag.ndim != 2 or diag.size == 0 or weights.ndim != 3 or weights.shape[1] == 0
+                or len(weights) != len(diag)
+                or vectors.shape != weights.shape[2:] + diag.shape[1:]):
             raise DimensionMismatch(
-                f"expected diag (n,), vectors (K, n), weights (m, K); got "
+                f"expected diag (B, n), vectors (K, n), weights (B, m, K); got "
                 f"{diag.shape}, {vectors.shape}, {weights.shape}"
             )
-        if not (np.isfinite(diag).all() and np.isfinite(weights).all()
-                and np.isfinite(vectors).all()):
-            raise DimensionMismatch("diag, vectors and weights must be finite")
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "weights", weights)
 
     @property
+    def batch(self):
+        return self.diag.shape[0]
+
+    @property
     def n_blocks(self):
-        return self.weights.shape[0]
+        return self.weights.shape[1]
 
     @property
     def block_dim(self):
-        return self.diag.size
+        return self.diag.shape[1]
 
     @property
     def size(self):
         return self.n_blocks * self.block_dim
 
     def matvec(self, v):
-        """Apply the block-diagonal matrix to a stacked vector."""
-        cols = np.asarray(v, dtype=complex).reshape(self.n_blocks, self.block_dim)
+        """Apply each element to its stacked vector; v holds B * size entries."""
+        cols = np.asarray(v, dtype=complex).reshape(self.batch, self.n_blocks, self.block_dim)
         coords = self.weights * (cols @ self.vectors.conj().T)
-        return (cols * self.diag + coords @ self.vectors).reshape(-1)
+        return (cols * self.diag[:, None, :] + coords @ self.vectors).reshape(self.batch, -1)
 
 
 def blockdiag_solve(bd, v):
-    """Solve ``bd @ x = v`` for all blocks in one batched call.
+    """Solve ``bd[b] @ x[b] = v[b]`` for every element b in one batched call.
 
-    Block j passes the singularity check when its weights are nonnegative
-    and the diagonal floor ``min(bd.diag)``, a lower bound on its smallest
-    eigenvalue, exceeds PIVOT_RTOL times ``||diag||_2 + sum_k weights[j, k]
-    ||v_k||^2``, an upper bound on its Frobenius norm. The first block
-    that fails raises SingularMatrix with its index. The blocks are then
-    formed with one batched matmul and solved with one batched LU.
+    Returns ``(x, faults)``: ``faults[b]`` is None, or element b's error
+    and ``x[b]`` NaN: DimensionMismatch for non-finite entries, else
+    SingularMatrix naming the first block that fails the check. Block j
+    passes when its weights are nonnegative and the floor ``min(diag[b])``
+    (at most its smallest eigenvalue) exceeds PIVOT_RTOL times ``||diag[b]||
+    + sum_k weights[b, j, k] ||v_k||^2`` (at least its Frobenius norm).
     """
     v = np.asarray(v, dtype=complex)
-    if v.shape != (bd.size,):
-        raise DimensionMismatch(f"vector shape {v.shape} != ({bd.size},)")
-    floor = bd.diag.min()
-    tol = PIVOT_RTOL * (
-        np.linalg.norm(bd.diag) + bd.weights @ (np.abs(bd.vectors) ** 2).sum(axis=1)
-    )
-    nonnegative = (bd.weights >= 0).all(axis=1)
-    safe = nonnegative & (floor > tol)
-    if not safe.all():
-        j = int(np.argmin(safe))
-        reason = (
-            "negative weight" if not nonnegative[j]
-            else f"diagonal floor {floor:.3e} below tolerance {tol[j]:.3e}"
-        )
-        raise SingularMatrix(f"block {j} singular: {reason}", block_index=j)
-    blocks = (bd.weights[:, None, :] * bd.vectors.T) @ bd.vectors.conj()
-    blocks.reshape(bd.n_blocks, -1)[:, :: bd.block_dim + 1] += bd.diag
-    cols = v.reshape(bd.n_blocks, bd.block_dim, 1)
-    return np.linalg.solve(blocks, cols).reshape(-1)
+    if v.size != bd.batch * bd.size:
+        raise DimensionMismatch(f"vector shape {v.shape} != ({bd.batch}, {bd.size})")
+    v = v.reshape(bd.batch, bd.size)
+    floor = bd.diag.min(axis=1)
+    tol = PIVOT_RTOL * (np.linalg.norm(bd.diag, axis=1)[:, None]
+                        + bd.weights @ (np.abs(bd.vectors) ** 2).sum(axis=1))
+    nonnegative = (bd.weights >= 0).all(axis=2)
+    # a non-finite diag, weight or vector makes floor or tol NaN or infinite, failing the check
+    safe = nonnegative & (floor[:, None] > tol)
+    ok = safe.all(axis=1) & np.isfinite(v).all(axis=1)
+    faults, weights, diag, rhs = [None] * bd.batch, bd.weights, bd.diag, v
+    if not ok.all():
+        for b in np.flatnonzero(~ok):
+            j = int(np.argmin(safe[b]))
+            reason = "negative weight" if not nonnegative[b, j] else (
+                f"diagonal floor {floor[b]:.3e} below tolerance {tol[b, j]:.3e}")
+            faults[b] = SingularMatrix(f"block {j} singular: {reason}", block_index=j)
+            if not all(np.isfinite(a).all() for a in (diag[b], weights[b], bd.vectors, v[b])):
+                faults[b] = DimensionMismatch("pencil entries and right-hand side must be finite")
+        weights, diag, rhs = weights[ok], diag[ok], v[ok]
+    count, m, n = len(rhs), bd.n_blocks, bd.block_dim
+    blocks = (weights[:, :, None, :] * bd.vectors.T) @ bd.vectors.conj()
+    blocks.reshape(count, m, n * n)[..., :: n + 1] += diag[:, None, :]
+    x = np.full_like(v, np.nan)
+    x[ok] = np.linalg.solve(blocks, rhs.reshape(count, m, n, 1)).reshape(count, m * n)
+    return x, faults
 
 
 def canonical_phase(v):
@@ -118,14 +124,13 @@ def canonical_phase(v):
 
     Eigenvectors and stacked precoders carry an arbitrary global phase;
     pinning it makes vector differences across iterations and runs
-    well defined. The zero vector is returned unchanged.
+    well defined. The zero vector is returned unchanged. A stack of
+    vectors is pinned along its last axis, one vector at a time.
     """
     v = np.asarray(v, dtype=complex)
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    if pivot == 0:
-        return v.copy()
-    return v * (np.conj(pivot) / np.abs(pivot))
+    rows = v.reshape(-1, v.shape[-1])
+    pivot = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)].reshape(v.shape[:-1] + (1,))
+    return v * np.divide(np.conj(pivot), np.abs(pivot), out=np.ones_like(pivot), where=pivot != 0)
 
 
 def trial_rng(base_seed, trial_index):

@@ -34,10 +34,11 @@ def quadratic_terms(vectors, diag_weights, streams, noise):
     ``totals[k] = sum_i beam[k, i] + sum_i s_i^H diag(d_k) s_i + noise``,
     with ``v_k = vectors[k]``, ``d_k = diag_weights[k]`` and
     ``s_i = streams[i]``. Every stream rate is a ratio of two such sums.
+    Leading batch axes of ``streams`` carry over; ``noise`` broadcasts.
     """
-    beam = np.abs(vectors.conj() @ streams.T) ** 2                  # (K, S)
-    distort = diag_weights @ (np.abs(streams) ** 2).T               # (K, S)
-    return beam, beam.sum(axis=1) + distort.sum(axis=1) + noise
+    beam = np.abs(vectors.conj() @ np.swapaxes(streams, -1, -2)) ** 2          # (..., K, S)
+    distort = diag_weights @ np.swapaxes(np.abs(streams) ** 2, -1, -2)        # (..., K, S)
+    return beam, beam.sum(axis=-1) + distort.sum(axis=-1) + noise
 
 
 def rate_report(channel, f_matrix, profile, snr):
@@ -102,23 +103,24 @@ def lse_min(values, tau):
     """Smoothed minimum ``-tau * ln(sum_i exp(-x_i / tau))``.
 
     Lies in [min - tau*ln(len(values)), min] and tightens as tau -> 0.
-    Computed in min-shifted form so small tau cannot underflow.
+    Computed in min-shifted form so small tau cannot underflow; reduces
+    the last axis.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise DimensionMismatch("lse_min needs a nonempty list")
     if not tau > 0:
         raise DimensionMismatch(f"tau must be positive, got {tau}")
-    low = values.min()
-    return float(low - tau * np.log(np.sum(np.exp(-(values - low) / tau))))
+    low = values.min(axis=-1)
+    return low - tau * np.log(np.sum(np.exp(-(values - np.expand_dims(low, -1)) / tau), axis=-1))
 
 
 def softmin_weights(values, tau):
     """Weights ``exp(-x_k/tau) / sum_l exp(-x_l/tau)``, min-shifted.
 
     These are the gradient weights of :func:`lse_min`; the smallest entry
-    dominates as tau -> 0.
+    dominates as tau -> 0. Normalized along the last axis.
     """
     values = np.asarray(values, dtype=float)
-    shifted = np.exp(-(values - values.min()) / tau)
-    return shifted / shifted.sum()
+    shifted = np.exp(-(values - values.min(axis=-1, keepdims=True)) / tau)
+    return shifted / shifted.sum(axis=-1, keepdims=True)

@@ -15,11 +15,15 @@ from rsma_sim import (
     DimensionMismatch,
     QuantizerProfile,
     SingularMatrix,
+    SolveResult,
+    ZeroPrecoder,
+    blockdiag_solve,
     canonical_phase,
     check_power,
+    kkt_matrices,
 )
 from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
-from rsma_sim.gpi import _quadratics
+from rsma_sim.gpi import _quadratics, _to_full_precoder
 from rsma_sim.linalg import PIVOT_RTOL
 from rsma_sim.rates import softmin_weights
 
@@ -59,9 +63,14 @@ def extract_precoder(w, profile):
     return rows.T / np.sqrt(profile.dac_alpha)[:, None]
 
 
+def element_quadratics(forms, w):
+    """``_quadratics`` of a batch of one, without the batch axis."""
+    return tuple(None if q is None else q[0] for q in _quadratics(forms, w))
+
+
 def stream_rates(forms, w):
     """Common and private stream rates (bits/s/Hz) at w; common is None for SDMA."""
-    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    a_c, b_c, a_p, b_p = element_quadratics(forms, w)
     common = None if a_c is None else np.log2(a_c / b_c)
     return common, np.log2(a_p / b_p)
 
@@ -266,17 +275,26 @@ def vector_angle(u, v):
 
 
 def dense_blocks(bd):
-    """A BlockDiag's (m, n, n) block stack, one outer product at a time."""
-    blocks = np.zeros((bd.n_blocks, bd.block_dim, bd.block_dim), dtype=complex)
-    for j in range(bd.n_blocks):
-        blocks[j] = np.diag(bd.diag)
-        for weight, vec in zip(bd.weights[j], bd.vectors):
-            blocks[j] += weight * np.outer(vec, vec.conj())
-    return blocks
+    """A BlockDiag's (B * m, n, n) block stack, element by element, one
+    outer product at a time."""
+    blocks = np.zeros((bd.batch, bd.n_blocks, bd.block_dim, bd.block_dim), dtype=complex)
+    for b, j in np.ndindex(bd.batch, bd.n_blocks):
+        blocks[b, j] = np.diag(bd.diag[b])
+        for weight, vec in zip(bd.weights[b, j], bd.vectors):
+            blocks[b, j] += weight * np.outer(vec, vec.conj())
+    return blocks.reshape(-1, bd.block_dim, bd.block_dim)
+
+
+def solve_one(bd, v):
+    """Block solve of a batch of one that raises its fault, as the unbatched solve did."""
+    (x,), (fault,) = blockdiag_solve(bd, v)
+    if fault:
+        raise fault
+    return x
 
 
 def to_dense(bd):
-    """Assemble a BlockDiag's full dense matrix."""
+    """Assemble a BlockDiag's full dense matrix; of a batch of one, its element's."""
     return scipy.linalg.block_diag(*dense_blocks(bd))
 
 
@@ -290,10 +308,11 @@ def dense_kkt(forms, w, tau):
     (K+1, N, N) stacks in RSMA mode and (K, N, N) in SDMA mode. The bases'
     norms set the scale of the rounding error of the subtractions.
     """
-    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    a_c, b_c, a_p, b_p = element_quadratics(forms, w)
     m = forms.weighted_channels
     alpha = forms.adc_alpha
     n, s = forms.n_antennas, forms.n_streams
+    [noise] = forms.noise_over_power
 
     def gain_sum(coeffs, distortion_diags=None):
         rank_part = (m.T * coeffs) @ m.conj()
@@ -310,8 +329,8 @@ def dense_kkt(forms, w, tau):
         coeff_b = 1.0 / b_p
 
     d = forms.distortion_diags
-    base_a = gain_sum(coeff_a, d) + (coeff_a.sum() * forms.noise_over_power) * np.eye(n)
-    base_b = gain_sum(coeff_b, d) + (coeff_b.sum() * forms.noise_over_power) * np.eye(n)
+    base_a = gain_sum(coeff_a, d) + (coeff_a.sum() * noise) * np.eye(n)
+    base_b = gain_sum(coeff_b, d) + (coeff_b.sum() * noise) * np.eye(n)
 
     blocks_a = np.repeat(base_a[None, :, :], s, axis=0)
     blocks_b = np.repeat(base_b[None, :, :], s, axis=0)
@@ -412,3 +431,44 @@ def principal_gep_oracle(a, b):
     vec = vecs[:, -1]
     vec = vec / np.linalg.norm(vec)
     return float(vals[-1]), canonical_phase(vec)
+
+
+def scalar_gpi_solve(forms, options, w0):
+    """The generalized power iteration for one operating point, as a scalar loop.
+
+    Reference for each element of ``gpi_solve``'s batched loop: ``forms``
+    is a batch of one and every vector is unbatched, and the loop stops,
+    steps and switches to the half step by the same rules. Returns a
+    SolveResult or raises the block solve's fault.
+    """
+    w0 = np.asarray(w0, dtype=complex)
+    if w0.shape != (forms.dim,):
+        raise DimensionMismatch(f"starting vector must have length {forms.dim}")
+    norm0 = np.linalg.norm(w0)
+    if norm0 == 0:
+        raise ZeroPrecoder("starting stacked precoder is zero")
+
+    def image_and_residual(w):
+        pencil_a, pencil_b = kkt_matrices(forms, w, options.tau)
+        image = solve_one(pencil_b, pencil_a.matvec(w))
+        return image, float(np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image))
+
+    w = w_prev = canonical_phase(w0 / norm0)
+    damped = False
+    for iterations in range(options.t_max + 1):
+        image, residual = image_and_residual(w)
+        if residual <= options.epsilon or iterations == options.t_max:
+            break
+        step = canonical_phase(image / np.linalg.norm(image))
+        damped = damped or np.linalg.norm(step - w_prev) < 0.5 * np.linalg.norm(step - w)
+        if damped:
+            step = canonical_phase((w + step) / np.linalg.norm(w + step))
+        w_prev, w = w, step
+
+    return SolveResult(
+        precoder=_to_full_precoder(forms, w),
+        stacked=w,
+        iterations=iterations,
+        converged=residual <= options.epsilon,
+        residual=residual,
+    )

@@ -16,7 +16,6 @@ import pytest
 from rsma_sim import (
     QuantizerProfile,
     SolverOptions,
-    blockdiag_solve,
     build_forms,
     canonical_phase,
     check_power,
@@ -35,13 +34,12 @@ from rsma_sim import (
     summarize,
     trial_rng,
 )
-from rsma_sim.gpi import _quadratics
-
 from oracles import (
     adc_noise_variance,
     dac_noise_covariance,
     direct_sinr_common,
     direct_sinr_private,
+    element_quadratics,
     extract_precoder,
     ideal_profile,
     long_form_power,
@@ -50,6 +48,7 @@ from oracles import (
     random_precoder,
     random_profile,
     seeded_rng,
+    solve_one,
     to_dense,
     vector_angle,
 )
@@ -106,7 +105,7 @@ def test_criterion_2_rayleigh_form_correctness():
             w = rng.standard_normal(forms.dim) + 1j * rng.standard_normal(forms.dim)
             w = w / np.linalg.norm(w)
             f = extract_precoder(w, profile)
-            a_c, b_c, a_p, b_p = _quadratics(forms, w)
+            a_c, b_c, a_p, b_p = element_quadratics(forms, w)
             report = rate_report(h, f, profile, power)
             for k in range(k_users):
                 want = 1.0 + report.common_sinrs[k]
@@ -143,10 +142,8 @@ def test_criterion_3_gradient_check():
                 for unit in (1.0, 1j):
                     bump = np.zeros(forms.dim, dtype=complex)
                     bump[i] = unit * step
-                    grad[i] += unit * (
-                        objective(forms, w + bump, tau)
-                        - objective(forms, w - bump, tau)
-                    ) / (2 * step)
+                    [delta] = objective(forms, w + bump, tau) - objective(forms, w - bump, tau)
+                    grad[i] += unit * delta / (2 * step)
             deviation = np.linalg.norm(
                 grad / np.linalg.norm(grad) - direction / np.linalg.norm(direction)
             )
@@ -168,7 +165,7 @@ def test_criterion_4_nep_fixed_point():
             h = random_channel(rng, n, k_users)
             power = 10.0 ** rng.uniform(0.0, 4.0)
             forms = build_forms(h, profile, power)
-            result = gpi_solve(forms, opts, init_precoder(forms))
+            [result] = gpi_solve(forms, opts, init_precoder(forms))
             if result.converged:
                 converged_count += 1
                 assert result.residual <= opts.epsilon, f"residual {result.residual}"
@@ -184,7 +181,7 @@ def test_criterion_4_nep_fixed_point():
         v = rng.standard_normal(forms.dim) + 1j * rng.standard_normal(forms.dim)
         v = v / np.linalg.norm(v)
         for _ in range(50000):
-            nxt = blockdiag_solve(pencil_b, pencil_a.matvec(v))
+            nxt = solve_one(pencil_b, pencil_a.matvec(v))
             nxt = canonical_phase(nxt / np.linalg.norm(nxt))
             if np.linalg.norm(nxt - v) < 1e-15:
                 v = nxt
@@ -314,7 +311,7 @@ def test_criterion_6_degeneration():
         # whole-solver degeneration: same trajectory as the dedicated
         # unquantized implementation, given the same channel draw
         opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
-        result = gpi_solve(forms, opts, init_precoder(forms))
+        [result] = gpi_solve(forms, opts, init_precoder(forms))
         ref_w, ref_residual, ref_iters, ref_conv = _reference_unquantized_gpi_rs(
             h, power, opts.tau, opts.epsilon, opts.t_max
         )
@@ -369,10 +366,10 @@ def test_criterion_8_correlation_effect():
                 ]
                 h = sample_channel(facs, rng)
                 forms = build_forms(h, profile, power)
-                rs_res = gpi_solve(forms, opts, init_precoder(forms))
+                [rs_res] = gpi_solve(forms, opts, init_precoder(forms))
                 sem_forms = build_forms(h, profile, power, include_common=False)
                 sem_w0 = init_precoder(sem_forms)
-                sem_res = gpi_solve(sem_forms, opts, sem_w0)
+                [sem_res] = gpi_solve(sem_forms, opts, sem_w0)
                 se_rs = rate_report(h, rs_res.precoder, profile, power).sum_se
                 se_sem = rate_report(h, sem_res.precoder, profile, power).sum_se
                 gains.append(se_rs - se_sem)
@@ -421,7 +418,7 @@ def test_criterion_10_performance_envelope():
         # an epsilon below attainable step sizes forces the full iteration budget
         opts = SolverOptions(tau=1.0, epsilon=1e-300, t_max=500)
         started = time.perf_counter()
-        result = gpi_solve(forms, opts, w0)
+        [result] = gpi_solve(forms, opts, w0)
         elapsed = time.perf_counter() - started
         assert result.iterations == 500
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -144,15 +144,11 @@ class TestSampleChannel:
     def test_empirical_covariance(self):
         facs = self._factorizations()
         rng = seeded_rng(5)
-        n, trials = 4, 100_000
-        acc = [np.zeros((n, n), dtype=complex) for _ in facs]
-        for _ in range(trials):
-            h = sample_channel(facs, rng)
-            for k in range(len(facs)):
-                acc[k] += np.outer(h[:, k], h[:, k].conj())
-        for k, (basis, eigvals) in enumerate(facs):
+        trials = 100_000
+        draws = np.array([sample_channel(facs, rng) for _ in range(trials)])  # (trials, N, K)
+        empirical = np.einsum("tnk,tmk->knm", draws, draws.conj()) / trials
+        for (basis, eigvals), got in zip(facs, empirical):
             want = (basis * eigvals) @ basis.conj().T
-            got = acc[k] / trials
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 0.02
 

@@ -14,7 +14,6 @@ from rsma_sim import (
     QuantizerProfile,
     SolverOptions,
     ZeroPrecoder,
-    blockdiag_solve,
     build_forms,
     canonical_phase,
     check_power,
@@ -30,18 +29,19 @@ from rsma_sim import (
     trial_rng,
     draw_aods,
 )
-from rsma_sim.gpi import _quadratics
-
 from oracles import (
     BIT_POOL,
     dense_blocks,
     dense_kkt,
+    element_quadratics,
     extract_precoder,
     hermitian_solve,
     ideal_profile,
     principal_gep_oracle,
     random_channel,
     random_profile,
+    scalar_gpi_solve,
+    solve_one,
     stack_precoder,
     stream_rates,
     to_dense,
@@ -68,7 +68,7 @@ class TestBuildForms:
         profile = QuantizerProfile([4, 4], [6, 6])
         forms = build_forms(np.zeros((2, 2)), profile, 10.0)
         w = random_unit_stack(np.random.default_rng(0), forms.dim)
-        a_c, b_c, a_p, b_p = _quadratics(forms, w)
+        a_c, b_c, a_p, b_p = element_quadratics(forms, w)
         np.testing.assert_allclose(a_c / b_c, np.ones(2), rtol=1e-14)
         np.testing.assert_allclose(a_p / b_p, np.ones(2), rtol=1e-14)
         common, private = stream_rates(forms, w)
@@ -183,7 +183,7 @@ class TestKktMatrices:
                 for unit in (1.0, 1j):
                     bump = np.zeros(forms.dim, dtype=complex)
                     bump[i] = unit * step
-                    delta = objective(forms, w + bump, tau) - objective(
+                    [delta] = objective(forms, w + bump, tau) - objective(
                         forms, w - bump, tau
                     )
                     grad[i] += unit * delta / (2 * step)
@@ -213,7 +213,7 @@ class TestKktMatrices:
         w = random_unit_stack(rng, forms.dim)
         _, pencil_b = kkt_matrices(forms, w, 1.0)
         assert np.linalg.eigvalsh(dense_blocks(pencil_b)).min() > 0
-        blockdiag_solve(pencil_b, w)  # passes the singularity check too
+        solve_one(pencil_b, w)  # passes the singularity check too
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -243,9 +243,9 @@ class TestKktMatrices:
             assert (pencil.weights >= 0).all()
             error = np.linalg.norm(dense_blocks(pencil) - blocks)
             assert error <= 1e-12 * np.linalg.norm(base)
-        rhs = pencil_a.matvec(w)
+        [rhs] = pencil_a.matvec(w)
         dense = to_dense(pencil_b)
-        got = blockdiag_solve(pencil_b, rhs)
+        got = solve_one(pencil_b, rhs)
         want = hermitian_solve(dense, rhs)
         tol = 1e-14 * np.linalg.cond(dense)
         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -259,11 +259,12 @@ class TestKktMatrices:
             forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
             opts = SolverOptions(tau=1.0)
             w0 = init_precoder(forms)
-            for w in (w0, gpi_solve(forms, opts, w0).stacked):
+            [result] = gpi_solve(forms, opts, w0)
+            for w in (w0, result.stacked):
                 pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
-                rhs = pencil_a.matvec(w)
+                [rhs] = pencil_a.matvec(w)
                 dense = to_dense(pencil_b)
-                got = blockdiag_solve(pencil_b, rhs)
+                got = solve_one(pencil_b, rhs)
                 want = hermitian_solve(dense, rhs)
                 tol = 1e-14 * np.linalg.cond(dense)
                 assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
@@ -276,7 +277,7 @@ class TestGpiSolve:
         profile = QuantizerProfile([4, 4], [6, 6])
         forms = build_forms(np.zeros((2, 2)), profile, 10.0)
         w0 = random_unit_stack(np.random.default_rng(8), forms.dim)
-        result = gpi_solve(forms, SolverOptions(), w0)
+        [result] = gpi_solve(forms, SolverOptions(), w0)
         assert result.converged
         assert result.iterations == 0
         assert result.residual < 1e-10
@@ -287,7 +288,7 @@ class TestGpiSolve:
         forms = build_forms(h, profile, power)
         w0 = init_precoder(forms)
         opts = SolverOptions(tau=0.3, epsilon=0.01, t_max=500)
-        result = gpi_solve(forms, opts, w0)
+        [result] = gpi_solve(forms, opts, w0)
         assert result.converged
         assert np.linalg.norm(result.stacked) == pytest.approx(1.0, abs=1e-12)
         assert result.residual <= opts.epsilon
@@ -306,7 +307,7 @@ class TestGpiSolve:
         pencil_a, pencil_b = kkt_matrices(forms, w, 0.3)
         v = random_unit_stack(rng, forms.dim)
         for _ in range(20000):
-            nxt = blockdiag_solve(pencil_b, pencil_a.matvec(v))
+            nxt = solve_one(pencil_b, pencil_a.matvec(v))
             nxt = canonical_phase(nxt / np.linalg.norm(nxt))
             if np.linalg.norm(nxt - v) < 1e-14:
                 v = nxt
@@ -323,7 +324,7 @@ class TestGpiSolve:
                 h, profile = correlated_instance(seed)
                 forms = build_forms(h, profile, power, include_common)
                 w0 = init_precoder(forms)
-                result = gpi_solve(forms, SolverOptions(tau=1.0), w0)
+                [result] = gpi_solve(forms, SolverOptions(tau=1.0), w0)
                 assert objective(forms, result.stacked, 1.0) >= objective(forms, w0, 1.0) - 1e-9
 
     def test_cycling_mixed_dac_trial_converges(self):
@@ -334,7 +335,7 @@ class TestGpiSolve:
         h = sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
         forms = build_forms(h, QuantizerProfile([3, 3, 3, 8], [8, 8]), 10.0 ** 5.0)
         opts = SolverOptions(tau=1.0)
-        result = gpi_solve(forms, opts, init_precoder(forms))
+        [result] = gpi_solve(forms, opts, init_precoder(forms))
         assert result.converged
         assert result.iterations < 20
         assert result.residual <= opts.epsilon
@@ -363,6 +364,66 @@ class TestGpiSolve:
             SolverOptions(epsilon=-1.0)
         with pytest.raises(ValidationError):
             SolverOptions(t_max=0)
+
+
+def fig2_channel(trial):
+    """The channel that trial ``trial`` of configs/fig2_sweep.json draws."""
+    rng = trial_rng(70, trial)
+    aods = draw_aods(rng, 2, "random_aod")
+    return sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+
+
+def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts):
+    """One batched solve over ``snr_db`` against a scalar solve per point."""
+    snrs = 10.0 ** (np.asarray(snr_db) / 10.0)
+    forms = build_forms(h, profile, snrs, include_common)
+    results = gpi_solve(forms, opts, init_precoder(forms))
+    assert len(results) == len(snrs)
+    for snr, got in zip(snrs, results):
+        single = build_forms(h, profile, snr, include_common)
+        want = scalar_gpi_solve(single, opts, init_precoder(single))
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        np.testing.assert_allclose(got.stacked, want.stacked, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.residual, want.residual, rtol=1e-9)
+        np.testing.assert_allclose(got.precoder, want.precoder, rtol=0, atol=1e-12)
+    return results
+
+
+class TestBatchedSolve:
+    @pytest.mark.parametrize("include_common", [True, False])
+    def test_fig2_trials_match_scalar_oracle(self, include_common):
+        profile = QuantizerProfile([4] * 4, [6] * 2)
+        for trial in range(20):
+            assert_batch_matches_scalar_oracle(
+                fig2_channel(trial), profile, range(0, 70, 10), include_common,
+                SolverOptions(tau=1.0),
+            )
+
+    def test_half_step_switch_is_per_element(self):
+        # the cycling criterion-9 trial (see test_cycling_mixed_dac_trial_converges)
+        # switches to the half step at 50 dB; batched with points that do
+        # not, each element still takes its own scalar trajectory
+        rng = trial_rng(90, 0)
+        aods = draw_aods(rng, 2, "correlated_aod")
+        h = sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        results = assert_batch_matches_scalar_oracle(
+            h, QuantizerProfile([3, 3, 3, 8], [8, 8]), [50, 0, 30, 60], True,
+            SolverOptions(tau=1.0),
+        )
+        assert results[0].iterations == 9
+
+    def test_per_element_starts(self):
+        h, profile = correlated_instance(9)
+        forms = build_forms(h, profile, [10.0, 1e4])
+        other = random_unit_stack(np.random.default_rng(23), forms.dim)
+        starts = np.stack([init_precoder(forms), other])
+        results = gpi_solve(forms, SolverOptions(tau=1.0), starts)
+        for snr, start, got in zip((10.0, 1e4), starts, results):
+            single = build_forms(h, profile, snr)
+            want = scalar_gpi_solve(single, SolverOptions(tau=1.0), start)
+            assert got.iterations == want.iterations
+            np.testing.assert_allclose(got.stacked, want.stacked, rtol=0, atol=1e-12)
 
 
 class TestInitAndExtract:
@@ -446,7 +507,8 @@ class TestInitAndExtract:
 def sdma_solve(h, profile, power, opts):
     """Q-GPI-SEM: the power iteration without the common stream."""
     forms = build_forms(h, profile, power, include_common=False)
-    return gpi_solve(forms, opts, init_precoder(forms))
+    [result] = gpi_solve(forms, opts, init_precoder(forms))
+    return result
 
 
 class TestGpiSemSolve:
@@ -478,7 +540,7 @@ class TestGpiSemSolve:
         for seed in range(100):
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, power)
-            rs_result = gpi_solve(forms, opts, init_precoder(forms))
+            [rs_result] = gpi_solve(forms, opts, init_precoder(forms))
             sem_result = sdma_solve(h, profile, power, opts)
             se_rs = rate_report(h, rs_result.precoder, profile, power).sum_se
             se_sem = rate_report(h, sem_result.precoder, profile, power).sum_se
@@ -491,7 +553,7 @@ class TestNepResidual:
         h, profile = correlated_instance(7)
         forms = build_forms(h, profile, 10.0 ** 2.5)
         opts = SolverOptions(tau=0.3, epsilon=1e-4, t_max=2000)
-        result = gpi_solve(forms, opts, init_precoder(forms))
+        [result] = gpi_solve(forms, opts, init_precoder(forms))
         assert result.converged
         assert result.residual <= opts.epsilon
 
@@ -514,7 +576,7 @@ class TestNepResidual:
         for seed in range(3):
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, 10.0 ** 3.0, include_common)
-            result = gpi_solve(forms, SolverOptions(tau=1.0), init_precoder(forms))
+            [result] = gpi_solve(forms, SolverOptions(tau=1.0), init_precoder(forms))
             assert nep_residual(forms, result.stacked, 1.0) == pytest.approx(
                 result.residual, rel=1e-9
             )

@@ -1,11 +1,15 @@
 """Experiment config parsing, Monte Carlo execution, CSV I/O, CLI."""
 
+import hashlib
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsma_sim.gpi
 from rsma_sim import (
     ParseError,
     ValidationError,
@@ -27,6 +31,9 @@ MINIMAL = {
     "adc_bits": 6,
     "trials": 1,
 }
+
+
+FIG2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig2_sweep.json"
 
 
 def make_doc(**overrides):
@@ -245,6 +252,51 @@ class TestRunExperiment:
         records = run_experiment(spec, workers=1)
         assert len(records) == 140
         assert [r.note for r in records if r.note] == []
+
+    def test_singular_snr_point_leaves_batch_mates_alone(self, tmp_path):
+        # without converter distortion the 150 dB pencils are singular to
+        # working precision: those records fail at iteration 0 inside the
+        # same batched solves whose 20 dB points converge as they do alone,
+        # and the file is the one the point-by-point solver wrote
+        spec = load_spec(json.dumps({
+            "N": 4, "K": 2, "dac_bits": "inf", "adc_bits": "inf", "snr_db": [20, 150],
+            "algorithms": ["QGPIRS", "QGPISEM"], "trials": 3,
+        }))
+        records = run_experiment(spec)
+        assert all(r.converged and not r.note for r in records if r.snr_db == 20)
+        assert [r.note for r in records if r.snr_db == 150] == [
+            f"SingularMatrix: block {block} singular: diagonal floor {floor} below tolerance {tol}"
+            for block, floor, tol in (
+                (1, "2.364e-14", "2.420e-12"), (0, "1.672e-14", "1.859e-12"),
+                (1, "4.426e-15", "1.077e-13"), (0, "2.917e-15", "6.291e-14"),
+                (1, "1.563e-13", "2.851e-12"), (0, "1.203e-13", "2.229e-12"),
+            )
+        ]
+        def at_20_db(recs):
+            return [replace(r, wall_time_ms=0.0) for r in recs if r.snr_db == 20]
+
+        assert at_20_db(records) == at_20_db(run_experiment(replace(spec, snr_db=(20.0,))))
+        path = tmp_path / "results.csv"
+        write_csv(records, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "8c2a1164f38fc1c1d6d64f2959969bee9f5b623b8ae54783d2fcd59c6c7af080"
+        )
+
+    def test_one_block_solve_per_iteration_for_all_snr_points(self, monkeypatch):
+        # each GPI algorithm solves a trial's SNR points as one batch: one
+        # block solve per iteration of its slowest point plus its last stop
+        # test, where solving point by point would make one per point
+        calls = []
+        solve = rsma_sim.gpi.blockdiag_solve
+        monkeypatch.setattr(
+            rsma_sim.gpi, "blockdiag_solve", lambda *args: calls.append(args) or solve(*args)
+        )
+        spec = replace(load_spec(FIG2_CONFIG.read_text()), trials=1)
+        records = run_experiment(spec)
+        assert len(calls) == sum(
+            1 + max(r.iterations for r in records if r.algorithm == algorithm)
+            for algorithm in ("QGPIRS", "QGPISEM")
+        )
 
     def test_sum_se_consistency(self):
         records = run_experiment(small_spec(algorithms=["QGPIRS"], snr_db=[20]))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from oracles import (
     hermitian_solve,
     principal_gep_oracle,
     seeded_rng,
+    solve_one,
     to_dense,
 )
 
@@ -72,36 +74,34 @@ def random_vectors(rng, k_vectors, n):
     return rng.standard_normal((k_vectors, n)) + 1j * rng.standard_normal((k_vectors, n))
 
 
-def random_blockdiag(rng, n, m, k_vectors=2):
-    """Positive definite BlockDiag with random diagonal, vectors and weights."""
-    diag = rng.uniform(0.5, 2.0, n)
-    weights = rng.uniform(0.0, 3.0, (m, k_vectors))
+def random_blockdiag(rng, n, m, k_vectors=2, batch=1):
+    """Positive definite BlockDiag with random diagonals, vectors and weights."""
+    diag = rng.uniform(0.5, 2.0, (batch, n))
+    weights = rng.uniform(0.0, 3.0, (batch, m, k_vectors))
     return BlockDiag(diag, random_vectors(rng, k_vectors, n), weights)
 
 
 class TestBlockDiag:
     def test_identity_blocks(self):
-        bd = BlockDiag(np.ones(2), np.zeros((0, 2)), np.zeros((2, 0)))
+        bd = BlockDiag(np.ones((1, 2)), np.zeros((0, 2)), np.zeros((1, 2, 0)))
         v = np.ones(4, dtype=complex)
-        np.testing.assert_allclose(blockdiag_solve(bd, v), v, atol=1e-14)
+        np.testing.assert_allclose(solve_one(bd, v), v, atol=1e-14)
 
     def test_scalar_blocks(self):
-        bd = BlockDiag(np.array([1.0]), np.array([[1.0j]]), np.array([[1.0], [3.0]]))
-        np.testing.assert_allclose(
-            blockdiag_solve(bd, np.array([2.0, 4.0])), [1.0, 1.0], atol=1e-14
-        )
+        bd = BlockDiag(np.array([[1.0]]), np.array([[1.0j]]), np.array([[[1.0], [3.0]]]))
+        np.testing.assert_allclose(solve_one(bd, np.array([2.0, 4.0])), [1.0, 1.0], atol=1e-14)
 
     def test_matvec_matches_dense(self):
         rng = np.random.default_rng(3)
         bd = random_blockdiag(rng, 3, 4)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        np.testing.assert_allclose(bd.matvec(v), to_dense(bd) @ v, rtol=1e-12)
+        np.testing.assert_allclose(bd.matvec(v)[0], to_dense(bd) @ v, rtol=1e-12)
 
     def test_three_blocks_match_dense_solve(self):
         rng = np.random.default_rng(4)
         bd = random_blockdiag(rng, 4, 3)
         v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        got = blockdiag_solve(bd, v)
+        got = solve_one(bd, v)
         want = hermitian_solve(to_dense(bd), v)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -110,58 +110,98 @@ class TestBlockDiag:
         n=st.integers(1, 6),
         m=st.integers(1, 5),
         k_vectors=st.integers(0, 4),
+        batch=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_blockwise_equals_dense_solve(self, n, m, k_vectors, seed):
+    def test_blockwise_equals_dense_solve(self, n, m, k_vectors, batch, seed):
+        # every element of a batch matches its own dense solve
         rng = np.random.default_rng(seed)
-        bd = random_blockdiag(rng, n, m, k_vectors)
-        v = rng.standard_normal(n * m) + 1j * rng.standard_normal(n * m)
-        got = blockdiag_solve(bd, v)
-        want = hermitian_solve(to_dense(bd), v)
+        bd = random_blockdiag(rng, n, m, k_vectors, batch)
+        v = rng.standard_normal((batch, n * m)) + 1j * rng.standard_normal((batch, n * m))
+        got, faults = blockdiag_solve(bd, v)
+        assert faults == [None] * batch
+        dense = scipy.linalg.block_diag(*dense_blocks(bd))
+        want = hermitian_solve(dense, v.reshape(-1)).reshape(batch, -1)
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+        np.testing.assert_allclose(bd.matvec(v).reshape(-1), dense @ v.reshape(-1), rtol=1e-12)
 
     def test_singular_block_identified(self):
         # block 1 is I - e_0 e_0^H = diag(0, 1): exactly singular
         vectors = np.array([[1.0, 0.0]])
-        bd = BlockDiag(np.ones(2), vectors, np.array([[0.5], [-1.0]]))
+        bd = BlockDiag(np.ones((1, 2)), vectors, np.array([[[0.5], [-1.0]]]))
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(bd, np.ones(4))
+            solve_one(bd, np.ones(4))
         assert excinfo.value.block_index == 1
         # a zero diagonal leaves every block without a floor
-        zero = BlockDiag(np.zeros(2), vectors, np.array([[1.0], [1.0]]))
+        zero = BlockDiag(np.zeros((1, 2)), vectors, np.array([[[1.0], [1.0]]]))
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(zero, np.ones(4))
+            solve_one(zero, np.ones(4))
         assert excinfo.value.block_index == 0
 
     def test_near_singular_block_identified(self):
         # positive definite, but block 2 is diag(1 + 1e15, 1): its floor is
         # within PIVOT_RTOL of its norm
-        weights = np.array([[0.0], [1.0], [1e15], [0.0]])
-        bd = BlockDiag(np.ones(2), np.array([[1.0, 0.0]]), weights)
+        weights = np.array([[[0.0], [1.0], [1e15], [0.0]]])
+        bd = BlockDiag(np.ones((1, 2)), np.array([[1.0, 0.0]]), weights)
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(bd, np.ones(8))
+            solve_one(bd, np.ones(8))
         assert excinfo.value.block_index == 2
 
     def test_indefinite_block_identified(self):
         rng = np.random.default_rng(13)
-        weights = np.array([[1.0, 2.0], [1.0, -10.0], [0.5, 0.5]])
-        bd = BlockDiag(np.ones(3), random_vectors(rng, 2, 3), weights)
+        weights = np.array([[[1.0, 2.0], [1.0, -10.0], [0.5, 0.5]]])
+        bd = BlockDiag(np.ones((1, 3)), random_vectors(rng, 2, 3), weights)
         indefinite = dense_blocks(bd)[1]
         assert np.linalg.eigvalsh(indefinite).min() < 0 < np.linalg.eigvalsh(indefinite).max()
         with pytest.raises(SingularMatrix) as excinfo:
-            blockdiag_solve(bd, np.ones(9))
+            solve_one(bd, np.ones(9))
         assert excinfo.value.block_index == 1
+
+    def test_faulty_elements_leave_batch_mates_alone(self):
+        # elements 1 (a singular block 1) and 3 (a NaN diagonal) fail; the
+        # others solve exactly as they do on their own
+        rng = np.random.default_rng(21)
+        good = random_blockdiag(rng, 3, 2, batch=4)
+        diag, weights = good.diag.copy(), good.weights.copy()
+        weights[1, 1, 0] = -1.0
+        diag[3, 2] = np.nan
+        bd = BlockDiag(diag, good.vectors, weights)
+        v = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        got, faults = blockdiag_solve(bd, v)
+        assert faults[0] is None and faults[2] is None
+        assert isinstance(faults[1], SingularMatrix) and faults[1].block_index == 1
+        assert str(faults[1]) == "block 1 singular: negative weight"
+        assert isinstance(faults[3], DimensionMismatch)
+        assert np.isnan(got[[1, 3]]).all()
+        for b in (0, 2):
+            alone = BlockDiag(good.diag[b:b + 1], good.vectors, good.weights[b:b + 1])
+            np.testing.assert_array_equal(got[b], solve_one(alone, v[b]))
 
     def test_non_hermitian_rejected(self):
         vectors = np.ones((1, 2), dtype=complex)
         with pytest.raises(DimensionMismatch):
-            BlockDiag(np.ones(2), vectors, np.array([[1.0 + 1e-3j]]))
+            BlockDiag(np.ones((1, 2)), vectors, np.array([[[1.0 + 1e-3j]]]))
         with pytest.raises(DimensionMismatch):
-            BlockDiag(np.array([1.0, 1.0j]), vectors, np.ones((1, 1)))
+            BlockDiag(np.array([[1.0, 1.0j]]), vectors, np.ones((1, 1, 1)))
+
+    def test_non_finite_entries_fail_the_solve(self):
+        vectors = np.ones((1, 2), dtype=complex)
+        for diag, weights, v in (
+            (np.array([[1.0, np.nan]]), np.ones((1, 1, 1)), np.ones(2)),
+            (np.ones((1, 2)), np.array([[[np.inf]]]), np.ones(2)),
+            (np.ones((1, 2)), np.ones((1, 1, 1)), np.array([1.0, np.inf])),
+        ):
+            with pytest.raises(DimensionMismatch, match="must be finite"):
+                solve_one(BlockDiag(diag, vectors, weights), v)
+
+    def test_shapes_checked(self):
+        vectors = np.ones((1, 2), dtype=complex)
         with pytest.raises(DimensionMismatch):
-            BlockDiag(np.array([1.0, np.nan]), vectors, np.ones((1, 1)))
+            BlockDiag(np.ones(2), vectors, np.ones((1, 1)))          # unbatched
         with pytest.raises(DimensionMismatch):
-            BlockDiag(np.ones(2), vectors, np.array([[np.inf]]))
+            BlockDiag(np.ones((2, 2)), vectors, np.ones((1, 1, 1)))  # batch sizes differ
+        with pytest.raises(DimensionMismatch):
+            blockdiag_solve(BlockDiag(np.ones((2, 2)), vectors, np.ones((2, 1, 1))), np.ones(2))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -179,13 +219,13 @@ class TestBlockDiag:
         # the structural check is at least as strict as the Cholesky pivot
         # rule: whatever it accepts, the rule accepts too
         rng = np.random.default_rng(seed)
-        diag = 10.0 ** log_floor * rng.uniform(1.0, 10.0, n)
-        weights = 10.0 ** log_weight * rng.uniform(0.0, 1.0, (m, k_vectors))
+        diag = 10.0 ** log_floor * rng.uniform(1.0, 10.0, (1, n))
+        weights = 10.0 ** log_weight * rng.uniform(0.0, 1.0, (1, m, k_vectors))
         if negative:
-            weights[rng.integers(m), rng.integers(k_vectors)] *= -1e-3
+            weights[0, rng.integers(m), rng.integers(k_vectors)] *= -1e-3
         bd = BlockDiag(diag, random_vectors(rng, k_vectors, n), weights)
         try:
-            blockdiag_solve(bd, np.ones(bd.size))
+            solve_one(bd, np.ones(bd.size))
         except SingularMatrix:
             return
         assert cholesky_pivot_rule(dense_blocks(bd)).all()
@@ -238,6 +278,14 @@ class TestCanonicalPhase:
 
     def test_zero_vector(self):
         np.testing.assert_array_equal(canonical_phase(np.zeros(3)), np.zeros(3))
+
+    def test_stack_pinned_row_by_row(self):
+        rng = np.random.default_rng(22)
+        stack = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        stack[1] = 0.0
+        got = canonical_phase(stack)
+        for row, want in zip(got, stack):
+            np.testing.assert_array_equal(row, canonical_phase(want))
 
 
 class TestSampling:
