@@ -1,9 +1,8 @@
 """Quantization-aware RSMA precoding: Q-GPI-RS solver, baselines, Monte Carlo harness."""
 
-from .baselines import BASELINE_KINDS, baseline_precoder, normalize_power
+from .baselines import baseline_precoder, normalize_power
 from .channel import (
     draw_aods,
-    effective_channel,
     kl_factorize,
     one_ring_covariance,
     sample_channel,
@@ -33,8 +32,6 @@ from .gpi import (
 )
 from .harness import (
     ALGORITHMS,
-    ExperimentSpec,
-    SummaryRow,
     TrialRecord,
     load_spec,
     read_csv,

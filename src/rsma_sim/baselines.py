@@ -8,7 +8,6 @@ and the whole precoder is scaled to use the full reduced power budget.
 
 import numpy as np
 
-from .channel import effective_channel
 from .errors import DimensionMismatch, RankDeficient, ZeroPrecoder
 from .rates import check_power
 
@@ -34,7 +33,8 @@ def baseline_precoder(kind, channel, profile, snr):
     """
     if kind not in BASELINE_KINDS:
         raise DimensionMismatch(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
-    h_eff = effective_channel(profile, channel)
+    channel = profile.check_channel(channel)
+    h_eff = profile.dac_alpha[:, None] * channel * profile.adc_alpha
     n_users = profile.n_users
 
     if kind == "QMRT":

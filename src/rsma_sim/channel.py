@@ -140,19 +140,3 @@ def draw_aods(rng, n_users, channel_mode):
         center = rng.uniform(math.pi / 12, math.pi - math.pi / 12)
         return center + rng.uniform(-math.pi / 12, math.pi / 12, size=n_users)
     raise DimensionMismatch(f"unknown channel mode {channel_mode!r}")
-
-
-def effective_channel(profile, channel):
-    """Channel as seen through the converter gains.
-
-    Column k is scaled elementwise by the per-antenna DAC gains and by
-    user k's ADC gain; with infinite resolutions this is the channel
-    itself.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    if channel.shape != (profile.n_antennas, profile.n_users):
-        raise DimensionMismatch(
-            f"channel {channel.shape} inconsistent with profile "
-            f"({profile.n_antennas} antennas, {profile.n_users} users)"
-        )
-    return profile.dac_alpha[:, None] * channel * profile.adc_alpha[None, :]

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder
 from .linalg import BlockDiag, blockdiag_solve, canonical_phase
-from .rates import lse_min, quadratic_terms, softmin_weights
+from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
 
 @dataclass(frozen=True)
@@ -94,12 +94,7 @@ def build_forms(channel, profile, snr, include_common=True):
     ``snr`` is the linear transmit power over the noise power: a sequence
     of B values, or a scalar for a batch of one.
     """
-    channel = np.asarray(channel, dtype=complex)
-    if channel.shape != (profile.n_antennas, profile.n_users):
-        raise DimensionMismatch(
-            f"channel {channel.shape} inconsistent with profile "
-            f"({profile.n_antennas} antennas, {profile.n_users} users)"
-        )
+    channel = profile.check_channel(channel)
     sqrt_alpha = np.sqrt(profile.dac_alpha)
     return QuadraticForms(
         weighted_channels=(sqrt_alpha[:, None] * channel).T.copy(),
@@ -131,16 +126,10 @@ def _quadratics(forms, w):
     rows = w.reshape(forms.batch, forms.n_streams, forms.n_antennas)
     noise = forms.noise_over_power[:, None] * (w.conj() * w).real.sum(axis=1, keepdims=True)
     beam, totals = quadratic_terms(forms.weighted_channels, forms.distortion_diags, rows, noise)
-    users = np.arange(forms.n_users)
+    common, private = interference(beam, totals, forms.adc_alpha, forms.include_common)
     if forms.include_common:
-        a_common = totals
-        b_common = a_common - forms.adc_alpha * beam[..., 0]
-        a_private = b_common
-        b_private = a_private - forms.adc_alpha * beam[:, users, users + 1]
-        return a_common, b_common, a_private, b_private
-    a_private = totals
-    b_private = a_private - forms.adc_alpha * beam[:, users, users]
-    return None, None, a_private, b_private
+        return totals, common, common, private
+    return None, None, totals, private
 
 
 def objective(forms, w, tau):
@@ -205,7 +194,6 @@ class SolveResult:
     """One operating point's precoder and how the solve that found it ended."""
 
     precoder: np.ndarray          # (N, K+1); column 0 zero for SDMA
-    stacked: np.ndarray           # unit-norm stacked vector returned; None if closed-form
     iterations: int
     converged: bool               # residual <= epsilon
     residual: float               # relative NEP residual at the returned point
@@ -264,8 +252,8 @@ def gpi_solve(forms, options, w0):
         if not going.all():
             for i in np.flatnonzero(~going):
                 results[rows[i]] = faults[i] or SolveResult(
-                    _to_full_precoder(forms, w[i]), w[i], t,
-                    bool(residual[i] <= options.epsilon), float(residual[i]))
+                    _to_full_precoder(forms, w[i]), t, bool(residual[i] <= options.epsilon),
+                    float(residual[i]))
             if not going.any():
                 return results
             rows, w, w_prev, damped, image = (a[going] for a in (rows, w, w_prev, damped, image))

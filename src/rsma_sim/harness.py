@@ -13,6 +13,7 @@ not depend on execution order or the number of workers.
 
 import json
 import math
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import baseline_precoder
+from .baselines import BASELINE_KINDS, baseline_precoder
 from .channel import (
     CHANNEL_MODES,
     draw_aods,
@@ -34,7 +35,10 @@ from .linalg import trial_rng
 from .quantization import QuantizerProfile
 from .rates import rate_report
 
-ALGORITHMS = ("QGPIRS", "QGPISEM", "QMRT", "QZF", "QRZF")
+_GPI_ALGORITHMS = ("QGPIRS", "QGPISEM")
+ALGORITHMS = _GPI_ALGORITHMS + BASELINE_KINDS
+# Errors a record captures in its note instead of aborting the sweep.
+_RECORDED_ERRORS = (RsmaSimError, np.linalg.LinAlgError)
 
 _ALLOWED_KEYS = {
     "N", "K", "snr_db", "dac_bits", "adc_bits", "channel_mode",
@@ -81,6 +85,12 @@ class ExperimentSpec:
     base_seed: int
     algorithms: tuple
     solver: SolverOptions
+
+    def __post_init__(self):
+        # checked here, not in load_spec, so a seed replaced later obeys the same rule
+        seed = self.base_seed
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ParseError(f"base_seed must be a nonnegative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -194,10 +204,6 @@ def load_spec(document):
                 f"snr_db entry {v}: K * 10^(-snr_db/10) is not positive and finite"
             )
 
-    base_seed = data.get("base_seed", 0)
-    if isinstance(base_seed, bool) or not isinstance(base_seed, int) or base_seed < 0:
-        raise ParseError(f"base_seed must be a nonnegative integer, got {base_seed!r}")
-
     channel_mode = data.get("channel_mode", "random_aod")
     if channel_mode not in CHANNEL_MODES:
         raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
@@ -232,7 +238,7 @@ def load_spec(document):
         adc_bits=_parse_bit_spec(data["adc_bits"], n_users, "adc_bits"),
         channel_mode=channel_mode,
         trials=trials,
-        base_seed=base_seed,
+        base_seed=data.get("base_seed", 0),
         algorithms=tuple(algorithms),
         solver=solver,
     )
@@ -241,8 +247,8 @@ def load_spec(document):
 def _baseline(algorithm, channel, profile, snr):
     """A closed-form precoder as a zero-iteration SolveResult, or its error."""
     try:
-        return SolveResult(baseline_precoder(algorithm, channel, profile, snr), None, 0, True, 0.0)
-    except (RsmaSimError, np.linalg.LinAlgError) as exc:
+        return SolveResult(baseline_precoder(algorithm, channel, profile, snr), 0, True, 0.0)
+    except _RECORDED_ERRORS as exc:
         return exc
 
 
@@ -254,7 +260,7 @@ def _record(trial_index, snr_db, algorithm, channel, profile, snr, result, share
         if isinstance(result, Exception):
             raise result
         report = rate_report(channel, result.precoder, profile, snr)
-    except (RsmaSimError, np.linalg.LinAlgError) as exc:
+    except _RECORDED_ERRORS as exc:
         return TrialRecord(
             **key, sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * profile.n_users,
             iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
@@ -288,12 +294,12 @@ def _run_trial(spec, trial_index):
     for algorithm in spec.algorithms:
         started = time.perf_counter()
         try:
-            if algorithm in ("QGPIRS", "QGPISEM"):
+            if algorithm in _GPI_ALGORITHMS:
                 forms = build_forms(channel, profile, snrs, include_common=algorithm == "QGPIRS")
                 results = gpi_solve(forms, spec.solver, init_precoder(forms))
             else:
                 results = [_baseline(algorithm, channel, profile, snr) for snr in snrs]
-        except (RsmaSimError, np.linalg.LinAlgError) as exc:
+        except _RECORDED_ERRORS as exc:
             results = [exc] * len(snrs)
         share = (time.perf_counter() - started) * 1e3 / len(snrs)
         records += [_record(trial_index, snr_db, algorithm, channel, profile, snr, result, share)
@@ -306,11 +312,12 @@ def run_experiment(spec, workers=1):
 
     A solver failure inside one record is captured in that record's note
     (converged False, zeroed metrics); it never aborts the sweep.
-    ``workers`` trials run in parallel.
+    Up to ``workers`` trials, but no more than there are trials or CPUs, run in parallel.
     """
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or spec.trials == 1:
+    workers = min(workers, spec.trials, os.cpu_count() or 1)
+    if workers <= 1:  # zero when there are no trials
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidResolution
+from .errors import DimensionMismatch, InvalidResolution
 
 # Distortion of the minimum-MSE scalar quantizer of a unit-variance Gaussian,
 # 1 through 5 bits. Above 5 bits the closed-form high-resolution
@@ -79,3 +79,12 @@ class QuantizerProfile:
     @property
     def n_users(self):
         return len(self.adc_bits)
+
+    def check_channel(self, channel):
+        """The channel as a complex (N, K) array; raises DimensionMismatch otherwise."""
+        channel = np.asarray(channel, dtype=complex)
+        if channel.shape != (self.n_antennas, self.n_users):
+            raise DimensionMismatch(
+                f"channel shape {channel.shape}, expected {(self.n_antennas, self.n_users)}"
+            )
+        return channel

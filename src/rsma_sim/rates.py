@@ -41,6 +41,21 @@ def quadratic_terms(vectors, diag_weights, streams, noise):
     return beam, beam.sum(axis=-1) + distort.sum(axis=-1) + noise
 
 
+def interference(beam, totals, adc_alpha, include_common):
+    """Interference-plus-noise of each stream under SIC, from quadratic_terms' outputs.
+
+    The common stream decodes against the total minus its own quantized
+    signal; a private stream also has the cancelled common signal removed.
+    Returns (common, private), each (..., K); without a common stream
+    (SDMA) common is None and the columns of ``beam`` are the private streams.
+    """
+    users = np.arange(beam.shape[-2])
+    if not include_common:
+        return None, totals - adc_alpha * beam[..., users, users]
+    common = totals - adc_alpha * beam[..., 0]
+    return common, common - adc_alpha * beam[..., users, users + 1]
+
+
 def rate_report(channel, f_matrix, profile, snr):
     """Evaluate all stream rates for a precoder.
 
@@ -50,11 +65,9 @@ def rate_report(channel, f_matrix, profile, snr):
     exact minimum over users of the rates at which each could decode the
     common stream; the sum spectral efficiency adds the K private rates.
     """
-    channel = np.asarray(channel, dtype=complex)
+    channel = profile.check_channel(channel)
     f_matrix = np.asarray(f_matrix, dtype=complex)
-    n_antennas, n_users = profile.n_antennas, profile.n_users
-    if channel.shape != (n_antennas, n_users):
-        raise DimensionMismatch(f"channel shape {channel.shape}, expected {(n_antennas, n_users)}")
+    n_antennas, n_users = channel.shape
     if f_matrix.shape != (n_antennas, n_users + 1):
         raise DimensionMismatch(
             f"precoder shape {f_matrix.shape}, expected {(n_antennas, n_users + 1)}"
@@ -68,10 +81,9 @@ def rate_report(channel, f_matrix, profile, snr):
     )
     alpha = profile.adc_alpha
     users = np.arange(n_users)
-    common = alpha * beam[:, 0]
-    private = alpha * beam[users, users + 1]
-    common_sinrs = common / (totals - common)
-    private_sinrs = private / (totals - alpha * (beam[:, 0] + beam[users, users + 1]))
+    common, private = interference(beam, totals, alpha, include_common=True)
+    common_sinrs = alpha * beam[:, 0] / common
+    private_sinrs = alpha * beam[users, users + 1] / private
     common_rates = np.log2(1.0 + common_sinrs)
     private_rates = np.log2(1.0 + private_sinrs)
     common_rate = float(common_rates.min())
@@ -93,8 +105,8 @@ def check_power(f_matrix, profile):
     this weighted trace being at most 1.
     """
     f_matrix = np.asarray(f_matrix, dtype=complex)
-    if f_matrix.shape[0] != profile.n_antennas:
-        raise DimensionMismatch("precoder rows must match the antenna count")
+    if f_matrix.ndim != 2 or f_matrix.shape[0] != profile.n_antennas:
+        raise DimensionMismatch(f"precoder shape {f_matrix.shape}, need {profile.n_antennas} rows")
     row_power = np.sum(np.abs(f_matrix) ** 2, axis=1)
     return float(profile.dac_alpha @ row_power)
 

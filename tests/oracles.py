@@ -63,6 +63,23 @@ def extract_precoder(w, profile):
     return rows.T / np.sqrt(profile.dac_alpha)[:, None]
 
 
+def solved_stack(forms, result):
+    """The unit stacked vector a solve returned, rebuilt from its precoder.
+
+    Block j is ``sqrt(Phi_a) f_j``; SDMA forms drop the zero common column.
+    """
+    weighted = np.sqrt(forms.dac_alpha)[:, None] * result.precoder
+    if not forms.include_common:
+        weighted = weighted[:, 1:]
+    return weighted.T.reshape(-1).copy()
+
+
+def effective_channel(profile, channel):
+    """``diag(dac_alpha) H diag(adc_alpha)``: the channel seen through the converter gains."""
+    channel = np.asarray(channel, dtype=complex)
+    return np.diag(profile.dac_alpha) @ channel @ np.diag(profile.adc_alpha)
+
+
 def element_quadratics(forms, w):
     """``_quadratics`` of a batch of one, without the batch axis."""
     return tuple(None if q is None else q[0] for q in _quadratics(forms, w))
@@ -467,7 +484,6 @@ def scalar_gpi_solve(forms, options, w0):
 
     return SolveResult(
         precoder=_to_full_precoder(forms, w),
-        stacked=w,
         iterations=iterations,
         converged=residual <= options.epsilon,
         residual=residual,

@@ -10,12 +10,17 @@ from rsma_sim import (
     ZeroPrecoder,
     baseline_precoder,
     check_power,
-    effective_channel,
     normalize_power,
     rate_report,
 )
 
-from oracles import ideal_profile, random_channel, random_profile, vector_angle
+from oracles import (
+    effective_channel,
+    ideal_profile,
+    random_channel,
+    random_profile,
+    vector_angle,
+)
 
 
 class TestNormalizePower:

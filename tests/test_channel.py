@@ -1,4 +1,4 @@
-"""One-ring covariances, Karhunen-Loeve sampling, effective channel."""
+"""One-ring covariances, Karhunen-Loeve sampling, angle-of-departure draws."""
 
 import math
 
@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from rsma_sim import (
-    BETA_TABLE,
     ConvergenceFailure,
     DimensionMismatch,
-    QuantizerProfile,
     draw_aods,
-    effective_channel,
     kl_factorize,
     one_ring_covariance,
     sample_channel,
@@ -21,7 +18,6 @@ from rsma_sim.channel import _gauss_legendre
 from oracles import (
     dense_one_ring,
     factorization_metadata,
-    ideal_profile,
     seeded_rng,
     trapezoid_one_ring,
 )
@@ -174,30 +170,3 @@ class TestDrawAods:
         for mode in ("clustered", "random"):
             with pytest.raises(DimensionMismatch):
                 draw_aods(seeded_rng(0), 2, mode)
-
-
-class TestEffectiveChannel:
-    def test_infinite_resolution_identity(self):
-        rng = seeded_rng(8)
-        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        np.testing.assert_array_equal(effective_channel(ideal_profile(3, 2), h), h)
-
-    def test_elementwise_example(self):
-        # a 1-bit converter scales by 1 - BETA_TABLE[1], an ideal one by 1
-        profile = QuantizerProfile((1, math.inf), (1,))
-        alpha = 1.0 - BETA_TABLE[1]
-        h = np.array([[1.0], [1.0]], dtype=complex)
-        np.testing.assert_allclose(
-            effective_channel(profile, h), [[alpha * alpha], [alpha]], rtol=1e-15
-        )
-
-    def test_matches_diag_products(self):
-        rng = seeded_rng(10)
-        profile = QuantizerProfile([2, 4, 9], [3, 5])
-        h = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        want = np.diag(profile.dac_alpha) @ h @ np.diag(profile.adc_alpha)
-        np.testing.assert_allclose(effective_channel(profile, h), want, rtol=1e-13)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            effective_channel(ideal_profile(3, 2), np.ones((2, 2)))

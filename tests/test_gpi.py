@@ -42,6 +42,7 @@ from oracles import (
     random_profile,
     scalar_gpi_solve,
     solve_one,
+    solved_stack,
     stack_precoder,
     stream_rates,
     to_dense,
@@ -260,7 +261,7 @@ class TestKktMatrices:
             opts = SolverOptions(tau=1.0)
             w0 = init_precoder(forms)
             [result] = gpi_solve(forms, opts, w0)
-            for w in (w0, result.stacked):
+            for w in (w0, solved_stack(forms, result)):
                 pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
                 [rhs] = pencil_a.matvec(w)
                 dense = to_dense(pencil_b)
@@ -290,10 +291,11 @@ class TestGpiSolve:
         opts = SolverOptions(tau=0.3, epsilon=0.01, t_max=500)
         [result] = gpi_solve(forms, opts, w0)
         assert result.converged
-        assert np.linalg.norm(result.stacked) == pytest.approx(1.0, abs=1e-12)
+        w = solved_stack(forms, result)
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert result.residual <= opts.epsilon
         # the returned point is at least as good as the start
-        assert objective(forms, result.stacked, opts.tau) >= objective(forms, w0, opts.tau) - 1e-9
+        assert objective(forms, w, opts.tau) >= objective(forms, w0, opts.tau) - 1e-9
         # power constraint holds with equality for the extracted precoder
         assert check_power(result.precoder, profile) == pytest.approx(1.0, abs=1e-10)
 
@@ -325,7 +327,8 @@ class TestGpiSolve:
                 forms = build_forms(h, profile, power, include_common)
                 w0 = init_precoder(forms)
                 [result] = gpi_solve(forms, SolverOptions(tau=1.0), w0)
-                assert objective(forms, result.stacked, 1.0) >= objective(forms, w0, 1.0) - 1e-9
+                w = solved_stack(forms, result)
+                assert objective(forms, w, 1.0) >= objective(forms, w0, 1.0) - 1e-9
 
     def test_cycling_mixed_dac_trial_converges(self):
         # trial 0 of the mixed-DAC sweep (three 3-bit DACs and one 8-bit DAC,
@@ -384,7 +387,8 @@ def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts)
         want = scalar_gpi_solve(single, opts, init_precoder(single))
         assert got.iterations == want.iterations
         assert got.converged == want.converged
-        np.testing.assert_allclose(got.stacked, want.stacked, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            solved_stack(forms, got), solved_stack(single, want), rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.residual, want.residual, rtol=1e-9)
         np.testing.assert_allclose(got.precoder, want.precoder, rtol=0, atol=1e-12)
     return results
@@ -423,7 +427,8 @@ class TestBatchedSolve:
             single = build_forms(h, profile, snr)
             want = scalar_gpi_solve(single, SolverOptions(tau=1.0), start)
             assert got.iterations == want.iterations
-            np.testing.assert_allclose(got.stacked, want.stacked, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                solved_stack(forms, got), solved_stack(single, want), rtol=0, atol=1e-12)
 
 
 class TestInitAndExtract:
@@ -523,7 +528,10 @@ class TestGpiSemSolve:
         h, profile = correlated_instance(5)
         result = sdma_solve(h, profile, 100.0, SolverOptions())
         np.testing.assert_array_equal(result.precoder[:, 0], np.zeros(4))
-        assert result.stacked.shape == (8,)  # N*K, no common block
+        # the private blocks alone carry the whole unit-norm iterate
+        w = solved_stack(build_forms(h, profile, 100.0, include_common=False), result)
+        assert w.shape == (8,)  # N*K, no common block
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_objective_ignores_tau(self):
         h, profile = correlated_instance(6)
@@ -577,6 +585,6 @@ class TestNepResidual:
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, 10.0 ** 3.0, include_common)
             [result] = gpi_solve(forms, SolverOptions(tau=1.0), init_precoder(forms))
-            assert nep_residual(forms, result.stacked, 1.0) == pytest.approx(
+            assert nep_residual(forms, solved_stack(forms, result), 1.0) == pytest.approx(
                 result.residual, rel=1e-9
             )

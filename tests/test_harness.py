@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import rsma_sim.gpi
+import rsma_sim.harness
 from rsma_sim import (
     ParseError,
     ValidationError,
@@ -318,6 +319,31 @@ class TestRunExperiment:
         with pytest.raises(ValidationError):
             run_experiment(small_spec(), workers=workers)
 
+    @pytest.mark.parametrize("cpus, expected", [(4, 3), (2, 2), (None, None)])
+    def test_workers_clamped_to_trials_and_cpus(self, monkeypatch, cpus, expected):
+        # a stub pool records its size and maps serially; no process starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(rsma_sim.harness, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(rsma_sim.harness.os, "cpu_count", lambda: cpus)
+        spec = small_spec(trials=3)
+        untimed = [replace(r, wall_time_ms=0.0) for r in run_experiment(spec, workers=5000)]
+        # no CPU count means one worker, which runs serially without a pool
+        assert sizes == ([] if expected is None else [expected])
+        assert untimed == [replace(r, wall_time_ms=0.0) for r in run_experiment(spec, workers=1)]
+
 
 class TestCsvRoundTrip:
     def test_empty_records_header_only(self, tmp_path):
@@ -442,6 +468,15 @@ class TestCli:
         assert cli_main(["run", "--config", str(config), "--out", str(out_b),
                          "--seed", "999"]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_negative_seed_override_is_config_error(self, tmp_path, capsys):
+        # the --seed override obeys the config's base_seed rule
+        config = self._write_config(tmp_path)
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out),
+                         "--seed", "-1"]) == 1
+        assert "config error: base_seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_workers_flag(self, tmp_path):
         config = self._write_config(tmp_path, trials=2)

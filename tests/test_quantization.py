@@ -10,7 +10,10 @@ from rsma_sim import (
     DimensionMismatch,
     InvalidResolution,
     QuantizerProfile,
+    baseline_precoder,
     beta_of_bits,
+    build_forms,
+    rate_report,
 )
 from oracles import (
     adc_noise_variance,
@@ -84,6 +87,25 @@ class TestQuantizerProfile:
         assert np.all(profile.dac_beta == 0.0)
         assert is_unquantized(profile)
 
+    @pytest.mark.parametrize("shape", [(4, 2), (4,), (3, 4), (1, 3)],
+                             ids=["K-1-users", "vector", "transposed", "one-row"])
+    @pytest.mark.parametrize("caller", ["build_forms", "rate_report", "QMRT", "QZF", "QRZF"])
+    def test_channel_checked_by_every_caller(self, caller, shape):
+        # every entry point that takes a channel checks it against the
+        # profile; a (1, K) channel would otherwise broadcast silently
+        # against the per-antenna gains
+        profile = QuantizerProfile([4] * 4, [6] * 3)
+
+        def call(h):
+            if caller == "build_forms":
+                return build_forms(h, profile, 10.0)
+            if caller == "rate_report":
+                return rate_report(h, np.ones((4, 4)), profile, 10.0)
+            return baseline_precoder(caller, h, profile, 10.0)
+
+        call(random_channel(np.random.default_rng(3), 4, 3))
+        with pytest.raises(DimensionMismatch, match=r"channel shape .*, expected \(4, 3\)"):
+            call(np.ones(shape, dtype=complex))
 
 class TestDacNoiseCovariance:
     def test_all_infinite_is_exact_zero(self):

@@ -12,6 +12,7 @@ from rsma_sim import (
     QuantizerProfile,
     check_power,
     lse_min,
+    normalize_power,
     rate_report,
     softmin_weights,
 )
@@ -216,6 +217,17 @@ class TestCheckPower:
             assert check_power(f, profile) == pytest.approx(
                 long_form_power(f, profile, power), rel=1e-10
             )
+
+
+    def test_non_matrix_rejected(self):
+        # a precoder is an (N, S) matrix; other ranks fail with DimensionMismatch,
+        # not numpy's AxisError, and so does normalize_power through it
+        profile = QuantizerProfile([4] * 4, [6] * 2)
+        for f_matrix in (np.ones(4), np.ones(()), np.ones((4, 3, 1)), np.ones((3, 3))):
+            with pytest.raises(DimensionMismatch, match="precoder shape"):
+                check_power(f_matrix, profile)
+        with pytest.raises(DimensionMismatch, match="precoder shape"):
+            normalize_power(np.ones(4), profile)
 
 
 class TestLseMin:
