@@ -162,7 +162,6 @@ def kkt_matrices(forms, w, tau):
     a_c, b_c, a_p, b_p = _quadratics(forms, w)
     m = forms.weighted_channels
     alpha = forms.adc_alpha
-    users = np.arange(forms.n_users)
 
     if forms.include_common:
         mu = softmin_weights(np.log2(a_c / b_c), tau)
@@ -175,14 +174,15 @@ def kkt_matrices(forms, w, tau):
     d, noise = forms.distortion_diags, forms.noise_over_power[:, None]
     diag_a = coeff_a @ d + coeff_a.sum(axis=1, keepdims=True) * noise
     diag_b = coeff_b @ d + coeff_b.sum(axis=1, keepdims=True) * noise
-    weights_a = np.repeat(coeff_a[:, None, :], forms.n_streams, axis=1)
-    weights_b = np.repeat(coeff_b[:, None, :], forms.n_streams, axis=1)
+    weights_a = coeff_a[:, None, :].repeat(forms.n_streams, axis=1)
+    weights_b = coeff_b[:, None, :].repeat(forms.n_streams, axis=1)
     # Cancelling the common stream removes its beam gain from every
     # private-rate numerator; each private stream's own gain leaves its
-    # denominator at that user's block. With alpha <= 1 the differences
-    # below stay nonnegative in floating point.
-    own_blocks = users + 1 if forms.include_common else users
-    weights_b[:, own_blocks, users] = coeff_b - alpha / b_p
+    # denominator at that user's block. Those own weights sit every K+1
+    # flat entries from user 0's in the first private block. With
+    # alpha <= 1 the differences below stay nonnegative in floating point.
+    first_own = forms.n_users if forms.include_common else 0
+    weights_b.reshape(forms.batch, -1)[:, first_own:: forms.n_users + 1] = coeff_b - alpha / b_p
     if forms.include_common:
         weights_a[:, 0] = coeff_a - alpha / a_p
         weights_b[:, 0] = (1.0 - alpha) * coeff_b
@@ -204,12 +204,17 @@ def _image_and_residual(forms, w, tau):
     residuals ``||x - (w^H x) w|| / ||x||``, and the block solve's faults."""
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
     image, faults = blockdiag_solve(pencil_b, pencil_a.matvec(w))
-    residual = np.linalg.norm(image - (w.conj() * image).sum(1, keepdims=True) * w, axis=1)
-    return image, residual / np.linalg.norm(image, axis=1), faults
+    residual = _row_norms(image - (w.conj() * image).sum(1, keepdims=True) * w)
+    return image, residual / _row_norms(image), faults
+
+
+def _row_norms(v):
+    """``np.linalg.norm(v, axis=-1)``, the same sums, without its per-call argument handling."""
+    return np.sqrt((v.conj() * v).real.sum(axis=-1))
 
 
 def _unit(v):
-    return canonical_phase(v / np.linalg.norm(v, axis=-1, keepdims=True))
+    return canonical_phase(v / _row_norms(v)[..., None])
 
 
 def nep_residual(forms, w, tau):
@@ -259,7 +264,7 @@ def gpi_solve(forms, options, w0):
             rows, w, w_prev, damped, image = (a[going] for a in (rows, w, w_prev, damped, image))
             part = replace(forms, noise_over_power=forms.noise_over_power[rows])
         step = _unit(image)
-        damped |= np.linalg.norm(step - w_prev, axis=1) < 0.5 * np.linalg.norm(step - w, axis=1)
+        damped |= _row_norms(step - w_prev) < 0.5 * _row_norms(step - w)
         if damped.any():
             step[damped] = _unit(w[damped] + step[damped])
         w_prev, w = w, step

@@ -6,8 +6,11 @@ per batch element: every block is one real diagonal shared by all blocks
 plus nonnegatively weighted outer products of the same few vectors, so the
 blocks are Hermitian by construction and their smallest eigenvalue is at
 least the smallest diagonal entry. The block solve checks that floor
-against each block's norm bound, which costs no factorization, and then
-solves the (B, m, n, n) stack with one batched LU call.
+against each block's norm bound, which costs no factorization. It then
+writes every block of an element as a low-rank downdate of one shared
+matrix (Hager, "Updating the Inverse of a Matrix", SIAM Review 1989), so
+an element costs one n x n factorization plus ``O(m (n K + K^3))`` for
+its m blocks, instead of m factorizations.
 """
 
 from dataclasses import dataclass
@@ -89,13 +92,21 @@ def blockdiag_solve(bd, v):
     passes when its weights are nonnegative and the floor ``min(diag[b])``
     (at most its smallest eigenvalue) exceeds PIVOT_RTOL times ``||diag[b]||
     + sum_k weights[b, j, k] ||v_k||^2`` (at least its Frobenius norm).
+
+    With U the (n, K) matrix of the vectors and ``c = weights[b].max(axis=0)``,
+    block j of a passing element is ``base - U diag(delta_j) U^H``, where
+    ``base = diag(diag[b]) + U diag(c) U^H`` is positive definite and
+    ``delta_j = c - weights[b, j] >= 0``. One solve of base against U and
+    every block's right-hand side gives ``Z = base^-1 U`` and ``y_j``; then
+    ``x_j = y_j + Z (I - delta_j U^H Z)^-1 delta_j U^H y_j``, with the K x K
+    systems of all blocks of all elements in one batched solve.
     """
     v = np.asarray(v, dtype=complex)
     if v.size != bd.batch * bd.size:
         raise DimensionMismatch(f"vector shape {v.shape} != ({bd.batch}, {bd.size})")
     v = v.reshape(bd.batch, bd.size)
     floor = bd.diag.min(axis=1)
-    tol = PIVOT_RTOL * (np.linalg.norm(bd.diag, axis=1)[:, None]
+    tol = PIVOT_RTOL * (np.sqrt((bd.diag ** 2).sum(axis=1))[:, None]
                         + bd.weights @ (np.abs(bd.vectors) ** 2).sum(axis=1))
     nonnegative = (bd.weights >= 0).all(axis=2)
     # a non-finite diag, weight or vector makes floor or tol NaN or infinite, failing the check
@@ -111,11 +122,29 @@ def blockdiag_solve(bd, v):
             if not all(np.isfinite(a).all() for a in (diag[b], weights[b], bd.vectors, v[b])):
                 faults[b] = DimensionMismatch("pencil entries and right-hand side must be finite")
         weights, diag, rhs = weights[ok], diag[ok], v[ok]
-    count, m, n = len(rhs), bd.n_blocks, bd.block_dim
-    blocks = (weights[:, :, None, :] * bd.vectors.T) @ bd.vectors.conj()
-    blocks.reshape(count, m, n * n)[..., :: n + 1] += diag[:, None, :]
+    count, m, n, k = len(rhs), bd.n_blocks, bd.block_dim, len(bd.vectors)
+    u, uh = bd.vectors.T, bd.vectors.conj()
+    c = weights.max(axis=1)
+    delta = c[:, None, :] - weights
+    base = (u * c[:, None, :]) @ uh
+    base.reshape(count, n * n)[:, :: n + 1] += diag
+    # one factorization of base per element gives Z and every block's y_j
+    columns = np.empty((count, n, k + m), dtype=complex)
+    columns[..., :k] = u
+    columns[..., k:] = rhs.reshape(count, m, n).transpose(0, 2, 1)
+    zy = np.linalg.solve(base, columns)
+    projected = uh @ zy
+    # the negated K x K systems, so that the identity is subtracted in place:
+    # x_j = y_j - Z s_j with (delta_j U^H Z - I) s_j = delta_j U^H y_j
+    kernel = delta[..., None] * projected[:, None, :, :k]
+    kernel.reshape(count, m, k * k)[..., :: k + 1] -= 1.0
+    s = np.linalg.solve(kernel, (delta * projected[..., k:].transpose(0, 2, 1))[..., None])
+    zy = zy.transpose(0, 2, 1)
+    solved = zy[:, k:] - s[..., 0] @ zy[:, :k]
+    if count == bd.batch:
+        return solved.reshape(count, m * n), faults
     x = np.full_like(v, np.nan)
-    x[ok] = np.linalg.solve(blocks, rhs.reshape(count, m, n, 1)).reshape(count, m * n)
+    x[ok] = solved.reshape(count, m * n)
     return x, faults
 
 

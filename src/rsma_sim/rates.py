@@ -49,11 +49,12 @@ def interference(beam, totals, adc_alpha, include_common):
     Returns (common, private), each (..., K); without a common stream
     (SDMA) common is None and the columns of ``beam`` are the private streams.
     """
-    users = np.arange(beam.shape[-2])
+    # user k's own stream is column k, or column k + 1 after the common stream
+    own = beam.diagonal(int(include_common), -2, -1)
     if not include_common:
-        return None, totals - adc_alpha * beam[..., users, users]
+        return None, totals - adc_alpha * own
     common = totals - adc_alpha * beam[..., 0]
-    return common, common - adc_alpha * beam[..., users, users + 1]
+    return common, common - adc_alpha * own
 
 
 def rate_report(channel, f_matrix, profile, snr):

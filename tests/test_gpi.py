@@ -8,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rsma_sim import gpi
 from rsma_sim import (
     BETA_TABLE,
     DimensionMismatch,
     QuantizerProfile,
     SolverOptions,
     ZeroPrecoder,
+    blockdiag_solve,
     build_forms,
     canonical_phase,
     check_power,
@@ -270,8 +272,44 @@ class TestKktMatrices:
                 tol = 1e-14 * np.linalg.cond(dense)
                 assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("include_common", [True, False])
+    @pytest.mark.parametrize("adc_bits", [8, math.inf])
+    @pytest.mark.parametrize("n, k_users", [(4, 2), (64, 8)])
+    def test_blockdiag_solve_backward_error(self, n, k_users, adc_bits, include_common):
+        # every block of every SNR point from -30 to 90 dB, at the start and
+        # after a few steps, is solved to a normwise backward error
+        # ||B_j x_j - r_j|| / (||B_j||_2 ||x_j||) of at most 1e-11
+        rng = trial_rng(3, 0)
+        dac_bits = [4] * n if n == 4 else [int(b) for b in rng.integers(2, 9, n)]
+        aods = draw_aods(rng, k_users, "random_aod")
+        h = sample_channel([kl_factorize(one_ring_covariance(n, float(a))) for a in aods], rng)
+        profile = QuantizerProfile(dac_bits, [adc_bits] * k_users)
+        snr_db = np.arange(-30.0, 91.0, 15.0)
+        forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
+        w0 = init_precoder(forms)
+        stepped = gpi_solve(forms, SolverOptions(tau=1.0, t_max=3), w0)
+        starts = (np.tile(w0, (forms.batch, 1)), np.array([solved_stack(forms, r) for r in stepped]))
+        for w in starts:
+            pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
+            rhs = pencil_a.matvec(w)
+            got, faults = blockdiag_solve(pencil_b, rhs)
+            assert faults == [None] * forms.batch
+            blocks = dense_blocks(pencil_b)
+            x, r = got.reshape(len(blocks), n, 1), rhs.reshape(len(blocks), n, 1)
+            error = np.linalg.norm(blocks @ x - r, axis=(1, 2)) / (
+                np.linalg.norm(blocks, 2, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2)))
+            assert error.max() <= 1e-11
+
 
 class TestGpiSolve:
+    def test_row_norms_equal_numpy_norms(self):
+        # the loop's row norms sum the same squares as np.linalg.norm, so
+        # they are bit-identical to it
+        rng = np.random.default_rng(30)
+        for shape, scale in (((7, 12), 1.0), ((3, 576), 1e-150), ((1, 9), 1e150)):
+            x = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            np.testing.assert_array_equal(gpi._row_norms(x), np.linalg.norm(x, axis=-1))
+
     def test_equal_pencil_fixed_point(self):
         # zero channel makes numerator and denominator matrices equal, so
         # any start is a fixed point

@@ -125,6 +125,43 @@ class TestBlockDiag:
         assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
         np.testing.assert_allclose(bd.matvec(v).reshape(-1), dense @ v.reshape(-1), rtol=1e-12)
 
+    @pytest.mark.parametrize("case", ["no vectors", "equal blocks", "zero-weight block"])
+    def test_downdate_edge_cases_match_dense_solve(self, case):
+        # no downdate at all (K = 0 or every block equal to the shared base)
+        # and a rank-K downdate (a block with no outer products)
+        rng = np.random.default_rng(23)
+        bd = random_blockdiag(rng, 5, 4, k_vectors=0 if case == "no vectors" else 3, batch=2)
+        weights = bd.weights.copy()
+        if case == "equal blocks":
+            weights[:] = weights[:, :1]
+        elif case == "zero-weight block":
+            weights[:, 2] = 0.0
+        bd = BlockDiag(bd.diag, bd.vectors, weights)
+        v = rng.standard_normal((2, bd.size)) + 1j * rng.standard_normal((2, bd.size))
+        got, faults = blockdiag_solve(bd, v)
+        assert faults == [None, None]
+        dense = scipy.linalg.block_diag(*dense_blocks(bd))
+        want = hermitian_solve(dense, v.reshape(-1)).reshape(2, -1)
+        assert np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+
+    def test_failed_element_named_and_batch_mates_solved(self):
+        # element 1's block 2 is within PIVOT_RTOL of singular; elements 0
+        # and 2 still match their dense solves
+        rng = np.random.default_rng(24)
+        good = random_blockdiag(rng, 4, 3, k_vectors=2, batch=3)
+        weights = good.weights.copy()
+        weights[1, 2, 0] = 1e16
+        bd = BlockDiag(good.diag, good.vectors, weights)
+        v = rng.standard_normal((3, bd.size)) + 1j * rng.standard_normal((3, bd.size))
+        got, faults = blockdiag_solve(bd, v)
+        assert isinstance(faults[1], SingularMatrix) and faults[1].block_index == 2
+        assert faults[0] is None and faults[2] is None
+        assert np.isnan(got[1]).all()
+        blocks = dense_blocks(bd).reshape(3, bd.n_blocks, bd.block_dim, bd.block_dim)
+        for b in (0, 2):
+            want = hermitian_solve(scipy.linalg.block_diag(*blocks[b]), v[b])
+            assert np.linalg.norm(got[b] - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+
     def test_singular_block_identified(self):
         # block 1 is I - e_0 e_0^H = diag(0, 1): exactly singular
         vectors = np.array([[1.0, 0.0]])
