@@ -5,6 +5,7 @@ from .channel import (
     draw_aods,
     kl_factorize,
     one_ring_covariance,
+    one_ring_factor,
     sample_channel,
 )
 from .errors import (

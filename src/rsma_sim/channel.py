@@ -2,8 +2,8 @@
 
 The access point is a uniform linear array with half-wavelength spacing.
 Each user's N x N spatial covariance is an integral over the scatter ring
-around its angle of departure; channels are then drawn through a
-Karhunen-Loeve factorization of that covariance.
+around its angle of departure; channels are drawn straight from the plane
+waves of the quadrature that evaluates it, with no eigendecomposition.
 """
 
 import functools
@@ -32,10 +32,8 @@ def one_ring_covariance(n_antennas, aod):
     Entry (n, m) averages ``exp(-j*2*pi * cos(x) * (n - m) / 2)`` over the
     ring ``x in [aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD]``. It depends
     only on the lag n - m, and lag -d is the conjugate of lag d, so the
-    integral is evaluated once per displacement 0, 1/2, ..., (N - 1)/2 and
-    the matrix is filled as a Hermitian Toeplitz matrix. Gauss-Legendre
-    quadrature, with nodes cached per count, doubles the node count until
-    every entry changes by less than ``QUADRATURE_TOL``.
+    rule of :func:`one_ring_factor` is summed once per lag 0, 1, ..., N - 1
+    and the matrix is filled as a Hermitian Toeplitz matrix.
 
     Raises
     ------
@@ -45,6 +43,28 @@ def one_ring_covariance(n_antennas, aod):
         If the estimate still moves by ``QUADRATURE_TOL`` or more at
         ``MAX_QUADRATURE_NODES`` (4096) nodes.
     """
+    basis, weights = one_ring_factor(n_antennas, aod)
+    values = np.einsum("q,qd->d", weights, basis.T)
+    lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
+    lower = values[np.abs(lag)]
+    cov = np.where(lag >= 0, lower, lower.conj())
+    # zero displacement makes the integrand identically one
+    np.fill_diagonal(cov, 1.0)
+    return cov
+
+
+def one_ring_factor(n_antennas, aod):
+    """Plane-wave factor ``(basis, weights)`` of the one-ring covariance.
+
+    Gauss-Legendre quadrature, with nodes cached per count, doubles the
+    node count from 16 until no lag sum ``weights @ basis.T`` moves by
+    ``QUADRATURE_TOL``. At that rule's q nodes x_q, ``basis`` (N, q) holds
+    the steering vectors ``exp(-j*pi*n*cos(x_q))`` and ``weights`` (q,) is
+    positive and sums to one, so ``basis diag(weights) basis^H`` is
+    :func:`one_ring_covariance` up to roundoff and :func:`sample_channel`
+    draws from the pair with no eigendecomposition. Raises as
+    :func:`one_ring_covariance` does.
+    """
     if n_antennas < 1:
         raise DimensionMismatch(f"n_antennas must be >= 1, got {n_antennas}")
     if not 0.0 <= aod < math.pi:
@@ -52,33 +72,31 @@ def one_ring_covariance(n_antennas, aod):
     disp = 0.5 * np.arange(n_antennas)
     lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
 
-    def estimate(n_nodes):
+    def rule(n_nodes):
         nodes, weights = _gauss_legendre(n_nodes)
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
-        phase = np.cos(x)[:, None] * disp
-        return np.einsum("q,qd->d", w, np.exp(-2j * math.pi * phase))
+        angle = -2.0 * math.pi * (np.cos(x)[:, None] * disp)
+        # cos and sin written in place equal np.exp(1j * angle) value for value
+        steering = np.empty(angle.shape, dtype=complex)
+        np.cos(angle, out=steering.real)
+        np.sin(angle, out=steering.imag)
+        return steering, w, np.einsum("q,qd->d", w, steering)
 
     n_nodes = 16
-    values = estimate(n_nodes)
+    values = rule(n_nodes)[2]
     while True:
         n_nodes *= 2
-        refined = estimate(n_nodes)
+        steering, weights, refined = rule(n_nodes)
         change = np.abs(refined - values).max()
         values = refined
         if change < QUADRATURE_TOL:
-            break
+            return steering.T, weights
         if n_nodes >= MAX_QUADRATURE_NODES:
             raise ConvergenceFailure(
                 f"one-ring quadrature still changed by {change:.3e} "
                 f"(tolerance {QUADRATURE_TOL:.1e}) at {n_nodes} nodes"
             )
-    lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
-    lower = values[np.abs(lag)]
-    cov = np.where(lag >= 0, lower, lower.conj())
-    # zero displacement makes the integrand identically one
-    np.fill_diagonal(cov, 1.0)
-    return cov
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,7 +116,8 @@ def kl_factorize(cov):
     """Truncated eigenfactorization ``cov ~= U diag(lam) U^H``.
 
     Returns orthonormal eigenvectors U (N x r) and the r eigenvalues above
-    ``RANK_TOL`` times the largest, sorted descending.
+    ``RANK_TOL`` times the largest, sorted descending. Kept only for the
+    benchmark's channel layers and the tests.
     """
     cov = np.asarray(cov, dtype=complex)
     vals, vecs = np.linalg.eigh(cov)
@@ -110,19 +129,20 @@ def kl_factorize(cov):
 def sample_channel(factorizations, rng):
     """Draw one block-fading channel from per-user factorizations.
 
-    ``factorizations`` is a sequence of (U, eigenvalues) pairs as returned
-    by :func:`kl_factorize`; user k's column is ``U_k diag(sqrt(lam_k)) g_k``
-    with a fresh standard complex Gaussian g_k. Returns the (N, K)
-    complex channel matrix.
+    ``factorizations`` holds (basis, weights) pairs from :func:`one_ring_factor`
+    or :func:`kl_factorize`; the basis need not be orthonormal. User k's
+    column is ``basis_k diag(sqrt(w_k)) g_k`` with a fresh standard complex
+    Gaussian g_k, one entry per weight, so its covariance is
+    ``basis_k diag(w_k) basis_k^H``. Returns the (N, K) complex channel matrix.
     """
     columns = []
-    for basis, eigvals in factorizations:
-        rank = len(eigvals)
+    for basis, weights in factorizations:
+        rank = len(weights)
         if rank == 0:
             columns.append(np.zeros(basis.shape[0], dtype=complex))
         else:
             g = sample_complex_gaussian(rng, rank)
-            columns.append(basis @ (np.sqrt(eigvals) * g))
+            columns.append(basis @ (np.sqrt(weights) * g))
     return np.column_stack(columns)
 
 

@@ -25,8 +25,7 @@ from .baselines import BASELINE_KINDS, baseline_precoder
 from .channel import (
     CHANNEL_MODES,
     draw_aods,
-    kl_factorize,
-    one_ring_covariance,
+    one_ring_factor,
     sample_channel,
 )
 from .errors import ParseError, RsmaSimError, ValidationError
@@ -284,10 +283,8 @@ def _run_trial(spec, trial_index):
     profile = QuantizerProfile(dac_bits, adc_bits)
 
     aods = draw_aods(rng, spec.n_users, spec.channel_mode)
-    factorizations = [
-        kl_factorize(one_ring_covariance(spec.n_antennas, float(theta))) for theta in aods
-    ]
-    channel = sample_channel(factorizations, rng)
+    factors = [one_ring_factor(spec.n_antennas, float(theta)) for theta in aods]
+    channel = sample_channel(factors, rng)
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     records = []

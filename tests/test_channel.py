@@ -1,4 +1,4 @@
-"""One-ring covariances, Karhunen-Loeve sampling, angle-of-departure draws."""
+"""One-ring covariances, plane-wave and Karhunen-Loeve sampling, angle-of-departure draws."""
 
 import math
 
@@ -11,6 +11,7 @@ from rsma_sim import (
     draw_aods,
     kl_factorize,
     one_ring_covariance,
+    one_ring_factor,
     sample_channel,
 )
 from rsma_sim.channel import _gauss_legendre
@@ -63,11 +64,13 @@ class TestOneRingCovariance:
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
         # 64 antennas need more than 32 nodes; the cap is lowered so the
-        # raise path runs without computing the 4096-node rule.
+        # raise path runs without computing the 4096-node rule. Both
+        # entry points share the one quadrature and its stop rule.
         monkeypatch.setattr("rsma_sim.channel.MAX_QUADRATURE_NODES", 32)
-        for aod in (0.3, 1.0, math.pi / 2):
-            with pytest.raises(ConvergenceFailure, match="32 nodes"):
-                one_ring_covariance(64, aod)
+        for one_ring in (one_ring_covariance, one_ring_factor):
+            for aod in (0.3, 1.0, math.pi / 2):
+                with pytest.raises(ConvergenceFailure, match="32 nodes"):
+                    one_ring(64, aod)
 
     def test_hermitian_and_nearly_psd(self):
         for aod in (0.2, 1.1, 2.7):
@@ -76,9 +79,26 @@ class TestOneRingCovariance:
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
     def test_input_validation(self):
-        for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0)):
-            with pytest.raises(DimensionMismatch):
-                one_ring_covariance(n, aod)
+        for one_ring in (one_ring_covariance, one_ring_factor):
+            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0)):
+                with pytest.raises(DimensionMismatch):
+                    one_ring(n, aod)
+
+
+class TestOneRingFactor:
+    def test_reconstructs_covariance(self):
+        for n in (1, 2, 4, 8, 64, 128):
+            for aod in (0.0, 0.2, 1.1, 2.7):
+                basis, weights = one_ring_factor(n, aod)
+                assert basis.shape == (n, len(weights))
+                rebuilt = (basis * weights) @ basis.conj().T
+                assert np.abs(rebuilt - one_ring_covariance(n, aod)).max() <= 1e-13
+
+    def test_weights_positive_and_sum_to_one(self):
+        for n, aod in ((4, 0.8), (64, 1.2)):
+            _, weights = one_ring_factor(n, aod)
+            assert np.all(weights > 0)
+            assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 class TestKlFactorize:
@@ -113,9 +133,15 @@ class TestKlFactorize:
         )
 
 
+def kl_one_ring(n, aod):
+    return kl_factorize(one_ring_covariance(n, aod))
+
+
 class TestSampleChannel:
-    def _factorizations(self, n=4):
-        return [kl_factorize(one_ring_covariance(n, a)) for a in (0.8, 1.5)]
+    AODS = (0.8, 1.5)
+
+    def _factorizations(self, n=4, factor=kl_one_ring):
+        return [factor(n, a) for a in self.AODS]
 
     def test_deterministic(self):
         facs = self._factorizations()
@@ -137,14 +163,15 @@ class TestSampleChannel:
             projected = basis @ (basis.conj().T @ h)
             np.testing.assert_allclose(projected, h, atol=1e-10)
 
-    def test_empirical_covariance(self):
-        facs = self._factorizations()
+    @pytest.mark.parametrize("factor", [kl_one_ring, one_ring_factor], ids=["kl", "plane_waves"])
+    def test_empirical_covariance(self, factor):
+        facs = self._factorizations(factor=factor)
         rng = seeded_rng(5)
         trials = 100_000
         draws = np.array([sample_channel(facs, rng) for _ in range(trials)])  # (trials, N, K)
         empirical = np.einsum("tnk,tmk->knm", draws, draws.conj()) / trials
-        for (basis, eigvals), got in zip(facs, empirical):
-            want = (basis * eigvals) @ basis.conj().T
+        for aod, got in zip(self.AODS, empirical):
+            want = one_ring_covariance(4, aod)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 0.02
 
