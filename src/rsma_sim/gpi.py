@@ -200,12 +200,13 @@ class SolveResult:
 
 
 def _image_and_residual(forms, w, tau):
-    """Images ``x = B(w)^-1 A(w) w`` of the unit rows of w, their relative
-    residuals ``||x - (w^H x) w|| / ||x||``, and the block solve's faults."""
+    """Images ``x = B(w)^-1 A(w) w`` of the unit rows of w, their norms, their
+    relative residuals ``||x - (w^H x) w|| / ||x||``, and the block solve's faults."""
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
     image, faults = blockdiag_solve(pencil_b, pencil_a.matvec(w))
+    norms = _row_norms(image)
     residual = _row_norms(image - (w.conj() * image).sum(1, keepdims=True) * w)
-    return image, residual / _row_norms(image), faults
+    return image, norms, residual / norms, faults
 
 
 def _row_norms(v):
@@ -224,7 +225,7 @@ def nep_residual(forms, w, tau):
     scale and phase of w; it vanishes exactly at stationary points of the
     smoothed objective.
     """
-    _, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
+    _, _, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
     for fault in filter(None, faults):
         raise fault
     return residual
@@ -248,11 +249,11 @@ def gpi_solve(forms, options, w0):
     if (np.linalg.norm(w, axis=1) == 0).any():
         raise ZeroPrecoder("starting stacked precoder is zero")
     w = w_prev = _unit(w)
-    # row i of w, w_prev, damped and image is batch element rows[i]; part has their forms
+    # row i of w, w_prev, damped, image and norms is batch element rows[i]; part has their forms
     results, rows, part = [None] * forms.batch, np.arange(forms.batch), forms
     damped = np.zeros(forms.batch, dtype=bool)
     for t in range(options.t_max + 1):
-        image, residual, faults = _image_and_residual(part, w, options.tau)
+        image, norms, residual, faults = _image_and_residual(part, w, options.tau)
         going = (residual > options.epsilon) & (t < options.t_max)  # False for a fault's NaN
         if not going.all():
             for i in np.flatnonzero(~going):
@@ -261,9 +262,10 @@ def gpi_solve(forms, options, w0):
                     float(residual[i]))
             if not going.any():
                 return results
-            rows, w, w_prev, damped, image = (a[going] for a in (rows, w, w_prev, damped, image))
+            rows, w, w_prev, damped, image, norms = (
+                a[going] for a in (rows, w, w_prev, damped, image, norms))
             part = replace(forms, noise_over_power=forms.noise_over_power[rows])
-        step = _unit(image)
+        step = canonical_phase(image / norms[:, None])
         damped |= _row_norms(step - w_prev) < 0.5 * _row_norms(step - w)
         if damped.any():
             step[damped] = _unit(w[damped] + step[damped])

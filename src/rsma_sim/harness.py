@@ -100,7 +100,8 @@ class TrialRecord:
     (signal plus converter distortion); it sums to at most the power
     budget. wall_time_ms is a runtime diagnostic and is not serialized
     to CSV, which keeps output files byte-deterministic; it is an equal share of
-    its algorithm's time over the trial's SNR points plus its own rate evaluation.
+    its algorithm's time over the trial's SNR points plus an equal share of the
+    trial's one batched rate evaluation.
     """
 
     trial_index: int
@@ -243,40 +244,8 @@ def load_spec(document):
     )
 
 
-def _baseline(algorithm, channel, profile, snr):
-    """A closed-form precoder as a zero-iteration SolveResult, or its error."""
-    try:
-        return SolveResult(baseline_precoder(algorithm, channel, profile, snr), 0, True, 0.0)
-    except _RECORDED_ERRORS as exc:
-        return exc
-
-
-def _record(trial_index, snr_db, algorithm, channel, profile, snr, result, share):
-    """A SolveResult's record, ``share`` ms of solve time added; an error's is zeroed."""
-    started = time.perf_counter()
-    key = {"trial_index": trial_index, "snr_db": snr_db, "algorithm": algorithm}
-    try:
-        if isinstance(result, Exception):
-            raise result
-        report = rate_report(channel, result.precoder, profile, snr)
-    except _RECORDED_ERRORS as exc:
-        return TrialRecord(
-            **key, sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * profile.n_users,
-            iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
-            per_antenna_power=(0.0,) * profile.n_antennas, note=f"{type(exc).__name__}: {exc}",
-        )
-    antenna_power = snr * profile.dac_alpha * np.sum(np.abs(result.precoder) ** 2, axis=1)
-    return TrialRecord(
-        **key, sum_se=report.sum_se, common_rate=report.common_rate,
-        private_rates=tuple(float(r) for r in report.private_rates),
-        iterations=result.iterations, converged=result.converged, residual=result.residual,
-        wall_time_ms=share + (time.perf_counter() - started) * 1e3,
-        per_antenna_power=tuple(float(p) for p in antenna_power),
-    )
-
-
 def _run_trial(spec, trial_index):
-    """All records for one trial: shared channel and bits, every (snr, alg)."""
+    """All records for one trial: shared channel and bits, every (snr, alg), one scoring call."""
     rng = trial_rng(spec.base_seed, trial_index)
     dac_bits = spec.dac_bits.resolve(rng)
     adc_bits = spec.adc_bits.resolve(rng)
@@ -287,7 +256,7 @@ def _run_trial(spec, trial_index):
     channel = sample_channel(factors, rng)
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
-    records = []
+    points = []  # (algorithm, snr_db, snr, SolveResult or error, ms of solve time)
     for algorithm in spec.algorithms:
         started = time.perf_counter()
         try:
@@ -295,12 +264,41 @@ def _run_trial(spec, trial_index):
                 forms = build_forms(channel, profile, snrs, include_common=algorithm == "QGPIRS")
                 results = gpi_solve(forms, spec.solver, init_precoder(forms))
             else:
-                results = [_baseline(algorithm, channel, profile, snr) for snr in snrs]
+                results = [f if isinstance(f, Exception) else SolveResult(f, 0, True, 0.0)
+                           for f in baseline_precoder(algorithm, channel, profile, snrs)]
         except _RECORDED_ERRORS as exc:
             results = [exc] * len(snrs)
         share = (time.perf_counter() - started) * 1e3 / len(snrs)
-        records += [_record(trial_index, snr_db, algorithm, channel, profile, snr, result, share)
-                    for snr_db, snr, result in zip(spec.snr_db, snrs, results)]
+        points += [(algorithm, snr_db, snr, result, share)
+                   for snr_db, snr, result in zip(spec.snr_db, snrs, results)]
+
+    started = time.perf_counter()
+    solved = [p for p in points if isinstance(p[3], SolveResult)]
+    if solved:
+        stack = np.stack([result.precoder for _, _, _, result, _ in solved])
+        solved_snrs = np.array([snr for _, _, snr, _, _ in solved])
+        report = rate_report(channel, stack, profile, solved_snrs)
+        row_power = np.sum(np.abs(stack) ** 2, axis=2)
+        antenna_power = solved_snrs[:, None] * profile.dac_alpha * row_power
+        scoring = (time.perf_counter() - started) * 1e3 / len(solved)
+    records, row = [], 0
+    for algorithm, snr_db, _, result, share in points:
+        key = {"trial_index": trial_index, "snr_db": snr_db, "algorithm": algorithm}
+        if isinstance(result, Exception):
+            records.append(TrialRecord(
+                **key, sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * profile.n_users,
+                iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
+                per_antenna_power=(0.0,) * profile.n_antennas,
+                note=f"{type(result).__name__}: {result}",
+            ))
+            continue
+        records.append(TrialRecord(
+            **key, sum_se=float(report.sum_se[row]), common_rate=float(report.common_rate[row]),
+            private_rates=tuple(report.private_rates[row].tolist()),
+            iterations=result.iterations, converged=result.converged, residual=result.residual,
+            wall_time_ms=share + scoring, per_antenna_power=tuple(antenna_power[row].tolist()),
+        ))
+        row += 1
     return records
 
 

@@ -17,14 +17,14 @@ from .errors import DimensionMismatch
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-user SINRs/rates and the resulting sum spectral efficiency."""
+    """Per-user SINRs/rates and the sum spectral efficiency; a precoder stack adds a batch axis."""
 
-    common_sinrs: np.ndarray      # (K,)
-    private_sinrs: np.ndarray     # (K,) after the common stream is cancelled
-    common_rates: np.ndarray      # (K,) bits/s/Hz supportable by each user
-    common_rate: float            # min over users (exact, no smoothing)
-    private_rates: np.ndarray     # (K,) bits/s/Hz
-    sum_se: float                 # common_rate + sum(private_rates)
+    common_sinrs: np.ndarray      # (..., K)
+    private_sinrs: np.ndarray     # (..., K) after the common stream is cancelled
+    common_rates: np.ndarray      # (..., K) bits/s/Hz supportable by each user
+    common_rate: np.ndarray       # (...,) min over users (exact, no smoothing)
+    private_rates: np.ndarray     # (..., K) bits/s/Hz
+    sum_se: np.ndarray            # (...,) common_rate + sum(private_rates)
 
 
 def quadratic_terms(vectors, diag_weights, streams, noise):
@@ -58,43 +58,48 @@ def interference(beam, totals, adc_alpha, include_common):
 
 
 def rate_report(channel, f_matrix, profile, snr):
-    """Evaluate all stream rates for a precoder.
+    """Evaluate all stream rates for a precoder or a (B, N, K+1) stack of them.
 
     User k sees stream i with gain ``|h_k^H Phi_a f_i|^2`` and DAC
     distortion ``f_i^H Phi_a Phi_b diag(|h_k|^2) f_i``; the noise term is
     ``1 / snr`` whatever power F actually uses. The common rate is the
     exact minimum over users of the rates at which each could decode the
     common stream; the sum spectral efficiency adds the K private rates.
+    A stack takes one ``snr`` for all its precoders or one per precoder,
+    and each precoder scores exactly as it does in a call of its own;
+    a single precoder's common_rate and sum_se are numpy floats.
     """
     channel = profile.check_channel(channel)
     f_matrix = np.asarray(f_matrix, dtype=complex)
     n_antennas, n_users = channel.shape
-    if f_matrix.shape != (n_antennas, n_users + 1):
+    if f_matrix.ndim not in (2, 3) or f_matrix.shape[-2:] != (n_antennas, n_users + 1):
         raise DimensionMismatch(
             f"precoder shape {f_matrix.shape}, expected {(n_antennas, n_users + 1)}"
         )
+    noise = 1.0 / np.asarray(snr, dtype=float)
+    if noise.ndim != 0 and noise.shape != f_matrix.shape[:-2]:
+        raise DimensionMismatch(f"{noise.size} SNRs for precoders of shape {f_matrix.shape}")
 
     beam, totals = quadratic_terms(
         channel.T * profile.dac_alpha,
         profile.dac_alpha * profile.dac_beta * np.abs(channel.T) ** 2,
-        f_matrix.T,
-        1.0 / snr,
+        np.swapaxes(f_matrix, -1, -2),
+        noise[..., None],
     )
     alpha = profile.adc_alpha
-    users = np.arange(n_users)
     common, private = interference(beam, totals, alpha, include_common=True)
-    common_sinrs = alpha * beam[:, 0] / common
-    private_sinrs = alpha * beam[users, users + 1] / private
+    common_sinrs = alpha * beam[..., 0] / common
+    private_sinrs = alpha * beam.diagonal(1, -2, -1) / private
     common_rates = np.log2(1.0 + common_sinrs)
     private_rates = np.log2(1.0 + private_sinrs)
-    common_rate = float(common_rates.min())
+    common_rate = common_rates.min(axis=-1)
     return RateReport(
         common_sinrs=common_sinrs,
         private_sinrs=private_sinrs,
         common_rates=common_rates,
         common_rate=common_rate,
         private_rates=private_rates,
-        sum_se=common_rate + float(private_rates.sum()),
+        sum_se=common_rate + private_rates.sum(axis=-1),
     )
 
 

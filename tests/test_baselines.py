@@ -130,6 +130,42 @@ class TestBaselinePrecoder:
         with pytest.raises(RankDeficient):
             baseline_precoder("QZF", h, ideal_profile(2, 3), 10.0)
 
+    def test_batched_snrs_match_scalar_calls(self):
+        # one call over a trial's SNR points returns what a call per point
+        # returns, bit for bit; MRT and ZF repeat one SNR-free precoder
+        snrs = [1e-3, 1.0, 10.0, 1e4, 1e9]
+        for n, k_users in ((4, 2), (8, 3), (64, 8)):
+            h = random_channel(self.rng, n, k_users)
+            profile = random_profile(self.rng, n, k_users)
+            for kind in ("QMRT", "QZF", "QRZF"):
+                batch = baseline_precoder(kind, h, profile, snrs)
+                assert len(batch) == len(snrs)
+                for snr, f in zip(snrs, batch):
+                    np.testing.assert_array_equal(f, baseline_precoder(kind, h, profile, snr))
+
+    def test_rank_deficient_point_fails_alone(self):
+        # a rank-1 effective channel: RZF's loading K / snr keeps the 10 point
+        # regular, while at 1e20 the loaded Gram matrix is singular
+        h1 = random_channel(self.rng, 3, 1)
+        h = np.column_stack([h1, h1])
+        profile = QuantizerProfile([4] * 3, [6] * 2)
+        at_10, at_huge = baseline_precoder("QRZF", h, profile, [10.0, 1e20])
+        np.testing.assert_array_equal(at_10, baseline_precoder("QRZF", h, profile, 10.0))
+        assert isinstance(at_huge, RankDeficient)
+        assert str(at_huge) == "effective channel Gram matrix is singular (kind=QRZF)"
+        with pytest.raises(RankDeficient, match=r"singular \(kind=QRZF\)"):
+            baseline_precoder("QRZF", h, profile, 1e20)
+        zf = baseline_precoder("QZF", h, profile, [10.0, 1e20])
+        assert all(isinstance(e, RankDeficient) for e in zf)
+
+    def test_vanished_column_fails_every_point(self):
+        h = random_channel(self.rng, 3, 2)
+        h[:, 1] = 0.0
+        errors = baseline_precoder("QRZF", h, ideal_profile(3, 2), [1.0, 100.0])
+        assert [str(e) for e in errors] == ["an effective channel column vanishes"] * 2
+        with pytest.raises(ZeroPrecoder, match="column vanishes"):
+            baseline_precoder("QMRT", h, ideal_profile(3, 2), 1.0)
+
     def test_rates_flow_through_shared_report(self):
         # baselines evaluate through the same rate computation as the
         # iterative solvers; the zero common column yields zero common rate

@@ -300,6 +300,26 @@ class TestRunExperiment:
             for algorithm in ("QGPIRS", "QGPISEM")
         )
 
+    def test_one_scoring_call_per_trial(self, monkeypatch):
+        # a trial scores every (algorithm, SNR) precoder in one rate_report
+        # call and asks each baseline for all its SNR points at once
+        calls = []
+
+        def spy(name):
+            original = getattr(rsma_sim.harness, name)
+
+            def call(*args):
+                calls.append(args[0] if name == "baseline_precoder" else name)
+                return original(*args)
+            return call
+
+        for name in ("rate_report", "baseline_precoder"):
+            monkeypatch.setattr(rsma_sim.harness, name, spy(name))
+        spec = replace(load_spec(FIG2_CONFIG.read_text()), trials=1)
+        records = run_experiment(spec)
+        assert len(records) == 35 and not any(r.note for r in records)
+        assert sorted(calls) == ["QMRT", "QRZF", "QZF", "rate_report"]
+
     def test_channels_drawn_without_an_eigendecomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a trial called an eigendecomposition")

@@ -195,6 +195,44 @@ class TestRateReport:
             with pytest.raises(DimensionMismatch, match=message):
                 rate_report(channel, f_matrix, profile, 1.0)
 
+    def test_batched_matches_per_precoder_calls(self):
+        # a (B, N, K+1) stack with one SNR per precoder scores each precoder
+        # exactly as a call of its own does, SDMA stacks (zero common column)
+        # included; a single precoder keeps per-user fields and scalar sums
+        rng = np.random.default_rng(7)
+        fields = ("common_sinrs", "private_sinrs", "common_rates", "common_rate",
+                  "private_rates", "sum_se")
+        for _ in range(40):
+            n = int(rng.choice([1, 2, 4, 5, 16, 64]))
+            k_users = int(rng.integers(1, 9))
+            profile = random_profile(rng, n, k_users)
+            h = random_channel(rng, n, k_users)
+            batch = int(rng.integers(1, 9))
+            stack = np.stack([random_precoder(rng, profile, n, k_users) for _ in range(batch)])
+            if rng.random() < 0.5:
+                stack[:, :, 0] = 0.0
+            snrs = 10.0 ** rng.uniform(-2.0, 6.0, batch)
+            report = rate_report(h, stack, profile, snrs)
+            for i in range(batch):
+                alone = rate_report(h, stack[i], profile, snrs[i])
+                assert np.shape(alone.sum_se) == () and alone.private_rates.shape == (k_users,)
+                for field in fields:
+                    np.testing.assert_array_equal(getattr(report, field)[i], getattr(alone, field))
+            shared = rate_report(h, stack, profile, snrs[0])
+            np.testing.assert_array_equal(shared.sum_se[0], report.sum_se[0])
+
+    def test_stack_shape_validation(self):
+        profile = ideal_profile(3, 2)
+        h = np.ones((3, 2), dtype=complex)
+        for f_matrix in (np.ones((2, 4, 3)), np.ones((1, 2, 3, 3))):
+            with pytest.raises(DimensionMismatch, match="precoder shape"):
+                rate_report(h, f_matrix, profile, 1.0)
+        for snr in ([1.0, 2.0], [1.0]):
+            with pytest.raises(DimensionMismatch, match=r"SNRs for precoders of shape \(3, 3, 3\)"):
+                rate_report(h, np.ones((3, 3, 3)), profile, snr)
+        with pytest.raises(DimensionMismatch, match="1 SNRs for precoders of shape"):
+            rate_report(h, np.ones((3, 3)), profile, [1.0])
+
 
 class TestCheckPower:
     def test_zero(self):
