@@ -211,12 +211,12 @@ def trapezoid_one_ring(n_antennas, aod, n_points=100_000):
     return np.trapezoid(values, x, axis=0) / (2.0 * ANGULAR_SPREAD)
 
 
-def dense_one_ring(n_antennas, aod):
+def dense_one_ring(n_antennas, aod, tol=QUADRATURE_TOL):
     """One-ring covariance by Gauss-Legendre doubling over all N^2 entries.
 
     Evaluates the planar integrand at every antenna pair, with fresh nodes
     for each count, and returns the last estimate even if the doubling
-    stops at 4096 nodes without meeting ``QUADRATURE_TOL``.
+    stops at 4096 nodes without any entry moving by less than ``tol``.
     """
     dx, dy = _ula_displacements(n_antennas)
     lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
@@ -233,13 +233,44 @@ def dense_one_ring(n_antennas, aod):
     while n_nodes < 4096:
         n_nodes *= 2
         refined = estimate(n_nodes)
-        if np.abs(refined - cov).max() < QUADRATURE_TOL:
+        if np.abs(refined - cov).max() < tol:
             cov = refined
             break
         cov = refined
     cov = 0.5 * (cov + cov.conj().T)
     np.fill_diagonal(cov, 1.0)
     return cov
+
+
+def exact_lag_doubling(n_antennas, aod, tol=QUADRATURE_TOL):
+    """Weights and per-level changes of the exact-phase one-ring doubling.
+
+    Runs :func:`dense_one_ring`'s doubling on the N lag sums of a
+    half-wavelength ULA, with every phase ``exp(-j*2*pi*cos(x_q)*d/2)``
+    evaluated directly. Returns ``(weights, changes)``: the weights of the
+    first rule whose lag sums all move by less than ``tol`` (or of the
+    4096-node rule), and each level's largest change keyed by node count.
+    """
+    disp = 0.5 * np.arange(n_antennas)
+    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
+
+    def rule(n_nodes):
+        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
+        return w, np.einsum("q,qd->d", w, np.exp(-2j * math.pi * (np.cos(x)[:, None] * disp)))
+
+    n_nodes = 16
+    _, values = rule(n_nodes)
+    changes = {}
+    while n_nodes < 4096:
+        n_nodes *= 2
+        weights, refined = rule(n_nodes)
+        changes[n_nodes] = np.abs(refined - values).max()
+        values = refined
+        if changes[n_nodes] < tol:
+            break
+    return weights, changes
 
 
 def factorization_metadata(factorizations):

@@ -1,5 +1,6 @@
 """One-ring covariances, plane-wave and Karhunen-Loeve sampling, angle-of-departure draws."""
 
+import copy
 import math
 
 import numpy as np
@@ -13,11 +14,13 @@ from rsma_sim import (
     one_ring_covariance,
     one_ring_factor,
     sample_channel,
+    sample_complex_gaussian,
 )
-from rsma_sim.channel import _gauss_legendre
+from rsma_sim.channel import ANGULAR_SPREAD, _gauss_legendre
 
 from oracles import (
     dense_one_ring,
+    exact_lag_doubling,
     factorization_metadata,
     seeded_rng,
     trapezoid_one_ring,
@@ -80,9 +83,26 @@ class TestOneRingCovariance:
 
     def test_input_validation(self):
         for one_ring in (one_ring_covariance, one_ring_factor):
-            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0)):
+            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0), (4.5, 1.0), (2.2, 1.0), (True, 1.0)):
                 with pytest.raises(DimensionMismatch):
                     one_ring(n, aod)
+        for n in (np.int64(4), np.int32(4)):
+            np.testing.assert_array_equal(one_ring_covariance(n, 1.0), one_ring_covariance(4, 1.0))
+
+    def test_near_tolerance_stop_tests_match_exact_phases(self, monkeypatch):
+        # QUADRATURE_TOL is set just below, at and just above the exact
+        # change one level before the rule stops. The product-built lag
+        # sums sit a few ulp from the exact ones, so only a stop test
+        # redone on exact phases reproduces the exact-phase doubling.
+        for n, aod in ((17, 0.4), (33, 2.0), (64, 0.4), (64, 2.3)):
+            _, changes = exact_lag_doubling(n, aod)
+            level = sorted(changes)[-2]
+            for tol in np.nextafter(changes[level], [0.0, changes[level], 1.0]):
+                monkeypatch.setattr("rsma_sim.channel.QUADRATURE_TOL", tol)
+                want_weights, _ = exact_lag_doubling(n, aod, tol)
+                _, weights = one_ring_factor(n, aod)
+                np.testing.assert_array_equal(weights, want_weights)
+                np.testing.assert_array_equal(one_ring_covariance(n, aod), dense_one_ring(n, aod, tol))
 
 
 class TestOneRingFactor:
@@ -93,6 +113,17 @@ class TestOneRingFactor:
                 assert basis.shape == (n, len(weights))
                 rebuilt = (basis * weights) @ basis.conj().T
                 assert np.abs(rebuilt - one_ring_covariance(n, aod)).max() <= 1e-13
+
+    def test_basis_matches_direct_steering_vectors(self):
+        random_aods = tuple(seeded_rng(13).uniform(0.0, math.pi, 2))
+        for n in (1, 2, 3, 4, 17, 64, 128):
+            for aod in (0.0, 0.2, 1.1, 2.7) + random_aods:
+                basis, weights = one_ring_factor(n, aod)
+                nodes, _ = _gauss_legendre(len(weights))
+                lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
+                x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+                direct = np.exp(-1j * math.pi * np.outer(np.arange(n), np.cos(x)))
+                assert np.abs(basis - direct).max() <= 16 * n * math.pi * np.finfo(float).eps
 
     def test_weights_positive_and_sum_to_one(self):
         for n, aod in ((4, 0.8), (64, 1.2)):
@@ -164,13 +195,27 @@ class TestSampleChannel:
             np.testing.assert_allclose(projected, h, atol=1e-10)
 
     @pytest.mark.parametrize("factor", [kl_one_ring, one_ring_factor], ids=["kl", "plane_waves"])
-    def test_empirical_covariance(self, factor):
+    def test_draws_follow_basis_formula(self, factor):
         facs = self._factorizations(factor=factor)
         rng = seeded_rng(5)
+        for _ in range(5):
+            clone = copy.deepcopy(rng)
+            want = np.column_stack([
+                basis @ (np.sqrt(weights) * sample_complex_gaussian(clone, len(weights)))
+                for basis, weights in facs
+            ])
+            np.testing.assert_array_equal(sample_channel(facs, rng), want)
+
+    @pytest.mark.parametrize("factor", [kl_one_ring, one_ring_factor], ids=["kl", "plane_waves"])
+    def test_empirical_covariance(self, factor):
+        # sample_channel's formula (test_draws_follow_basis_formula), drawn
+        # for all trials of a user at once
+        rng = seeded_rng(5)
         trials = 100_000
-        draws = np.array([sample_channel(facs, rng) for _ in range(trials)])  # (trials, N, K)
-        empirical = np.einsum("tnk,tmk->knm", draws, draws.conj()) / trials
-        for aod, got in zip(self.AODS, empirical):
+        for aod, (basis, weights) in zip(self.AODS, self._factorizations(factor=factor)):
+            g = sample_complex_gaussian(rng, trials * len(weights)).reshape(trials, -1)
+            draws = (np.sqrt(weights) * g) @ basis.T  # (trials, N)
+            got = draws.T @ draws.conj() / trials
             want = one_ring_covariance(4, aod)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 0.02
