@@ -35,7 +35,7 @@ class SolverOptions:
     converged; t_max the iteration cap.
     """
 
-    tau: float = 0.3
+    tau: float = 1.0
     epsilon: float = 0.01
     t_max: int = 500
 

@@ -7,10 +7,10 @@ plus nonnegatively weighted outer products of the same few vectors, so the
 blocks are Hermitian by construction and their smallest eigenvalue is at
 least the smallest diagonal entry. The block solve checks that floor
 against each block's norm bound, which costs no factorization. It then
-writes every block of an element as a low-rank downdate of one shared
-matrix (Hager, "Updating the Inverse of a Matrix", SIAM Review 1989), so
-an element costs one n x n factorization plus ``O(m (n K + K^3))`` for
-its m blocks, instead of m factorizations.
+scales each element by its diagonal and takes one thin QR factorization of
+its scaled vectors; on that orthonormal basis every block is the identity
+plus a K x K matrix, so an element costs ``O(n K^2)`` plus ``O(m (n K + K^3))``
+for its m blocks, and nothing of size n x n is formed or factored.
 """
 
 from dataclasses import dataclass
@@ -93,13 +93,15 @@ def blockdiag_solve(bd, v):
     (at most its smallest eigenvalue) exceeds PIVOT_RTOL times ``||diag[b]||
     + sum_k weights[b, j, k] ||v_k||^2`` (at least its Frobenius norm).
 
-    With U the (n, K) matrix of the vectors and ``c = weights[b].max(axis=0)``,
-    block j of a passing element is ``base - U diag(delta_j) U^H``, where
-    ``base = diag(diag[b]) + U diag(c) U^H`` is positive definite and
-    ``delta_j = c - weights[b, j] >= 0``. One solve of base against U and
-    every block's right-hand side gives ``Z = base^-1 U`` and ``y_j``; then
-    ``x_j = y_j + Z (I - delta_j U^H Z)^-1 delta_j U^H y_j``, with the K x K
-    systems of all blocks of all elements in one batched solve.
+    With U the (n, K) matrix of the vectors, ``S = diag(diag[b])^-1/2`` and
+    ``W_j = diag(weights[b, j]) >= 0``, block j of a passing element is
+    ``S^-1 (I + S U W_j U^H S) S^-1``. One thin QR ``S U = Q R`` per element
+    and ``y_j = S v_j`` give ``x_j = S [(I - QQ^H) y_j + Q M_j^-1 Q^H y_j]``,
+    where ``M_j = I + R W_j R^H`` has every eigenvalue at least 1 (Woodbury
+    on an orthonormal basis); the K x K systems of all blocks of all
+    elements go through one batched solve. ``I - QQ^H`` is applied twice:
+    one pass leaves roundoff of order ``eps ||y_j||`` inside range(Q), where
+    the block's gain amplifies it (Giraud, Langou & Rozloznik 2005).
     """
     v = np.asarray(v, dtype=complex)
     if v.size != bd.batch * bd.size:
@@ -123,24 +125,21 @@ def blockdiag_solve(bd, v):
                 faults[b] = DimensionMismatch("pencil entries and right-hand side must be finite")
         weights, diag, rhs = weights[ok], diag[ok], v[ok]
     count, m, n, k = len(rhs), bd.n_blocks, bd.block_dim, len(bd.vectors)
-    u, uh = bd.vectors.T, bd.vectors.conj()
-    c = weights.max(axis=1)
-    delta = c[:, None, :] - weights
-    base = (u * c[:, None, :]) @ uh
-    base.reshape(count, n * n)[:, :: n + 1] += diag
-    # one factorization of base per element gives Z and every block's y_j
-    columns = np.empty((count, n, k + m), dtype=complex)
-    columns[..., :k] = u
-    columns[..., k:] = rhs.reshape(count, m, n).transpose(0, 2, 1)
-    zy = np.linalg.solve(base, columns)
-    projected = uh @ zy
-    # the negated K x K systems, so that the identity is subtracted in place:
-    # x_j = y_j - Z s_j with (delta_j U^H Z - I) s_j = delta_j U^H y_j
-    kernel = delta[..., None] * projected[:, None, :, :k]
-    kernel.reshape(count, m, k * k)[..., :: k + 1] -= 1.0
-    s = np.linalg.solve(kernel, (delta * projected[..., k:].transpose(0, 2, 1))[..., None])
-    zy = zy.transpose(0, 2, 1)
-    solved = zy[:, k:] - s[..., 0] @ zy[:, :k]
+    scale = diag ** -0.5
+    q, r = np.linalg.qr(scale[..., None] * bd.vectors.T)
+    rank = q.shape[-1]
+    qt, qh = q.transpose(0, 2, 1), q.conj()
+    y = scale[:, None, :] * rhs.reshape(count, m, n)
+    # rows hold the blocks' vectors, so y @ conj(Q) is Q^H y and c @ Q^T is Q c
+    coords = y @ qh
+    outside = y - coords @ qt
+    # M_j = I + sum_k weights[b, j, k] r_k r_k^H over the columns r_k of R
+    rt = r.transpose(0, 2, 1)
+    kernel = weights @ (rt[..., :, None] * rt.conj()[..., None, :]).reshape(count, k, rank * rank)
+    kernel[..., :: rank + 1] += 1.0
+    inside = np.linalg.solve(kernel.reshape(count, m, rank, rank), coords[..., None])[..., 0]
+    # the second pass of I - QQ^H folds into the last product
+    solved = scale[:, None, :] * (outside + (inside - outside @ qh) @ qt)
     if count == bd.batch:
         return solved.reshape(count, m * n), faults
     x = np.full_like(v, np.nan)

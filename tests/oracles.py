@@ -341,6 +341,21 @@ def solve_one(bd, v):
     return x
 
 
+def dense_blockdiag_solve(bd, v):
+    """``blockdiag_solve`` with each passing element solved densely.
+
+    Keeps the package's faults and NaN rows; every other element is solved
+    by ``hermitian_solve`` on its full block-diagonal matrix.
+    """
+    x, faults = blockdiag_solve(bd, v)
+    blocks = dense_blocks(bd).reshape(bd.batch, bd.n_blocks, bd.block_dim, bd.block_dim)
+    rhs = np.asarray(v, dtype=complex).reshape(bd.batch, bd.size)
+    for b, fault in enumerate(faults):
+        if fault is None:
+            x[b] = hermitian_solve(scipy.linalg.block_diag(*blocks[b]), rhs[b])
+    return x, faults
+
+
 def to_dense(bd):
     """Assemble a BlockDiag's full dense matrix; of a batch of one, its element's."""
     return scipy.linalg.block_diag(*dense_blocks(bd))

@@ -25,6 +25,8 @@ from rsma_sim import (
 from rsma_sim.cli import main as cli_main
 from rsma_sim.harness import TrialRecord
 
+from oracles import dense_blockdiag_solve
+
 MINIMAL = {
     "N": 4,
     "K": 2,
@@ -55,7 +57,7 @@ class TestLoadSpec:
         spec = load_spec(make_doc())
         assert spec.n_antennas == 4 and spec.n_users == 2
         assert spec.snr_db == (10.0,)
-        assert spec.solver.tau == 0.3
+        assert spec.solver.tau == 1.0
         assert spec.solver.epsilon == 0.01
         assert spec.solver.t_max == 500
         assert spec.channel_mode == "random_aod"
@@ -262,7 +264,7 @@ class TestRunExperiment:
         # the notes and the file's bytes are pinned to this seed's channels
         spec = load_spec(json.dumps({
             "N": 4, "K": 2, "dac_bits": "inf", "adc_bits": "inf", "snr_db": [20, 150],
-            "algorithms": ["QGPIRS", "QGPISEM"], "trials": 3,
+            "algorithms": ["QGPIRS", "QGPISEM"], "trials": 3, "solver": {"tau": 0.3},
         }))
         records = run_experiment(spec)
         assert all(r.converged and not r.note for r in records if r.snr_db == 20)
@@ -299,6 +301,26 @@ class TestRunExperiment:
             1 + max(r.iterations for r in records if r.algorithm == algorithm)
             for algorithm in ("QGPIRS", "QGPISEM")
         )
+
+    def test_overloaded_solves_follow_dense_block_solves(self, monkeypatch):
+        # more users than antennas and no converter distortion: the blocks'
+        # gains on the channels dwarf their diagonal floor up to 100 dB, and
+        # every solve takes the trajectory it takes with dense block solves
+        spec = load_spec(json.dumps({
+            "N": 2, "K": 4, "dac_bits": "inf", "adc_bits": "inf",
+            "channel_mode": "correlated_aod", "snr_db": [40, 60, 80, 100],
+            "algorithms": ["QGPIRS", "QGPISEM"], "trials": 4, "base_seed": 11,
+            "solver": {"tau": 1.0, "epsilon": 0.01},
+        }))
+        records = run_experiment(spec)
+        monkeypatch.setattr(rsma_sim.gpi, "blockdiag_solve", dense_blockdiag_solve)
+        dense = run_experiment(spec)
+        assert len(records) == len(dense) == 32
+        for got, want in zip(records, dense):
+            assert (got.trial_index, got.snr_db, got.algorithm) == (
+                want.trial_index, want.snr_db, want.algorithm)
+            assert got.iterations == want.iterations
+            assert abs(got.sum_se - want.sum_se) <= 1e-3
 
     def test_one_scoring_call_per_trial(self, monkeypatch):
         # a trial scores every (algorithm, SNR) precoder in one rate_report

@@ -267,6 +267,35 @@ class TestBlockDiag:
             return
         assert cholesky_pivot_rule(dense_blocks(bd)).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(1, 4),
+        k_vectors=st.integers(1, 4),
+        log_floor=st.floats(-20.0, 0.0),
+        log_weight=st.floats(-3.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_blocks_solve_backward_stably(
+        self, n, m, k_vectors, log_floor, log_weight, seed
+    ):
+        # every block of an accepted pencil, K >= n included, is solved with
+        # a normwise backward error at roundoff, however large the weights
+        # are next to the diagonal floor
+        rng = np.random.default_rng(seed)
+        diag = 10.0 ** log_floor * rng.uniform(1.0, 10.0, (1, n))
+        weights = 10.0 ** log_weight * rng.uniform(0.0, 1.0, (1, m, k_vectors))
+        bd = BlockDiag(diag, random_vectors(rng, k_vectors, n), weights)
+        v = rng.standard_normal(bd.size) + 1j * rng.standard_normal(bd.size)
+        try:
+            x = solve_one(bd, v)
+        except SingularMatrix:
+            return
+        for block, xj, vj in zip(dense_blocks(bd), x.reshape(m, n), v.reshape(m, n)):
+            error = np.linalg.norm(block @ xj - vj) / (
+                np.linalg.norm(block, 2) * np.linalg.norm(xj) + np.linalg.norm(vj))
+            assert error <= 1e-13
+
 
 class TestPrincipalGepOracle:
     def test_diagonal_pencil(self):
