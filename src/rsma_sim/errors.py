@@ -6,7 +6,7 @@ class RsmaSimError(Exception):
 
 
 class DimensionMismatch(RsmaSimError):
-    """Array shapes are inconsistent with each other or with the profile."""
+    """Array shapes are inconsistent, or a channel is empty or has a non-finite entry."""
 
 
 class SingularMatrix(RsmaSimError):
@@ -52,7 +52,8 @@ class ZeroPrecoder(RsmaSimError):
 
 
 class ParseError(RsmaSimError):
-    """Experiment config document is not valid JSON or has a malformed field."""
+    """Experiment config document is not valid JSON or has a malformed field,
+    or a solver setting has the wrong type, from a config or a direct call."""
 
 
 class ValidationError(RsmaSimError):

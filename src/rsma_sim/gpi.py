@@ -18,10 +18,11 @@ common stream (``include_common=False``).
 
 import sys
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder
+from .errors import DimensionMismatch, ParseError, ValidationError, ZeroChannel, ZeroPrecoder
 from .linalg import BlockDiag, blockdiag_solve, canonical_phase
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -32,7 +33,8 @@ class SolverOptions:
 
     tau is the smoothing temperature of the common-rate minimum (bits);
     epsilon the bound on the relative NEP residual at which a solve has
-    converged; t_max the iteration cap.
+    converged; t_max the iteration cap. A setting of the wrong type raises
+    ParseError, a bad value ValidationError.
     """
 
     tau: float = 1.0
@@ -40,9 +42,16 @@ class SolverOptions:
     t_max: int = 500
 
     def __post_init__(self):
-        for name in ("tau", "epsilon"):
+        for name, kind in (("tau", Real), ("epsilon", Real), ("t_max", Integral)):
             value = getattr(self, name)
-            # also false for NaN, infinity and ints too large for a float
+            if isinstance(value, bool) or not isinstance(value, kind):
+                noun = "an integer" if kind is Integral else "a number"
+                raise ParseError(f"solver {name!r} must be {noun}, got {value!r}")
+        for name in ("tau", "epsilon"):
+            # compared as a Python number, since a numpy scalar would cast the bound to its
+            # own type; false for NaN, infinity and ints too large for a float
+            value = getattr(self, name)
+            value = int(value) if isinstance(value, Integral) else float(value)
             if not 0 < value <= sys.float_info.max:
                 raise ValidationError(f"{name} must be positive and finite, got {value}")
         if self.t_max < 1:

@@ -17,7 +17,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
@@ -43,9 +43,6 @@ _ALLOWED_KEYS = {
     "N", "K", "snr_db", "dac_bits", "adc_bits", "channel_mode",
     "trials", "base_seed", "algorithms", "solver",
 }
-# JSON type each solver key takes; bools are rejected although Python
-# counts them as ints.
-_SOLVER_TYPES = {"tau": (int, float), "epsilon": (int, float), "t_max": int}
 _UNIFORM_RE = re.compile(r"^uniform-random\s+(\d+)\.\.(\d+)$")
 _MIXED_PART_RE = re.compile(r"^(\d+)@(\d+)$")
 
@@ -218,17 +215,10 @@ def load_spec(document):
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ParseError("solver must be a JSON object")
-    unknown = set(solver_raw) - set(_SOLVER_TYPES)
+    unknown = set(solver_raw) - {f.name for f in dataclass_fields(SolverOptions)}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
-    for key, value in solver_raw.items():
-        if isinstance(value, bool) or not isinstance(value, _SOLVER_TYPES[key]):
-            kind = "an integer" if key == "t_max" else "a number"
-            raise ParseError(f"solver {key!r} must be {kind}, got {value!r}")
-    try:
-        solver = SolverOptions(**solver_raw)
-    except RsmaSimError as exc:
-        raise ValidationError(str(exc)) from exc
+    solver = SolverOptions(**solver_raw)
 
     return ExperimentSpec(
         n_antennas=n_antennas,

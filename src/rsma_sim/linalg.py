@@ -37,6 +37,11 @@ class BlockDiag:
     where v_k is row k of ``vectors``: ``diag`` is (B, n) real, ``vectors``
     (K, n) complex and shared, ``weights`` (B, m, K) real. Block j acts on
     the j-th length-n slice of a stacked vector.
+
+    Construction checks only that ``diag`` and ``weights`` are real; the
+    solve's sign test cannot, as numpy orders complex numbers by real part
+    (``1j >= 0``). Arrays are kept as given, with no shape check: in the
+    package only ``kkt_matrices`` builds a pencil.
     """
 
     diag: np.ndarray
@@ -46,19 +51,6 @@ class BlockDiag:
     def __post_init__(self):
         if np.iscomplexobj(self.diag) or np.iscomplexobj(self.weights):
             raise DimensionMismatch("diag and weights must be real")
-        diag = np.asarray(self.diag, dtype=float)
-        vectors = np.asarray(self.vectors, dtype=complex)
-        weights = np.asarray(self.weights, dtype=float)
-        if (diag.ndim != 2 or diag.size == 0 or weights.ndim != 3 or weights.shape[1] == 0
-                or len(weights) != len(diag)
-                or vectors.shape != weights.shape[2:] + diag.shape[1:]):
-            raise DimensionMismatch(
-                f"expected diag (B, n), vectors (K, n), weights (B, m, K); got "
-                f"{diag.shape}, {vectors.shape}, {weights.shape}"
-            )
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "vectors", vectors)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def batch(self):

@@ -81,10 +81,12 @@ class QuantizerProfile:
         return len(self.adc_bits)
 
     def check_channel(self, channel):
-        """The channel as a complex (N, K) array; raises DimensionMismatch otherwise."""
+        """The channel as a complex (N, K) array, nonempty and finite; else DimensionMismatch."""
         channel = np.asarray(channel, dtype=complex)
         if channel.shape != (self.n_antennas, self.n_users):
             raise DimensionMismatch(
                 f"channel shape {channel.shape}, expected {(self.n_antennas, self.n_users)}"
             )
+        if channel.size == 0 or not np.isfinite(channel).all():
+            raise DimensionMismatch(f"channel {channel.shape} must be nonempty and finite")
         return channel

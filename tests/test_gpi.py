@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -397,7 +398,7 @@ class TestGpiSolve:
             gpi_solve(forms, SolverOptions(), np.zeros(forms.dim))
 
     def test_options_validation(self):
-        from rsma_sim import ValidationError
+        from rsma_sim import ParseError, ValidationError
 
         with pytest.raises(ValidationError):
             SolverOptions(tau=0.0)
@@ -405,6 +406,19 @@ class TestGpiSolve:
             SolverOptions(epsilon=-1.0)
         with pytest.raises(ValidationError):
             SolverOptions(t_max=0)
+        # a direct call gets the same type errors as a config
+        for bad in ({"t_max": 2.5}, {"t_max": True}, {"t_max": "9"},
+                    {"tau": "1"}, {"tau": None}, {"tau": True}):
+            with pytest.raises(ParseError, match=f"solver '{next(iter(bad))}' must be"):
+                SolverOptions(**bad)
+        with pytest.raises(ValidationError, match="positive and finite"):
+            SolverOptions(tau=10**400)
+        # numpy scalars are numbers too; comparing them must not overflow a cast
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            opts = SolverOptions(tau=np.float32(1.0), epsilon=np.float16(0.01),
+                                 t_max=np.int64(20))
+        assert (opts.tau, opts.t_max) == (1.0, 20)
 
 
 def fig2_channel(trial):

@@ -234,10 +234,6 @@ class TestBlockDiag:
     def test_shapes_checked(self):
         vectors = np.ones((1, 2), dtype=complex)
         with pytest.raises(DimensionMismatch):
-            BlockDiag(np.ones(2), vectors, np.ones((1, 1)))          # unbatched
-        with pytest.raises(DimensionMismatch):
-            BlockDiag(np.ones((2, 2)), vectors, np.ones((1, 1, 1)))  # batch sizes differ
-        with pytest.raises(DimensionMismatch):
             blockdiag_solve(BlockDiag(np.ones((2, 2)), vectors, np.ones((2, 1, 1))), np.ones(2))
 
     @settings(max_examples=200, deadline=None)

@@ -1,6 +1,7 @@
 """Distortion factors, quantizer profiles and the long-form noise oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,28 @@ class TestQuantizerProfile:
         call(random_channel(np.random.default_rng(3), 4, 3))
         with pytest.raises(DimensionMismatch, match=r"channel shape .*, expected \(4, 3\)"):
             call(np.ones(shape, dtype=complex))
+
+    @pytest.mark.parametrize("case", ["nan", "inf", "no-users"])
+    @pytest.mark.parametrize("caller", ["build_forms", "rate_report", "QMRT", "QZF", "QRZF"])
+    def test_empty_or_non_finite_channel_rejected(self, caller, case):
+        # without the check, rates come out NaN, baselines return a NaN
+        # precoder or hit a raw IndexError, and the solve faults per point
+        if case == "no-users":
+            profile, h = QuantizerProfile([4, 4], []), np.ones((2, 0), dtype=complex)
+        else:
+            profile = QuantizerProfile([4] * 4, [6] * 3)
+            h = random_channel(np.random.default_rng(5), 4, 3)
+            h[2, 1] = np.nan if case == "nan" else np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DimensionMismatch, match="must be nonempty and finite"):
+                if caller == "build_forms":
+                    build_forms(h, profile, [10.0, 100.0])
+                elif caller == "rate_report":
+                    rate_report(h, np.ones((len(h), profile.n_users + 1)), profile, 10.0)
+                else:
+                    baseline_precoder(caller, h, profile, [10.0, 100.0])
+
 
 class TestDacNoiseCovariance:
     def test_all_infinite_is_exact_zero(self):
