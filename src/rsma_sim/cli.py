@@ -47,6 +47,9 @@ def _cmd_run(args):
     except OSError as exc:
         print(f"rsma-sim: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"rsma-sim: config error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
         spec = load_spec(document)
         if args.seed is not None:

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import re
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 
@@ -95,10 +94,7 @@ class TrialRecord:
 
     per_antenna_power is the diagonal of the transmit covariance
     (signal plus converter distortion); it sums to at most the power
-    budget. wall_time_ms is a runtime diagnostic and is not serialized
-    to CSV, which keeps output files byte-deterministic; it is an equal share of
-    its algorithm's time over the trial's SNR points plus an equal share of the
-    trial's one batched rate evaluation.
+    budget. A failed point has zero rates and powers and its error in note.
     """
 
     trial_index: int
@@ -110,7 +106,6 @@ class TrialRecord:
     iterations: int
     converged: bool
     residual: float
-    wall_time_ms: float
     per_antenna_power: tuple
     note: str = ""
 
@@ -200,6 +195,9 @@ def load_spec(document):
             raise ValidationError(
                 f"snr_db entry {v}: K * 10^(-snr_db/10) is not positive and finite"
             )
+    # a repeated point would repeat its records, which summarize counts as independent samples
+    if len({float(v) for v in snr_db}) < len(snr_db):
+        raise ValidationError(f"snr_db repeats a value: {snr_db}")
 
     channel_mode = data.get("channel_mode", "random_aod")
     if channel_mode not in CHANNEL_MODES:
@@ -211,6 +209,8 @@ def load_spec(document):
     for alg in algorithms:
         if alg not in ALGORITHMS:
             raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+    if len(set(algorithms)) < len(algorithms):
+        raise ValidationError(f"algorithms repeats an entry: {algorithms}")
 
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -246,9 +246,10 @@ def _run_trial(spec, trial_index):
     channel = sample_channel(factors, rng)
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
-    points = []  # (algorithm, snr_db, snr, SolveResult or error, ms of solve time)
+    # a failed point scores as the zero precoder, whose rates and powers are exactly 0
+    failed = SolveResult(np.zeros((spec.n_antennas, spec.n_users + 1)), 0, False, 0.0)
+    points = []  # (algorithm, snr_db, snr, SolveResult, note)
     for algorithm in spec.algorithms:
-        started = time.perf_counter()
         try:
             if algorithm in _GPI_ALGORITHMS:
                 forms = build_forms(channel, profile, snrs, include_common=algorithm == "QGPIRS")
@@ -258,38 +259,25 @@ def _run_trial(spec, trial_index):
                            for f in baseline_precoder(algorithm, channel, profile, snrs)]
         except _RECORDED_ERRORS as exc:
             results = [exc] * len(snrs)
-        share = (time.perf_counter() - started) * 1e3 / len(snrs)
-        points += [(algorithm, snr_db, snr, result, share)
-                   for snr_db, snr, result in zip(spec.snr_db, snrs, results)]
+        for snr_db, snr, result in zip(spec.snr_db, snrs, results):
+            error = isinstance(result, Exception)
+            note = f"{type(result).__name__}: {result}" if error else ""
+            points.append((algorithm, snr_db, snr, failed if error else result, note))
 
-    started = time.perf_counter()
-    solved = [p for p in points if isinstance(p[3], SolveResult)]
-    if solved:
-        stack = np.stack([result.precoder for _, _, _, result, _ in solved])
-        solved_snrs = np.array([snr for _, _, snr, _, _ in solved])
-        report = rate_report(channel, stack, profile, solved_snrs)
-        row_power = np.sum(np.abs(stack) ** 2, axis=2)
-        antenna_power = solved_snrs[:, None] * profile.dac_alpha * row_power
-        scoring = (time.perf_counter() - started) * 1e3 / len(solved)
-    records, row = [], 0
-    for algorithm, snr_db, _, result, share in points:
-        key = {"trial_index": trial_index, "snr_db": snr_db, "algorithm": algorithm}
-        if isinstance(result, Exception):
-            records.append(TrialRecord(
-                **key, sum_se=0.0, common_rate=0.0, private_rates=(0.0,) * profile.n_users,
-                iterations=0, converged=False, residual=0.0, wall_time_ms=0.0,
-                per_antenna_power=(0.0,) * profile.n_antennas,
-                note=f"{type(result).__name__}: {result}",
-            ))
-            continue
-        records.append(TrialRecord(
-            **key, sum_se=float(report.sum_se[row]), common_rate=float(report.common_rate[row]),
-            private_rates=tuple(report.private_rates[row].tolist()),
+    stack = np.stack([result.precoder for _, _, _, result, _ in points])
+    stack_snrs = np.array([snr for _, _, snr, _, _ in points])
+    report = rate_report(channel, stack, profile, stack_snrs)
+    antenna_power = stack_snrs[:, None] * profile.dac_alpha * np.sum(np.abs(stack) ** 2, axis=2)
+    return [
+        TrialRecord(
+            trial_index=trial_index, snr_db=snr_db, algorithm=algorithm, sum_se=float(sum_se),
+            common_rate=float(common_rate), private_rates=tuple(private_rates.tolist()),
             iterations=result.iterations, converged=result.converged, residual=result.residual,
-            wall_time_ms=share + scoring, per_antenna_power=tuple(antenna_power[row].tolist()),
-        ))
-        row += 1
-    return records
+            per_antenna_power=tuple(power.tolist()), note=note,
+        )
+        for (algorithm, snr_db, _, result, note), sum_se, common_rate, private_rates, power
+        in zip(points, report.sum_se, report.common_rate, report.private_rates, antenna_power)
+    ]
 
 
 def run_experiment(spec, workers=1):
@@ -380,17 +368,19 @@ def _write_table(groups, items, path):
 def write_csv(records, path):
     """Write records as UTF-8 CSV with LF endings.
 
-    Output is byte-deterministic for a given record list: the runtime
-    diagnostic wall_time_ms is deliberately not serialized. Vector fields
+    Output is byte-deterministic for a given record list. Vector fields
     occupy one column per element, keeping the field order.
     """
     _write_table(_RECORD_COLUMNS, records, path)
 
 
 def read_csv(path):
-    """Parse a results CSV back into TrialRecords (wall_time_ms is zero)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.rstrip("\n") for line in handle if line.strip()]
+    """Parse a results CSV back into TrialRecords."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = [line.rstrip("\n") for line in handle if line.strip()]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty results file")
     header = lines[0].split(",")
@@ -413,7 +403,7 @@ def read_csv(path):
                     fields[field] = _parse(kind, next(cells))
         except ValueError as exc:
             raise ParseError(f"{path}: row {row}, column {field!r}: {exc}") from exc
-        records.append(TrialRecord(wall_time_ms=0.0, **fields))
+        records.append(TrialRecord(**fields))
     return records
 
 

@@ -140,6 +140,15 @@ class TestLoadSpec:
         with pytest.raises(ValidationError):
             load_spec(make_doc(snr_db=[]))
 
+    @pytest.mark.parametrize("snr_db", [[10, 10], [10, 0, 10.0]])
+    def test_repeated_snr_rejected(self, snr_db):
+        with pytest.raises(ValidationError, match="snr_db repeats"):
+            load_spec(make_doc(snr_db=snr_db))
+
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ValidationError, match="algorithms repeats"):
+            load_spec(make_doc(algorithms=["QZF", "QMRT", "QZF"]))
+
     def test_bad_resolution_value(self):
         with pytest.raises(ValidationError):
             load_spec(make_doc(adc_bits=0))
@@ -244,6 +253,31 @@ class TestRunExperiment:
         assert by_alg["QMRT"].converged
         assert by_alg["QMRT"].sum_se > 0.0
 
+    def test_trial_with_every_point_failed(self, tmp_path):
+        # zero forcing with more users than antennas fails at every point;
+        # each record is still scored, as the zero precoder
+        spec = load_spec(json.dumps({
+            "N": 2, "K": 3, "snr_db": [10, 20], "dac_bits": 4, "adc_bits": 6,
+            "trials": 2, "algorithms": ["QZF"],
+        }))
+        records = run_experiment(spec)
+        assert len(records) == 4
+        for r in records:
+            assert r.note.startswith("RankDeficient: ") and not r.converged
+            assert (r.sum_se, r.common_rate, r.iterations, r.residual) == (0.0, 0.0, 0, 0.0)
+            assert r.private_rates == (0.0,) * 3 and r.per_antenna_power == (0.0,) * 2
+        path = tmp_path / "results.csv"
+        write_csv(records, path)
+        header = (
+            "trial_index,snr_db,algorithm,sum_se,common_rate,private_rate_1,private_rate_2,"
+            "private_rate_3,iterations,converged,residual,per_antenna_power_1,"
+            "per_antenna_power_2,note\n"
+        )
+        note = "RankDeficient: effective channel Gram matrix is singular (kind=QZF)"
+        rows = "".join(f"{t},{snr},QZF,0,0,0,0,0,0,false,0,0,0,{note}\n"
+                       for t in (0, 1) for snr in (10, 20))
+        assert path.read_text(encoding="utf-8") == header + rows
+
     def test_single_user_high_snr_solves_do_not_fail(self):
         # single-user pencils at 40-60 dB cancel most of the gain sum in
         # their blocks; they are valid and must solve
@@ -276,10 +310,8 @@ class TestRunExperiment:
                 (1, "2.649e-14", "9.896e-13"), (0, "2.038e-14", "7.517e-13"),
             )
         ]
-        def at_20_db(recs):
-            return [replace(r, wall_time_ms=0.0) for r in recs if r.snr_db == 20]
-
-        assert at_20_db(records) == at_20_db(run_experiment(replace(spec, snr_db=(20.0,))))
+        assert [r for r in records if r.snr_db == 20] == run_experiment(
+            replace(spec, snr_db=(20.0,)))
         path = tmp_path / "results.csv"
         write_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -393,10 +425,10 @@ class TestRunExperiment:
         monkeypatch.setattr(rsma_sim.harness, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(rsma_sim.harness.os, "cpu_count", lambda: cpus)
         spec = small_spec(trials=3)
-        untimed = [replace(r, wall_time_ms=0.0) for r in run_experiment(spec, workers=5000)]
+        pooled = run_experiment(spec, workers=5000)
         # no CPU count means one worker, which runs serially without a pool
         assert sizes == ([] if expected is None else [expected])
-        assert untimed == [replace(r, wall_time_ms=0.0) for r in run_experiment(spec, workers=1)]
+        assert pooled == run_experiment(spec, workers=1)
 
 
 class TestCsvRoundTrip:
@@ -459,7 +491,7 @@ class TestSummarize:
         return TrialRecord(
             trial_index=0, snr_db=snr, algorithm=alg, sum_se=sum_se,
             common_rate=0.5, private_rates=(1.0,), iterations=3,
-            converged=True, residual=0.0, wall_time_ms=1.0,
+            converged=True, residual=0.0,
             per_antenna_power=powers,
         )
 
@@ -610,6 +642,23 @@ class TestCli:
         config = self._write_config(tmp_path)
         out = tmp_path / "no" / "such" / "dir" / "results.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 2
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"N": 4}\xff')
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert "rsma-sim: config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_utf8_results_is_bad_results_file(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        write_csv(run_experiment(small_spec()), results)
+        results.write_bytes(results.read_bytes().replace(b"QZF", b"QZ\xff"))
+        out = tmp_path / "summary.csv"
+        assert cli_main(["summarize", "--in", str(results), "--out", str(out)]) == 1
+        assert "rsma-sim: bad results file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summarize_missing_input(self, tmp_path):
         out = tmp_path / "summary.csv"
