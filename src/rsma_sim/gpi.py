@@ -12,8 +12,8 @@ Forms, pencils and iterates carry a leading batch axis over a trial's SNR
 points (a scalar SNR is a batch of one): one pencil build and block solve
 per iteration serve them all, and each keeps its own stop test and step.
 
-The quantization-aware SDMA variant runs the same machinery without the
-common stream (``include_common=False``).
+The quantization-aware SDMA variant switches the common stream off per
+element (``include_common``), so one batch mixes RSMA and SDMA points.
 """
 
 import sys
@@ -65,16 +65,22 @@ class QuadraticForms:
     For user k, the rank-one beam gain lives on ``weighted_channels[k]``
     (the channel scaled by the square-root DAC gains) and the converter
     distortion appears as the real diagonal ``distortion_diags[k]``.
-    ``include_common`` selects RSMA (common stream occupies block 0)
-    versus SDMA (private streams only).
+    Stacked vectors have K+1 blocks, the common stream's first; element b
+    is SDMA where ``include_common[b]`` is False: that block zero, no common rate.
     """
 
     weighted_channels: np.ndarray   # (K, N) complex
     distortion_diags: np.ndarray    # (K, N) real, nonnegative
     adc_alpha: np.ndarray           # (K,)
     dac_alpha: np.ndarray           # (N,), needed to unstack precoders
-    noise_over_power: np.ndarray    # (B,), the only per-element field
-    include_common: bool = True
+    noise_over_power: np.ndarray    # (B,)
+    include_common: np.ndarray = True   # (B,) bool, or one bool for all
+
+    def __post_init__(self):
+        modes = np.asarray(self.include_common, dtype=bool)
+        if modes.shape not in ((), (self.batch,)):
+            raise DimensionMismatch(f"{modes.size} common-stream modes for {self.batch} elements")
+        object.__setattr__(self, "include_common", np.broadcast_to(modes, (self.batch,)))
 
     @property
     def batch(self):
@@ -89,24 +95,19 @@ class QuadraticForms:
         return self.weighted_channels.shape[1]
 
     @property
-    def n_streams(self):
-        return self.n_users + 1 if self.include_common else self.n_users
-
-    @property
     def dim(self):
-        return self.n_streams * self.n_antennas
+        return (self.n_users + 1) * self.n_antennas
 
 
 def build_forms(channel, profile, snr, include_common=True):
     """Assemble the quadratic forms for a channel and profile at B SNR points.
 
-    ``snr`` is the linear transmit power over the noise power: a sequence
-    of B values, or a scalar for a batch of one.
+    ``snr`` is the linear transmit power over the noise power, B values or a
+    scalar for a batch of one; ``include_common`` is one bool or B of them.
     """
     channel = profile.check_channel(channel)
-    sqrt_alpha = np.sqrt(profile.dac_alpha)
     return QuadraticForms(
-        weighted_channels=(sqrt_alpha[:, None] * channel).T.copy(),
+        weighted_channels=(np.sqrt(profile.dac_alpha)[:, None] * channel).T.copy(),
         distortion_diags=(profile.dac_beta[:, None] * np.abs(channel) ** 2).T.copy(),
         adc_alpha=profile.adc_alpha.copy(),
         dac_alpha=profile.dac_alpha.copy(),
@@ -126,19 +127,17 @@ def _stacked(forms, w, name="stacked vector"):
 def _quadratics(forms, w):
     """Numerator/denominator values of the rate quotients at stacked vectors.
 
-    Returns (a_common, b_common, a_private, b_private), each (B, K); the
-    common pair is None in SDMA mode. Valid for any nonzero w, not just
-    unit norm: the noise term scales with ||w||^2, which keeps every
-    quotient invariant to scaling.
+    Returns (a_common, b_common, a_private, b_private), each (B, K); with
+    a zero common block the common pair is equal. Valid for any nonzero w,
+    not just unit norm: the noise term scales with ||w||^2, which keeps
+    every quotient invariant to scaling.
     """
     w = _stacked(forms, w)
-    rows = w.reshape(forms.batch, forms.n_streams, forms.n_antennas)
+    rows = w.reshape(forms.batch, forms.n_users + 1, forms.n_antennas)
     noise = forms.noise_over_power[:, None] * (w.conj() * w).real.sum(axis=1, keepdims=True)
     beam, totals = quadratic_terms(forms.weighted_channels, forms.distortion_diags, rows, noise)
-    common, private = interference(beam, totals, forms.adc_alpha, forms.include_common)
-    if forms.include_common:
-        return totals, common, common, private
-    return None, None, totals, private
+    common, private = interference(beam, totals, forms.adc_alpha)
+    return totals, common, common, private
 
 
 def objective(forms, w, tau):
@@ -149,10 +148,8 @@ def objective(forms, w, tau):
     of w.
     """
     a_c, b_c, a_p, b_p = _quadratics(forms, w)
-    private = np.log2(a_p / b_p).sum(axis=1)
-    if a_c is None:
-        return private
-    return lse_min(np.log2(a_c / b_c), tau) + private
+    common = np.where(forms.include_common, lse_min(np.log2(a_c / b_c), tau), 0.0)
+    return common + np.log2(a_p / b_p).sum(axis=1)
 
 
 def kkt_matrices(forms, w, tau):
@@ -167,34 +164,29 @@ def kkt_matrices(forms, w, tau):
     Every block is a coefficient-weighted sum of the users' gain matrices,
     so both pencils share the distortion-plus-noise diagonal and differ
     only in the weight each block puts on each beam gain ``m_k m_k^H``.
+    Where the common stream is off the softmin weights are zero: the private
+    blocks are the SDMA pencil's, and block 0 maps a zero common block to zero.
     """
     a_c, b_c, a_p, b_p = _quadratics(forms, w)
-    m = forms.weighted_channels
-    alpha = forms.adc_alpha
+    m, k, alpha = forms.weighted_channels, forms.n_users, forms.adc_alpha
 
-    if forms.include_common:
-        mu = softmin_weights(np.log2(a_c / b_c), tau)
-        coeff_a = mu / a_c + 1.0 / a_p
-        coeff_b = mu / b_c + 1.0 / b_p
-    else:
-        coeff_a = 1.0 / a_p
-        coeff_b = 1.0 / b_p
+    mu = softmin_weights(np.log2(a_c / b_c), tau) * forms.include_common[:, None]
+    coeff_a = mu / a_c + 1.0 / a_p
+    coeff_b = mu / b_c + 1.0 / b_p
 
     d, noise = forms.distortion_diags, forms.noise_over_power[:, None]
     diag_a = coeff_a @ d + coeff_a.sum(axis=1, keepdims=True) * noise
     diag_b = coeff_b @ d + coeff_b.sum(axis=1, keepdims=True) * noise
-    weights_a = coeff_a[:, None, :].repeat(forms.n_streams, axis=1)
-    weights_b = coeff_b[:, None, :].repeat(forms.n_streams, axis=1)
+    weights_a = coeff_a[:, None, :].repeat(k + 1, axis=1)
+    weights_b = coeff_b[:, None, :].repeat(k + 1, axis=1)
     # Cancelling the common stream removes its beam gain from every
     # private-rate numerator; each private stream's own gain leaves its
     # denominator at that user's block. Those own weights sit every K+1
     # flat entries from user 0's in the first private block. With
     # alpha <= 1 the differences below stay nonnegative in floating point.
-    first_own = forms.n_users if forms.include_common else 0
-    weights_b.reshape(forms.batch, -1)[:, first_own:: forms.n_users + 1] = coeff_b - alpha / b_p
-    if forms.include_common:
-        weights_a[:, 0] = coeff_a - alpha / a_p
-        weights_b[:, 0] = (1.0 - alpha) * coeff_b
+    weights_b.reshape(forms.batch, -1)[:, k:: k + 1] = coeff_b - alpha / b_p
+    weights_a[:, 0] = coeff_a - alpha / a_p
+    weights_b[:, 0] = (1.0 - alpha) * coeff_b
     return BlockDiag(diag_a, m, weights_a), BlockDiag(diag_b, m, weights_b)
 
 
@@ -252,11 +244,14 @@ def gpi_solve(forms, options, w0):
 
     Each batch element has its own stop test and half-step switch and
     leaves the batch when it stops or fails the block solve. ``w0`` is one
-    start or a (B, dim) stack; returns each element's SolveResult or error.
+    start or a (B, dim) stack, nonzero in block 0 exactly where the common
+    stream is on; returns each element's SolveResult or error.
     """
     w = _stacked(forms, w0, "starting vector")
     if (np.linalg.norm(w, axis=1) == 0).any():
         raise ZeroPrecoder("starting stacked precoder is zero")
+    if (w[:, :forms.n_antennas].any(axis=1) != forms.include_common).any():
+        raise DimensionMismatch("starting vector: common block zero on RSMA or nonzero on SDMA")
     w = w_prev = _unit(w)
     # row i of w, w_prev, damped, image and norms is batch element rows[i]; part has their forms
     results, rows, part = [None] * forms.batch, np.arange(forms.batch), forms
@@ -273,7 +268,8 @@ def gpi_solve(forms, options, w0):
                 return results
             rows, w, w_prev, damped, image, norms = (
                 a[going] for a in (rows, w, w_prev, damped, image, norms))
-            part = replace(forms, noise_over_power=forms.noise_over_power[rows])
+            part = replace(forms, noise_over_power=forms.noise_over_power[rows],
+                           include_common=forms.include_common[rows])
         step = canonical_phase(image / norms[:, None])
         damped |= _row_norms(step - w_prev) < 0.5 * _row_norms(step - w)
         if damped.any():
@@ -282,22 +278,21 @@ def gpi_solve(forms, options, w0):
 
 
 def _to_full_precoder(forms, w):
-    """Unstack to an (N, K+1) precoder, inserting a zero common column for SDMA."""
-    rows = w.reshape(forms.n_streams, forms.n_antennas)
-    if not forms.include_common:
-        rows = np.vstack([np.zeros_like(rows[:1]), rows])
+    """Unstack to an (N, K+1) precoder."""
+    rows = w.reshape(forms.n_users + 1, forms.n_antennas)
     return np.ascontiguousarray(rows.T) / np.sqrt(forms.dac_alpha)[:, None]
 
 
 def init_precoder(forms):
-    """Matched-filter starting point, stacked and normalized to unit power.
+    """Matched-filter starting points, one per element, stacked and of unit norm.
 
-    Private blocks are the gain-weighted user channels; with
-    ``forms.include_common`` (RSMA) a leading common block is their mean.
+    Private blocks are the gain-weighted user channels; the common block is
+    their mean for an RSMA element and zero for an SDMA one.
     """
     m = forms.weighted_channels
     if np.linalg.norm(m) == 0:
         raise ZeroChannel("all channel columns vanish")
-    rows = np.vstack([m.mean(axis=0), m]) if forms.include_common else m
-    w = rows.reshape(-1)
-    return canonical_phase(w / np.linalg.norm(w))
+    rsma = np.vstack([m.mean(axis=0), m]).reshape(-1)
+    sdma = np.concatenate([np.zeros(forms.n_antennas), m.reshape(-1) / np.linalg.norm(m)])
+    return np.where(forms.include_common[:, None],
+                    canonical_phase(rsma / np.linalg.norm(rsma)), canonical_phase(sdma))

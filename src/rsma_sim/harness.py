@@ -82,10 +82,35 @@ class ExperimentSpec:
     solver: SolverOptions
 
     def __post_init__(self):
-        # checked here, not in load_spec, so a seed replaced later obeys the same rule
+        # checked here, not in load_spec, so a spec made by dataclasses.replace obeys them too
+        for name, key in (("n_antennas", "N"), ("n_users", "K"), ("trials", "trials")):
+            _positive_int(getattr(self, name), key)
         seed = self.base_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ParseError(f"base_seed must be a nonnegative integer, got {seed!r}")
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.snr_db):
+            raise ParseError("snr_db entries must be numbers")
+        for v in self.snr_db:
+            # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite
+            try:
+                loading = self.n_users / 10.0 ** (v / 10.0)
+            except (OverflowError, ZeroDivisionError):
+                loading = math.inf
+            if not 0.0 < loading < math.inf:
+                raise ValidationError(f"snr_db entry {v}: K * 10^(-snr_db/10) is not "
+                                      "positive and finite")
+        # float(v) cannot overflow where v / 10.0 did not; a frozen field is set through object
+        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        for alg in self.algorithms:
+            if alg not in ALGORITHMS:
+                raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+        for name in ("snr_db", "algorithms"):
+            values = getattr(self, name)
+            if not values:
+                raise ValidationError(f"{name} must be a nonempty list")
+            # a repeat would repeat records, which summarize counts as independent samples
+            if len(set(values)) < len(values):
+                raise ValidationError(f"{name} repeats an entry: {list(values)}")
 
 
 @dataclass(frozen=True)
@@ -176,41 +201,15 @@ def load_spec(document):
         if key not in data:
             raise ValidationError(f"missing required config key {key!r}")
 
+    # N and K size the converter banks below; ExperimentSpec checks the rest
     n_antennas = _positive_int(data["N"], "N")
     n_users = _positive_int(data["K"], "K")
-    trials = _positive_int(data["trials"], "trials")
-
-    snr_db = data["snr_db"]
-    if not isinstance(snr_db, list) or not snr_db:
-        raise ValidationError("snr_db must be a nonempty list")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in snr_db):
-        raise ParseError("snr_db entries must be numbers")
-    for v in snr_db:
-        # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite
-        try:
-            loading = n_users / 10.0 ** (v / 10.0)
-        except (OverflowError, ZeroDivisionError):
-            loading = math.inf
-        if not 0.0 < loading < math.inf:
-            raise ValidationError(
-                f"snr_db entry {v}: K * 10^(-snr_db/10) is not positive and finite"
-            )
-    # a repeated point would repeat its records, which summarize counts as independent samples
-    if len({float(v) for v in snr_db}) < len(snr_db):
-        raise ValidationError(f"snr_db repeats a value: {snr_db}")
-
+    for key in ("snr_db", "algorithms"):
+        if not isinstance(data.get(key, []), list):
+            raise ValidationError(f"{key} must be a nonempty list")
     channel_mode = data.get("channel_mode", "random_aod")
     if channel_mode not in CHANNEL_MODES:
         raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
-
-    algorithms = data.get("algorithms", list(ALGORITHMS))
-    if not isinstance(algorithms, list) or not algorithms:
-        raise ValidationError("algorithms must be a nonempty list")
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
-    if len(set(algorithms)) < len(algorithms):
-        raise ValidationError(f"algorithms repeats an entry: {algorithms}")
 
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
@@ -223,13 +222,13 @@ def load_spec(document):
     return ExperimentSpec(
         n_antennas=n_antennas,
         n_users=n_users,
-        snr_db=tuple(float(v) for v in snr_db),
+        snr_db=tuple(data["snr_db"]),
         dac_bits=_parse_bit_spec(data["dac_bits"], n_antennas, "dac_bits"),
         adc_bits=_parse_bit_spec(data["adc_bits"], n_users, "adc_bits"),
         channel_mode=channel_mode,
-        trials=trials,
+        trials=data["trials"],
         base_seed=data.get("base_seed", 0),
-        algorithms=tuple(algorithms),
+        algorithms=tuple(data.get("algorithms", ALGORITHMS)),
         solver=solver,
     )
 
@@ -248,18 +247,23 @@ def _run_trial(spec, trial_index):
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     # a failed point scores as the zero precoder, whose rates and powers are exactly 0
     failed = SolveResult(np.zeros((spec.n_antennas, spec.n_users + 1)), 0, False, 0.0)
+    # SDMA is RSMA with the common stream off: one batched solve serves both GPI algorithms
+    gpi = tuple(a for a in spec.algorithms if a in _GPI_ALGORITHMS)
+    groups = ([gpi] if gpi else []) + [(a,) for a in spec.algorithms if a not in gpi]
     points = []  # (algorithm, snr_db, snr, SolveResult, note)
-    for algorithm in spec.algorithms:
+    for group in groups:
         try:
-            if algorithm in _GPI_ALGORITHMS:
-                forms = build_forms(channel, profile, snrs, include_common=algorithm == "QGPIRS")
+            if group == gpi:
+                forms = build_forms(channel, profile, snrs * len(gpi),
+                                    [a == "QGPIRS" for a in gpi for _ in snrs])
                 results = gpi_solve(forms, spec.solver, init_precoder(forms))
             else:
                 results = [f if isinstance(f, Exception) else SolveResult(f, 0, True, 0.0)
-                           for f in baseline_precoder(algorithm, channel, profile, snrs)]
+                           for f in baseline_precoder(group[0], channel, profile, snrs)]
         except _RECORDED_ERRORS as exc:
-            results = [exc] * len(snrs)
-        for snr_db, snr, result in zip(spec.snr_db, snrs, results):
+            results = [exc] * (len(group) * len(snrs))
+        labels = [(a, snr_db, snr) for a in group for snr_db, snr in zip(spec.snr_db, snrs)]
+        for (algorithm, snr_db, snr), result in zip(labels, results):
             error = isinstance(result, Exception)
             note = f"{type(result).__name__}: {result}" if error else ""
             points.append((algorithm, snr_db, snr, failed if error else result, note))
@@ -290,7 +294,7 @@ def run_experiment(spec, workers=1):
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     workers = min(workers, spec.trials, os.cpu_count() or 1)
-    if workers <= 1:  # zero when there are no trials
+    if workers == 1:
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -311,7 +315,7 @@ _RECORD_COLUMNS = (
     ("per_antenna_power", "per_antenna_power_"), ("note", str),
 )
 _SUMMARY_COLUMNS = (
-    ("snr_db", float), ("algorithm", str), ("n_records", int),
+    ("snr_db", float), ("algorithm", str), ("n_records", int), ("n_failed", int),
     ("mean_sum_se", float), ("stderr_sum_se", float), ("mean_common_rate", float),
     ("mean_power_ratio", "mean_power_ratio_"),
 )
@@ -409,11 +413,12 @@ def read_csv(path):
 
 @dataclass(frozen=True)
 class SummaryRow:
-    """Aggregate of one (snr, algorithm) cell of the sweep."""
+    """One (snr, algorithm) cell: n_failed counts records with a note; the means omit them."""
 
     snr_db: float
     algorithm: str
     n_records: int
+    n_failed: int
     mean_sum_se: float
     stderr_sum_se: float
     mean_common_rate: float
@@ -421,7 +426,7 @@ class SummaryRow:
 
 
 def summarize(records):
-    """Per-(snr, algorithm) means and standard errors, sorted."""
+    """Per-(snr, algorithm) means and standard errors of solved records (NaN if none), sorted."""
     if not records:
         raise ParseError("cannot summarize an empty record list")
     groups = {}
@@ -429,21 +434,24 @@ def summarize(records):
         groups.setdefault((rec.snr_db, rec.algorithm), []).append(rec)
     rows = []
     for (snr_db, algorithm), recs in sorted(groups.items()):
-        sums = np.array([r.sum_se for r in recs])
-        commons = np.array([r.common_rate for r in recs])
-        ratios = []
-        for r in recs:
-            powers = np.asarray(r.per_antenna_power)
-            total = powers.sum()
-            ratios.append(powers / total if total > 0 else np.zeros_like(powers))
-        stderr = float(sums.std(ddof=1) / np.sqrt(len(recs))) if len(recs) > 1 else 0.0
+        solved = [r for r in recs if not r.note]
+        if not solved:
+            rows.append(SummaryRow(snr_db, algorithm, len(recs), len(recs), *[math.nan] * 3,
+                                   (math.nan,) * len(recs[0].per_antenna_power)))
+            continue
+        sums = np.array([r.sum_se for r in solved])
+        powers = np.array([r.per_antenna_power for r in solved])
+        totals = powers.sum(axis=1, keepdims=True)
+        ratios = np.divide(powers, totals, out=np.zeros_like(powers), where=totals > 0)
+        stderr = float(sums.std(ddof=1) / np.sqrt(len(solved))) if len(solved) > 1 else 0.0
         rows.append(SummaryRow(
             snr_db=snr_db,
             algorithm=algorithm,
             n_records=len(recs),
+            n_failed=len(recs) - len(solved),
             mean_sum_se=float(sums.mean()),
             stderr_sum_se=stderr,
-            mean_common_rate=float(commons.mean()),
+            mean_common_rate=float(np.mean([r.common_rate for r in solved])),
             mean_power_ratio=tuple(float(v) for v in np.mean(ratios, axis=0)),
         ))
     return rows

@@ -99,15 +99,17 @@ def blockdiag_solve(bd, v):
     if v.size != bd.batch * bd.size:
         raise DimensionMismatch(f"vector shape {v.shape} != ({bd.batch}, {bd.size})")
     v = v.reshape(bd.batch, bd.size)
-    floor = bd.diag.min(axis=1)
-    tol = PIVOT_RTOL * (np.sqrt((bd.diag ** 2).sum(axis=1))[:, None]
-                        + bd.weights @ (np.abs(bd.vectors) ** 2).sum(axis=1))
-    nonnegative = (bd.weights >= 0).all(axis=2)
-    # a non-finite diag, weight or vector makes floor or tol NaN or infinite, failing the check
-    safe = nonnegative & (floor[:, None] > tol)
-    ok = safe.all(axis=1) & np.isfinite(v).all(axis=1)
+    # ufunc reductions: at the solver's sizes the array methods' argument handling costs more
+    floor = np.minimum.reduce(bd.diag, axis=1)
+    tol = PIVOT_RTOL * (np.sqrt(np.add.reduce(bd.diag ** 2, axis=1))[:, None]
+                        + bd.weights @ np.add.reduce(np.abs(bd.vectors) ** 2, axis=1))
+    nonnegative = np.logical_and.reduce(bd.weights >= 0, axis=2)
+    # non-finite entries make floor or tol NaN or infinite, or finite False, failing the check
+    finite = np.logical_and.reduce(np.isfinite(v), axis=1)
+    safe = nonnegative & (floor[:, None] > tol) & finite[:, None]
     faults, weights, diag, rhs = [None] * bd.batch, bd.weights, bd.diag, v
-    if not ok.all():
+    if not safe.all():
+        ok = np.logical_and.reduce(safe, axis=1)
         for b in np.flatnonzero(~ok):
             j = int(np.argmin(safe[b]))
             reason = "negative weight" if not nonnegative[b, j] else (

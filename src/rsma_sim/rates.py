@@ -41,20 +41,15 @@ def quadratic_terms(vectors, diag_weights, streams, noise):
     return beam, beam.sum(axis=-1) + distort.sum(axis=-1) + noise
 
 
-def interference(beam, totals, adc_alpha, include_common):
+def interference(beam, totals, adc_alpha):
     """Interference-plus-noise of each stream under SIC, from quadratic_terms' outputs.
 
-    The common stream decodes against the total minus its own quantized
-    signal; a private stream also has the cancelled common signal removed.
-    Returns (common, private), each (..., K); without a common stream
-    (SDMA) common is None and the columns of ``beam`` are the private streams.
+    The common stream (column 0) decodes against the total minus its own
+    quantized signal; user k's private stream (column k + 1) also has the
+    cancelled common signal removed. Returns (common, private), each (..., K).
     """
-    # user k's own stream is column k, or column k + 1 after the common stream
-    own = beam.diagonal(int(include_common), -2, -1)
-    if not include_common:
-        return None, totals - adc_alpha * own
     common = totals - adc_alpha * beam[..., 0]
-    return common, common - adc_alpha * own
+    return common, common - adc_alpha * beam.diagonal(1, -2, -1)
 
 
 def rate_report(channel, f_matrix, profile, snr):
@@ -87,7 +82,7 @@ def rate_report(channel, f_matrix, profile, snr):
         noise[..., None],
     )
     alpha = profile.adc_alpha
-    common, private = interference(beam, totals, alpha, include_common=True)
+    common, private = interference(beam, totals, alpha)
     common_sinrs = alpha * beam[..., 0] / common
     private_sinrs = alpha * beam.diagonal(1, -2, -1) / private
     common_rates = np.log2(1.0 + common_sinrs)

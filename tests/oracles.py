@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from rsma_sim import (
+    BlockDiag,
     ConvergenceFailure,
     DimensionMismatch,
     QuantizerProfile,
@@ -25,7 +26,7 @@ from rsma_sim import (
 from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
 from rsma_sim.gpi import _quadratics, _to_full_precoder
 from rsma_sim.linalg import PIVOT_RTOL
-from rsma_sim.rates import softmin_weights
+from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
 
@@ -66,11 +67,10 @@ def extract_precoder(w, profile):
 def solved_stack(forms, result):
     """The unit stacked vector a solve returned, rebuilt from its precoder.
 
-    Block j is ``sqrt(Phi_a) f_j``; SDMA forms drop the zero common column.
+    Block j is ``sqrt(Phi_a) f_j``; an SDMA precoder's zero common column
+    gives a zero block 0.
     """
     weighted = np.sqrt(forms.dac_alpha)[:, None] * result.precoder
-    if not forms.include_common:
-        weighted = weighted[:, 1:]
     return weighted.T.reshape(-1).copy()
 
 
@@ -82,14 +82,13 @@ def effective_channel(profile, channel):
 
 def element_quadratics(forms, w):
     """``_quadratics`` of a batch of one, without the batch axis."""
-    return tuple(None if q is None else q[0] for q in _quadratics(forms, w))
+    return tuple(q[0] for q in _quadratics(forms, w))
 
 
 def stream_rates(forms, w):
-    """Common and private stream rates (bits/s/Hz) at w; common is None for SDMA."""
+    """Common and private stream rates (bits/s/Hz) at w."""
     a_c, b_c, a_p, b_p = element_quadratics(forms, w)
-    common = None if a_c is None else np.log2(a_c / b_c)
-    return common, np.log2(a_p / b_p)
+    return np.log2(a_c / b_c), np.log2(a_p / b_p)
 
 
 def random_profile(rng, n_antennas, n_users, pool=BIT_POOL):
@@ -368,13 +367,14 @@ def dense_kkt(forms, w, tau):
     gain matrices, ``base_a`` or ``base_b``, and then subtracts, block by
     block, the beam gains that cancellation or the stream's own signal
     removes. Returns ``(blocks_a, blocks_b, base_a, base_b)``, with
-    (K+1, N, N) stacks in RSMA mode and (K, N, N) in SDMA mode. The bases'
-    norms set the scale of the rounding error of the subtractions.
+    (K+1, N, N) stacks. The common rates' softmin weights are zero in SDMA
+    mode. The bases' norms set the scale of the rounding error of the
+    subtractions.
     """
     a_c, b_c, a_p, b_p = element_quadratics(forms, w)
     m = forms.weighted_channels
     alpha = forms.adc_alpha
-    n, s = forms.n_antennas, forms.n_streams
+    n, s = forms.n_antennas, forms.n_users + 1
     [noise] = forms.noise_over_power
 
     def gain_sum(coeffs, distortion_diags=None):
@@ -383,13 +383,9 @@ def dense_kkt(forms, w, tau):
             return rank_part
         return rank_part + np.diag(coeffs @ distortion_diags)
 
-    if forms.include_common:
-        mu = softmin_weights(np.log2(a_c / b_c), tau)
-        coeff_a = mu / a_c + 1.0 / a_p
-        coeff_b = mu / b_c + 1.0 / b_p
-    else:
-        coeff_a = 1.0 / a_p
-        coeff_b = 1.0 / b_p
+    mu = softmin_weights(np.log2(a_c / b_c), tau) if forms.include_common else 0.0
+    coeff_a = mu / a_c + 1.0 / a_p
+    coeff_b = mu / b_c + 1.0 / b_p
 
     d = forms.distortion_diags
     base_a = gain_sum(coeff_a, d) + (coeff_a.sum() * noise) * np.eye(n)
@@ -397,13 +393,9 @@ def dense_kkt(forms, w, tau):
 
     blocks_a = np.repeat(base_a[None, :, :], s, axis=0)
     blocks_b = np.repeat(base_b[None, :, :], s, axis=0)
-    own = np.einsum("k,ki,kj->kij", alpha / b_p, m, m.conj())
-    if forms.include_common:
-        blocks_a[0] -= gain_sum(alpha / a_p)
-        blocks_b[0] -= gain_sum(alpha * coeff_b)
-        blocks_b[1:] -= own
-    else:
-        blocks_b -= own
+    blocks_a[0] -= gain_sum(alpha / a_p)
+    blocks_b[0] -= gain_sum(alpha * coeff_b)
+    blocks_b[1:] -= np.einsum("k,ki,kj->kij", alpha / b_p, m, m.conj())
     return blocks_a, blocks_b, base_a, base_b
 
 
@@ -496,27 +488,21 @@ def principal_gep_oracle(a, b):
     return float(vals[-1]), canonical_phase(vec)
 
 
-def scalar_gpi_solve(forms, options, w0):
-    """The generalized power iteration for one operating point, as a scalar loop.
+def _scalar_iteration(pencils, options, w):
+    """The generalized power iteration of one operating point, as a scalar loop.
 
-    Reference for each element of ``gpi_solve``'s batched loop: ``forms``
-    is a batch of one and every vector is unbatched, and the loop stops,
-    steps and switches to the half step by the same rules. Returns a
-    SolveResult or raises the block solve's fault.
+    ``pencils(w)`` gives the pencil pair at the unbatched unit vector w.
+    The loop stops, steps and switches to the half step by the package's
+    rules; returns ``(w, iterations, residual)`` or raises the block
+    solve's fault.
     """
-    w0 = np.asarray(w0, dtype=complex)
-    if w0.shape != (forms.dim,):
-        raise DimensionMismatch(f"starting vector must have length {forms.dim}")
-    norm0 = np.linalg.norm(w0)
-    if norm0 == 0:
-        raise ZeroPrecoder("starting stacked precoder is zero")
 
     def image_and_residual(w):
-        pencil_a, pencil_b = kkt_matrices(forms, w, options.tau)
+        pencil_a, pencil_b = pencils(w)
         image = solve_one(pencil_b, pencil_a.matvec(w))
         return image, float(np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image))
 
-    w = w_prev = canonical_phase(w0 / norm0)
+    w_prev = w
     damped = False
     for iterations in range(options.t_max + 1):
         image, residual = image_and_residual(w)
@@ -527,9 +513,73 @@ def scalar_gpi_solve(forms, options, w0):
         if damped:
             step = canonical_phase((w + step) / np.linalg.norm(w + step))
         w_prev, w = w, step
+    return w, iterations, residual
 
+
+def scalar_gpi_solve(forms, options, w0):
+    """The generalized power iteration for one operating point, as a scalar loop.
+
+    Reference for each element of ``gpi_solve``'s batched loop: ``forms``
+    is a batch of one, ``w0`` one start (unbatched or a batch of one) and
+    every vector of the loop unbatched. Returns a SolveResult or raises the
+    block solve's fault.
+    """
+    w0 = np.asarray(w0, dtype=complex).reshape(-1)
+    if w0.shape != (forms.dim,):
+        raise DimensionMismatch(f"starting vector must have length {forms.dim}")
+    norm0 = np.linalg.norm(w0)
+    if norm0 == 0:
+        raise ZeroPrecoder("starting stacked precoder is zero")
+    w, iterations, residual = _scalar_iteration(
+        lambda w: kkt_matrices(forms, w, options.tau), options, canonical_phase(w0 / norm0))
     return SolveResult(
         precoder=_to_full_precoder(forms, w),
+        iterations=iterations,
+        converged=residual <= options.epsilon,
+        residual=residual,
+    )
+
+
+def sdma_pencils(forms, w):
+    """The SDMA pencil pair at a K-block stacked vector: private streams only.
+
+    Block k acts on user k's private precoder; there is no common block.
+    User k's numerator and denominator are its total received power and
+    that total less its own (quantized) beam gain, and every block puts
+    weight ``1/a_k`` (numerator) or ``1/b_k`` (denominator) on each beam
+    gain, less ``alpha_k / b_k`` on its own gain in the denominator.
+    """
+    m, alpha = forms.weighted_channels, forms.adc_alpha
+    k_users = forms.n_users
+    w = np.asarray(w, dtype=complex).reshape(1, -1)
+    noise = forms.noise_over_power[:, None]
+    beam, totals = quadratic_terms(
+        m, forms.distortion_diags, w.reshape(1, k_users, forms.n_antennas),
+        noise * (w.conj() * w).real.sum(axis=1, keepdims=True))
+    private = totals - alpha * beam.diagonal(0, -2, -1)
+    coeff_a, coeff_b = 1.0 / totals, 1.0 / private
+    weights_a = coeff_a[:, None, :].repeat(k_users, axis=1)
+    weights_b = coeff_b[:, None, :].repeat(k_users, axis=1)
+    weights_b[0, range(k_users), range(k_users)] = (coeff_b - alpha / private)[0]
+    d = forms.distortion_diags
+    return (BlockDiag(coeff_a @ d + coeff_a.sum(axis=1, keepdims=True) * noise, m, weights_a),
+            BlockDiag(coeff_b @ d + coeff_b.sum(axis=1, keepdims=True) * noise, m, weights_b))
+
+
+def sdma_gpi_solve(forms, options):
+    """Q-GPI-SEM of one operating point on K-block stacked vectors.
+
+    The scalar loop on :func:`sdma_pencils` from the K-block matched
+    filter: reference for the package's SDMA elements, which carry a zero
+    common block through the RSMA pencil. Returns a SolveResult whose
+    precoder has a zero common column.
+    """
+    w = forms.weighted_channels.reshape(-1)
+    w, iterations, residual = _scalar_iteration(
+        lambda w: sdma_pencils(forms, w), options, canonical_phase(w / np.linalg.norm(w)))
+    rows = np.vstack([np.zeros(forms.n_antennas), w.reshape(forms.n_users, forms.n_antennas)])
+    return SolveResult(
+        precoder=rows.T / np.sqrt(forms.dac_alpha)[:, None],
         iterations=iterations,
         converged=residual <= options.epsilon,
         residual=residual,

@@ -13,6 +13,7 @@ from rsma_sim import gpi
 from rsma_sim import (
     BETA_TABLE,
     DimensionMismatch,
+    QuadraticForms,
     QuantizerProfile,
     SolverOptions,
     ZeroPrecoder,
@@ -27,6 +28,7 @@ from rsma_sim import (
     nep_residual,
     objective,
     one_ring_covariance,
+    one_ring_factor,
     rate_report,
     sample_channel,
     trial_rng,
@@ -44,6 +46,7 @@ from oracles import (
     random_channel,
     random_profile,
     scalar_gpi_solve,
+    sdma_gpi_solve,
     solve_one,
     solved_stack,
     stack_precoder,
@@ -82,6 +85,22 @@ class TestBuildForms:
         np.testing.assert_allclose(
             dense_blocks(pencil_a), dense_blocks(pencil_b), rtol=1e-13
         )
+
+    def test_common_stream_mode_per_element(self):
+        h, profile = correlated_instance(3)
+        forms = build_forms(h, profile, [10.0, 1e3, 1e5], [True, False, True])
+        np.testing.assert_array_equal(forms.include_common, [True, False, True])
+        np.testing.assert_array_equal(build_forms(h, profile, [1.0, 2.0], False).include_common,
+                                      [False, False])
+        with pytest.raises(DimensionMismatch, match="modes"):
+            build_forms(h, profile, [10.0, 1e3], [True, False, True])
+        # forms built directly default to RSMA and take one bool for every element
+        fields = (forms.weighted_channels, forms.distortion_diags, forms.adc_alpha,
+                  forms.dac_alpha, forms.noise_over_power)
+        np.testing.assert_array_equal(QuadraticForms(*fields).include_common, [True] * 3)
+        np.testing.assert_array_equal(QuadraticForms(*fields, False).include_common, [False] * 3)
+        with pytest.raises(DimensionMismatch, match="modes"):
+            QuadraticForms(*fields, [True, False])
 
     def test_perfect_quantization_gain_matrices(self):
         rng = np.random.default_rng(1)
@@ -163,6 +182,25 @@ class TestKktMatrices:
         # normalized quotients: w^H A w = w^H B w = K + 1 exactly at w itself
         assert np.vdot(w, pencil_a.matvec(w)).real == pytest.approx(3.0, rel=1e-12)
         assert np.vdot(w, pencil_b.matvec(w)).real == pytest.approx(3.0, rel=1e-12)
+
+    def test_mixed_batch_elements_match_single_mode_forms(self):
+        # an element's pencil and objective do not depend on its batch mates'
+        # modes; an SDMA element's vector has a zero common block
+        h, profile = correlated_instance(4)
+        rng = np.random.default_rng(24)
+        snrs, modes = [10.0, 1e3, 1e5], [True, False, False]
+        forms = build_forms(h, profile, snrs, modes)
+        w = np.array([random_unit_stack(rng, forms.dim) for _ in snrs])
+        w[~np.array(modes), :4] = 0.0
+        pencils = kkt_matrices(forms, w, 1.0)
+        for b, (snr, mode) in enumerate(zip(snrs, modes)):
+            single = build_forms(h, profile, snr, mode)
+            for got, want in zip(pencils, kkt_matrices(single, w[b], 1.0)):
+                for field in ("diag", "weights"):
+                    np.testing.assert_allclose(
+                        getattr(got, field)[b], getattr(want, field)[0], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(
+                objective(forms, w, 1.0)[b], objective(single, w[b], 1.0)[0], rtol=1e-14)
 
     def test_gradient_direction_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -289,7 +327,7 @@ class TestKktMatrices:
         forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
         w0 = init_precoder(forms)
         stepped = gpi_solve(forms, SolverOptions(tau=1.0, t_max=3), w0)
-        starts = (np.tile(w0, (forms.batch, 1)), np.array([solved_stack(forms, r) for r in stepped]))
+        starts = (w0, np.array([solved_stack(forms, r) for r in stepped]))
         for w in starts:
             pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
             rhs = pencil_a.matvec(w)
@@ -297,6 +335,10 @@ class TestKktMatrices:
             assert faults == [None] * forms.batch
             blocks = dense_blocks(pencil_b)
             x, r = got.reshape(len(blocks), n, 1), rhs.reshape(len(blocks), n, 1)
+            # an SDMA element's block 0 maps its zero common block to exact zeros
+            live = np.tile((np.arange(k_users + 1) > 0) | include_common, forms.batch)
+            assert not x[~live].any()
+            blocks, x, r = blocks[live], x[live], r[live]
             error = np.linalg.norm(blocks @ x - r, axis=(1, 2)) / (
                 np.linalg.norm(blocks, 2, axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2)))
             assert error.max() <= 1e-11
@@ -383,13 +425,26 @@ class TestGpiSolve:
         assert result.residual <= opts.epsilon
 
     def test_start_of_other_mode_rejected(self):
-        # an RSMA start has one block too many for SDMA forms, and vice versa
+        # an RSMA start has a common block that SDMA forms must not carry, and
+        # an SDMA start's zero common block would pin an RSMA solve to SDMA;
+        # a start of the wrong length fits neither mode
         h, profile = correlated_instance(3)
+        rsma = init_precoder(build_forms(h, profile, 10.0))
+        sdma = init_precoder(build_forms(h, profile, 10.0, False))
+        mixed = build_forms(h, profile, [10.0, 1e3], [True, False])
+        for forms, start in ((build_forms(h, profile, 10.0, False), rsma),
+                             (build_forms(h, profile, 10.0), sdma),
+                             (mixed, np.vstack([rsma, rsma])),
+                             (mixed, np.vstack([sdma, sdma])),
+                             (mixed, np.vstack([sdma, rsma]))):
+            with pytest.raises(DimensionMismatch, match="starting vector"):
+                gpi_solve(forms, SolverOptions(), start)
+        results = gpi_solve(mixed, SolverOptions(), np.vstack([rsma, sdma]))
+        assert all(r.converged for r in results)
         for include_common in (True, False):
             forms = build_forms(h, profile, 10.0, include_common)
-            w0 = init_precoder(build_forms(h, profile, 10.0, not include_common))
             with pytest.raises(DimensionMismatch, match="starting vector"):
-                gpi_solve(forms, SolverOptions(), w0)
+                gpi_solve(forms, SolverOptions(), rsma[0, h.shape[0]:])
 
     def test_zero_start_rejected(self):
         h, profile = correlated_instance(4)
@@ -446,6 +501,24 @@ def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts)
     return results
 
 
+def assert_merged_sdma_matches_reference(h, profile, snr_db, opts):
+    """One batch of RSMA and SDMA points against the K-block SDMA solve per point.
+
+    Each SNR value appears once with the common stream on and once with it
+    off; the SDMA elements must take the reference's trajectory.
+    """
+    snrs = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+    forms = build_forms(h, profile, np.tile(snrs, 2), np.repeat([True, False], len(snrs)))
+    results = gpi_solve(forms, opts, init_precoder(forms))
+    for snr, got in zip(snrs, results[len(snrs):]):
+        want = sdma_gpi_solve(build_forms(h, profile, snr), opts)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        np.testing.assert_allclose(got.precoder, want.precoder, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got.residual, want.residual, rtol=1e-9)
+    return results
+
+
 class TestBatchedSolve:
     @pytest.mark.parametrize("include_common", [True, False])
     def test_fig2_trials_match_scalar_oracle(self, include_common):
@@ -455,6 +528,22 @@ class TestBatchedSolve:
                 fig2_channel(trial), profile, range(0, 70, 10), include_common,
                 SolverOptions(tau=1.0),
             )
+
+    def test_fig2_sdma_points_match_k_block_reference(self):
+        profile = QuantizerProfile([4] * 4, [6] * 2)
+        for trial in range(20):
+            assert_merged_sdma_matches_reference(
+                fig2_channel(trial), profile, range(0, 70, 10), SolverOptions(tau=1.0))
+
+    def test_criterion_9_sdma_points_match_k_block_reference(self):
+        # the channels the criterion-9 sweep draws (seed 90), solved with
+        # the common stream on and off in one batch
+        profile = QuantizerProfile([3, 3, 3, 8], [8, 8])
+        for trial in range(100):
+            rng = trial_rng(90, trial)
+            aods = draw_aods(rng, 2, "correlated_aod")
+            h = sample_channel([one_ring_factor(4, float(a)) for a in aods], rng)
+            assert_merged_sdma_matches_reference(h, profile, [50], SolverOptions(tau=1.0))
 
     def test_half_step_switch_is_per_element(self):
         # the cycling criterion-9 trial (see test_cycling_mixed_dac_trial_converges)
@@ -473,7 +562,7 @@ class TestBatchedSolve:
         h, profile = correlated_instance(9)
         forms = build_forms(h, profile, [10.0, 1e4])
         other = random_unit_stack(np.random.default_rng(23), forms.dim)
-        starts = np.stack([init_precoder(forms), other])
+        starts = np.stack([init_precoder(forms)[0], other])
         results = gpi_solve(forms, SolverOptions(tau=1.0), starts)
         for snr, start, got in zip((10.0, 1e4), starts, results):
             single = build_forms(h, profile, snr)
@@ -536,15 +625,27 @@ class TestInitAndExtract:
         for _ in range(10):
             h = random_channel(rng, 4, 3)
             profile = random_profile(rng, 4, 3)
-            got = init_precoder(build_forms(h, profile, 10.0, include_common))
-            f = np.hstack([h.mean(axis=1, keepdims=True), h]) if include_common else h
-            want = stack_precoder(f, profile)
-            want = canonical_phase(want / np.linalg.norm(want))
+            [got] = init_precoder(build_forms(h, profile, 10.0, include_common))
             if include_common:
+                want = stack_precoder(np.hstack([h.mean(axis=1, keepdims=True), h]), profile)
                 # the common block averages weighted rather than raw channels
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+                np.testing.assert_allclose(
+                    got, canonical_phase(want / np.linalg.norm(want)), rtol=0, atol=1e-15)
             else:
-                np.testing.assert_array_equal(got, want)
+                # SDMA: the K-block matched filter behind a zero common block
+                want = stack_precoder(h, profile)
+                np.testing.assert_array_equal(got[:4], np.zeros(4))
+                np.testing.assert_array_equal(
+                    got[4:], canonical_phase(want / np.linalg.norm(want)))
+
+    def test_one_start_per_element(self):
+        h, profile = correlated_instance(3)
+        forms = build_forms(h, profile, [10.0, 1e3, 1e5], [False, True, False])
+        starts = init_precoder(forms)
+        assert starts.shape == (3, forms.dim)
+        np.testing.assert_array_equal(starts[0], starts[2])
+        [rsma] = init_precoder(build_forms(h, profile, 1.0))
+        np.testing.assert_array_equal(starts[1], rsma)
 
     def test_round_trip(self):
         rng = np.random.default_rng(13)
@@ -582,8 +683,8 @@ class TestGpiSemSolve:
         np.testing.assert_array_equal(result.precoder[:, 0], np.zeros(4))
         # the private blocks alone carry the whole unit-norm iterate
         w = solved_stack(build_forms(h, profile, 100.0, include_common=False), result)
-        assert w.shape == (8,)  # N*K, no common block
-        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(w[:4], np.zeros(4))
+        assert np.linalg.norm(w[4:]) == pytest.approx(1.0, abs=1e-12)
 
     def test_objective_ignores_tau(self):
         h, profile = correlated_instance(6)

@@ -195,6 +195,35 @@ class TestLoadSpec:
         assert load_spec(make_doc(snr_db=[-3000])).snr_db == (-3000.0,)
 
 
+class TestExperimentSpec:
+    @pytest.mark.parametrize("change, error, match", [
+        ({"snr_db": ()}, ValidationError, "snr_db must be a nonempty"),
+        ({"snr_db": (40.0, 40.0)}, ValidationError, "snr_db repeats"),
+        ({"snr_db": (10, 10.0)}, ValidationError, "snr_db repeats"),
+        ({"snr_db": (math.nan,)}, ValidationError, "snr_db entry"),
+        ({"snr_db": (10, 10**400)}, ValidationError, "snr_db entry"),
+        ({"snr_db": ("10",)}, ParseError, "snr_db entries"),
+        ({"algorithms": ()}, ValidationError, "algorithms must be a nonempty"),
+        ({"algorithms": ("QZF", "WMMSE")}, ValidationError, "unknown algorithm"),
+        ({"algorithms": ("QZF", "QMRT", "QZF")}, ValidationError, "algorithms repeats"),
+        ({"trials": 0}, ValidationError, "'trials' must be >= 1"),
+        ({"n_antennas": 0}, ValidationError, "'N' must be >= 1"),
+        ({"n_users": -1}, ValidationError, "'K' must be >= 1"),
+        ({"trials": 2.0}, ParseError, "'trials' must be an integer"),
+    ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
+            "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
+            "zero_trials", "zero_antennas", "negative_users", "float_trials"])
+    def test_replaced_spec_obeys_the_config_rules(self, change, error, match):
+        # a spec made by dataclasses.replace meets the rules load_spec enforces
+        with pytest.raises(error, match=match):
+            replace(load_spec(make_doc()), **change)
+
+    def test_snr_stored_as_floats(self):
+        spec = replace(load_spec(make_doc()), snr_db=(40, 10**2))
+        assert spec.snr_db == (40.0, 100.0)
+        assert all(type(v) is float for v in spec.snr_db)
+
+
 class TestRunExperiment:
     def test_record_count_and_order(self):
         spec = small_spec(snr_db=[10, 0], trials=2)
@@ -305,9 +334,9 @@ class TestRunExperiment:
         assert [r.note for r in records if r.snr_db == 150] == [
             f"SingularMatrix: block {block} singular: diagonal floor {floor} below tolerance {tol}"
             for block, floor, tol in (
-                (1, "1.712e-14", "7.710e-14"), (0, "1.143e-14", "4.099e-14"),
-                (1, "7.799e-15", "9.500e-14"), (0, "5.352e-15", "6.624e-14"),
-                (1, "2.649e-14", "9.896e-13"), (0, "2.038e-14", "7.517e-13"),
+                (1, "1.712e-14", "7.710e-14"), (1, "1.143e-14", "4.099e-14"),
+                (1, "7.799e-15", "9.500e-14"), (1, "5.352e-15", "6.624e-14"),
+                (1, "2.649e-14", "9.896e-13"), (1, "2.038e-14", "7.517e-13"),
             )
         ]
         assert [r for r in records if r.snr_db == 20] == run_experiment(
@@ -315,13 +344,14 @@ class TestRunExperiment:
         path = tmp_path / "results.csv"
         write_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "bc85b7c4097ad3ac1c9d98d2b3d9b7b34c7724b20736f12b81fc77370db428fc"
+            "3aeb418f1499e834126fbc2046761817d3614d41eb8a38467d59742de801958a"
         )
 
     def test_one_block_solve_per_iteration_for_all_snr_points(self, monkeypatch):
-        # each GPI algorithm solves a trial's SNR points as one batch: one
+        # both GPI algorithms solve a trial's SNR points as one batch: one
         # block solve per iteration of its slowest point plus its last stop
-        # test, where solving point by point would make one per point
+        # test, where solving point by point, or each algorithm apart,
+        # would make more
         calls = []
         solve = rsma_sim.gpi.blockdiag_solve
         monkeypatch.setattr(
@@ -329,10 +359,8 @@ class TestRunExperiment:
         )
         spec = replace(load_spec(FIG2_CONFIG.read_text()), trials=1)
         records = run_experiment(spec)
-        assert len(calls) == sum(
-            1 + max(r.iterations for r in records if r.algorithm == algorithm)
-            for algorithm in ("QGPIRS", "QGPISEM")
-        )
+        assert len(calls) == 1 + max(
+            r.iterations for r in records if r.algorithm in ("QGPIRS", "QGPISEM"))
 
     def test_overloaded_solves_follow_dense_block_solves(self, monkeypatch):
         # more users than antennas and no converter distortion: the blocks'
@@ -524,6 +552,35 @@ class TestSummarize:
         with pytest.raises(ParseError):
             summarize([])
 
+    def test_failed_records_counted_and_left_out(self):
+        failed = replace(self._record(10.0, "QMRT", 0.0, powers=(0.0, 0.0)),
+                         converged=False, note="RankDeficient: channel rank 1 < 2 users")
+        solved = [self._record(10.0, "QMRT", 2.0), self._record(10.0, "QMRT", 4.0)]
+        [row] = summarize([solved[0], failed, solved[1]])
+        assert (row.n_records, row.n_failed) == (3, 1)
+        assert row.mean_sum_se == 3.0
+        assert row.stderr_sum_se == pytest.approx(1.0, rel=1e-12)
+        assert row.mean_common_rate == 0.5
+        assert row.mean_power_ratio == (0.25, 0.75)
+
+    def test_cell_with_every_record_failed_is_nan(self, tmp_path):
+        # the suite turns RuntimeWarnings into errors, so no mean of an empty slice is taken
+        failed = replace(self._record(150.0, "QGPIRS", 0.0, powers=(0.0, 0.0)),
+                         converged=False, note="SingularMatrix: block 1 singular")
+        rows = summarize([failed, failed, self._record(20.0, "QGPIRS", 2.0)])
+        assert [(r.n_records, r.n_failed) for r in rows] == [(1, 0), (2, 2)]
+        assert all(math.isnan(v) for v in (
+            rows[1].mean_sum_se, rows[1].stderr_sum_se, rows[1].mean_common_rate,
+            *rows[1].mean_power_ratio))
+        path = tmp_path / "summary.csv"
+        write_summary_csv(rows, path)
+        assert path.read_text().splitlines() == [
+            "snr_db,algorithm,n_records,n_failed,mean_sum_se,stderr_sum_se,mean_common_rate,"
+            "mean_power_ratio_1,mean_power_ratio_2",
+            "20,QGPIRS,1,0,2,0,0.5,0.25,0.75",
+            "150,QGPIRS,2,2,nan,nan,nan,nan,nan",
+        ]
+
 
 class TestCli:
     def _write_config(self, tmp_path, **overrides):
@@ -543,7 +600,7 @@ class TestCli:
         summary = tmp_path / "summary.csv"
         assert cli_main(["summarize", "--in", str(out), "--out", str(summary)]) == 0
         text = summary.read_text(encoding="utf-8").splitlines()
-        assert text[0].startswith("snr_db,algorithm,n_records,mean_sum_se")
+        assert text[0].startswith("snr_db,algorithm,n_records,n_failed,mean_sum_se")
         assert len(text) == 3  # header + 2 algorithms at 1 SNR
 
     def test_seed_override_changes_results(self, tmp_path):
