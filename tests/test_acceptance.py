@@ -9,6 +9,7 @@ import json
 import math
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,6 +54,8 @@ from oracles import (
     to_dense,
     vector_angle,
 )
+
+CRITERION_9_CONFIG = Path(__file__).resolve().parent / "golden" / "criterion_9.json"
 
 
 @contextmanager
@@ -386,13 +389,8 @@ def test_criterion_8_correlation_effect():
 def test_criterion_9_mixed_dac_power_concentration():
     with criterion(9, "RSMA converges and parks power on the high-resolution DAC antenna"):
         started = time.perf_counter()
-        spec = load_spec(json.dumps({
-            "N": 4, "K": 2, "snr_db": [50],
-            "dac_bits": "mixed 3@3 + 1@8", "adc_bits": 8,
-            "channel_mode": "correlated_aod", "trials": 100, "base_seed": 90,
-            "algorithms": ["QGPIRS", "QGPISEM"],
-            "solver": {"tau": 1.0, "epsilon": 0.01, "t_max": 500},
-        }))
+        # three 3-bit DACs and one 8-bit DAC at 50 dB; its summary is a golden file
+        spec = load_spec(CRITERION_9_CONFIG.read_text())
         records = run_experiment(spec)
         rsma = [r for r in records if r.algorithm == "QGPIRS"]
         settled = sum(r.converged and r.residual <= spec.solver.epsilon for r in rsma) / len(rsma)
