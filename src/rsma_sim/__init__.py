@@ -44,7 +44,6 @@ from .harness import (
 from .linalg import (
     BlockDiag,
     blockdiag_solve,
-    canonical_phase,
     sample_complex_gaussian,
     trial_rng,
 )

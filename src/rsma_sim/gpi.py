@@ -23,7 +23,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, ValidationError, ZeroChannel, ZeroPrecoder
-from .linalg import BlockDiag, blockdiag_solve, canonical_phase
+from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
 
@@ -202,12 +202,13 @@ class SolveResult:
 
 def _image_and_residual(forms, w, tau):
     """Images ``x = B(w)^-1 A(w) w`` of the unit rows of w, their norms, their
-    relative residuals ``||x - (w^H x) w|| / ||x||``, and the block solve's faults."""
+    overlaps ``w^H x``, relative residuals ``||x - (w^H x) w|| / ||x||``,
+    and the block solve's faults."""
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
     image, faults = blockdiag_solve(pencil_b, pencil_a.matvec(w))
     norms = _row_norms(image)
-    residual = _row_norms(image - (w.conj() * image).sum(1, keepdims=True) * w)
-    return image, norms, residual / norms, faults
+    overlap = (w.conj() * image).sum(axis=1)
+    return image, norms, overlap, _row_norms(image - overlap[:, None] * w) / norms, faults
 
 
 def _row_norms(v):
@@ -216,7 +217,7 @@ def _row_norms(v):
 
 
 def _unit(v):
-    return canonical_phase(v / _row_norms(v)[..., None])
+    return v / _row_norms(v)[..., None]
 
 
 def nep_residual(forms, w, tau):
@@ -226,7 +227,7 @@ def nep_residual(forms, w, tau):
     scale and phase of w; it vanishes exactly at stationary points of the
     smoothed objective.
     """
-    _, _, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
+    *_, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
     for fault in filter(None, faults):
         raise fault
     return residual
@@ -235,10 +236,13 @@ def nep_residual(forms, w, tau):
 def gpi_solve(forms, options, w0):
     """Run the generalized power iteration from a stacked starting point.
 
-    Each iteration maps w to ``T(w) = normalize(B(w)^-1 A(w) w)``. Once a
-    period-2 cycle shows (``T(w)`` lands nearer the previous iterate than
-    the current one), every later step is the half step
-    ``normalize(w + T(w))``. The solve returns the first iterate whose
+    Each iteration maps w to ``T(w) = normalize(B(w)^-1 A(w) w)``, rotated
+    onto w: the pencil fixes its eigenvector only up to a global phase, and
+    the rotation makes ``w^H T(w)`` real and positive, so a step differs
+    from w only as far as the residual says. Once a period-2 cycle shows
+    (``T(w)`` lands nearer the previous iterate than the current one, each
+    distance taken at its best global phase), every later step is the half
+    step ``normalize(w + T(w))``. The solve returns the first iterate whose
     relative residual is at most ``options.epsilon``, or the iterate
     reached after ``options.t_max`` steps.
 
@@ -253,11 +257,11 @@ def gpi_solve(forms, options, w0):
     if (w[:, :forms.n_antennas].any(axis=1) != forms.include_common).any():
         raise DimensionMismatch("starting vector: common block zero on RSMA or nonzero on SDMA")
     w = w_prev = _unit(w)
-    # row i of w, w_prev, damped, image and norms is batch element rows[i]; part has their forms
+    # row i of w, w_prev, damped, image, norms and overlap is element rows[i]; part has their forms
     results, rows, part = [None] * forms.batch, np.arange(forms.batch), forms
     damped = np.zeros(forms.batch, dtype=bool)
     for t in range(options.t_max + 1):
-        image, norms, residual, faults = _image_and_residual(part, w, options.tau)
+        image, norms, overlap, residual, faults = _image_and_residual(part, w, options.tau)
         going = (residual > options.epsilon) & (t < options.t_max)  # False for a fault's NaN
         if not going.all():
             for i in np.flatnonzero(~going):
@@ -266,12 +270,17 @@ def gpi_solve(forms, options, w0):
                     float(residual[i]))
             if not going.any():
                 return results
-            rows, w, w_prev, damped, image, norms = (
-                a[going] for a in (rows, w, w_prev, damped, image, norms))
+            rows, w, w_prev, damped, image, norms, overlap = (
+                a[going] for a in (rows, w, w_prev, damped, image, norms, overlap))
             part = replace(forms, noise_over_power=forms.noise_over_power[rows],
                            include_common=forms.include_common[rows])
-        step = canonical_phase(image / norms[:, None])
-        damped |= _row_norms(step - w_prev) < 0.5 * _row_norms(step - w)
+        # conj(w^H x) / |w^H x|, or 1 where w^H x is 0
+        size = np.abs(overlap)
+        turn = np.divide(overlap.conj(), size, out=np.ones_like(overlap), where=size > 0)
+        step = image * (turn / norms)[:, None]
+        # ||a - e^{i phi} b||^2 is least at 2 - 2|a^H b| for unit a, b: the
+        # distance test ||T(w) - w_prev|| < 0.5 ||T(w) - w|| at the best phases
+        damped |= 1 - np.abs((w_prev.conj() * step).sum(1)) < 0.25 * (1 - size / norms)
         if damped.any():
             step[damped] = _unit(w[damped] + step[damped])
         w_prev, w = w, step
@@ -294,5 +303,4 @@ def init_precoder(forms):
         raise ZeroChannel("all channel columns vanish")
     rsma = np.vstack([m.mean(axis=0), m]).reshape(-1)
     sdma = np.concatenate([np.zeros(forms.n_antennas), m.reshape(-1) / np.linalg.norm(m)])
-    return np.where(forms.include_common[:, None],
-                    canonical_phase(rsma / np.linalg.norm(rsma)), canonical_phase(sdma))
+    return np.where(forms.include_common[:, None], rsma / np.linalg.norm(rsma), sdma)

@@ -101,6 +101,13 @@ class ExperimentSpec:
                                       "positive and finite")
         # float(v) cannot overflow where v / 10.0 did not; a frozen field is set through object
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        if self.channel_mode not in CHANNEL_MODES:
+            raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
+        for name, key, count in (("dac_bits", "N", self.n_antennas),
+                                 ("adc_bits", "K", self.n_users)):
+            if getattr(self, name).count != count:
+                raise ValidationError(f"field {name!r} has {getattr(self, name).count} "
+                                      f"resolutions but {key} = {count}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
@@ -207,10 +214,6 @@ def load_spec(document):
     for key in ("snr_db", "algorithms"):
         if not isinstance(data.get(key, []), list):
             raise ValidationError(f"{key} must be a nonempty list")
-    channel_mode = data.get("channel_mode", "random_aod")
-    if channel_mode not in CHANNEL_MODES:
-        raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
-
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ParseError("solver must be a JSON object")
@@ -225,7 +228,7 @@ def load_spec(document):
         snr_db=tuple(data["snr_db"]),
         dac_bits=_parse_bit_spec(data["dac_bits"], n_antennas, "dac_bits"),
         adc_bits=_parse_bit_spec(data["adc_bits"], n_users, "adc_bits"),
-        channel_mode=channel_mode,
+        channel_mode=data.get("channel_mode", "random_aod"),
         trials=data["trials"],
         base_seed=data.get("base_seed", 0),
         algorithms=tuple(data.get("algorithms", ALGORITHMS)),

@@ -1,4 +1,4 @@
-"""Block-diagonal Hermitian solves, phase pinning, and seeded sampling.
+"""Block-diagonal Hermitian solves and seeded sampling.
 
 Everything here operates on plain complex numpy arrays. The block-diagonal
 container mirrors the structure of the solver's iteration matrices, one
@@ -139,20 +139,6 @@ def blockdiag_solve(bd, v):
     x = np.full_like(v, np.nan)
     x[ok] = solved.reshape(count, m * n)
     return x, faults
-
-
-def canonical_phase(v):
-    """Rotate a complex vector so its largest-magnitude entry is real positive.
-
-    Eigenvectors and stacked precoders carry an arbitrary global phase;
-    pinning it makes vector differences across iterations and runs
-    well defined. The zero vector is returned unchanged. A stack of
-    vectors is pinned along its last axis, one vector at a time.
-    """
-    v = np.asarray(v, dtype=complex)
-    rows = v.reshape(-1, v.shape[-1])
-    pivot = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)].reshape(v.shape[:-1] + (1,))
-    return v * np.divide(np.conj(pivot), np.abs(pivot), out=np.ones_like(pivot), where=pivot != 0)
 
 
 def trial_rng(base_seed, trial_index):

@@ -19,7 +19,6 @@ from rsma_sim import (
     SolveResult,
     ZeroPrecoder,
     blockdiag_solve,
-    canonical_phase,
     check_power,
     kkt_matrices,
 )
@@ -473,7 +472,7 @@ def principal_gep_oracle(a, b):
     Returns
     -------
     (eigenvalue, eigenvector)
-        Eigenvector has unit norm and canonical phase.
+        Eigenvector has unit norm; its global phase is arbitrary.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -484,8 +483,14 @@ def principal_gep_oracle(a, b):
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceFailure(f"dense generalized eigensolver failed: {exc}") from exc
     vec = vecs[:, -1]
-    vec = vec / np.linalg.norm(vec)
-    return float(vals[-1]), canonical_phase(vec)
+    return float(vals[-1]), vec / np.linalg.norm(vec)
+
+
+def rotated_onto(v, w):
+    """``e^{i phi} v`` for the global phase phi that makes ``w^H e^{i phi} v`` real
+    and nonnegative: the rotation of v nearest w. v itself where ``w^H v = 0``."""
+    overlap = np.vdot(w, v)
+    return v if overlap == 0 else v * (np.conj(overlap) / abs(overlap))
 
 
 def _scalar_iteration(pencils, options, w):
@@ -493,8 +498,9 @@ def _scalar_iteration(pencils, options, w):
 
     ``pencils(w)`` gives the pencil pair at the unbatched unit vector w.
     The loop stops, steps and switches to the half step by the package's
-    rules; returns ``(w, iterations, residual)`` or raises the block
-    solve's fault.
+    rules: each step is rotated onto its iterate, and the cycle test takes
+    each distance at its best global phase. Returns ``(w, iterations,
+    residual)`` or raises the block solve's fault.
     """
 
     def image_and_residual(w):
@@ -508,10 +514,11 @@ def _scalar_iteration(pencils, options, w):
         image, residual = image_and_residual(w)
         if residual <= options.epsilon or iterations == options.t_max:
             break
-        step = canonical_phase(image / np.linalg.norm(image))
-        damped = damped or np.linalg.norm(step - w_prev) < 0.5 * np.linalg.norm(step - w)
+        step = rotated_onto(image / np.linalg.norm(image), w)
+        damped = damped or (np.linalg.norm(rotated_onto(step, w_prev) - w_prev)
+                            < 0.5 * np.linalg.norm(step - w))
         if damped:
-            step = canonical_phase((w + step) / np.linalg.norm(w + step))
+            step = (w + step) / np.linalg.norm(w + step)
         w_prev, w = w, step
     return w, iterations, residual
 
@@ -531,7 +538,7 @@ def scalar_gpi_solve(forms, options, w0):
     if norm0 == 0:
         raise ZeroPrecoder("starting stacked precoder is zero")
     w, iterations, residual = _scalar_iteration(
-        lambda w: kkt_matrices(forms, w, options.tau), options, canonical_phase(w0 / norm0))
+        lambda w: kkt_matrices(forms, w, options.tau), options, w0 / norm0)
     return SolveResult(
         precoder=_to_full_precoder(forms, w),
         iterations=iterations,
@@ -576,7 +583,7 @@ def sdma_gpi_solve(forms, options):
     """
     w = forms.weighted_channels.reshape(-1)
     w, iterations, residual = _scalar_iteration(
-        lambda w: sdma_pencils(forms, w), options, canonical_phase(w / np.linalg.norm(w)))
+        lambda w: sdma_pencils(forms, w), options, w / np.linalg.norm(w))
     rows = np.vstack([np.zeros(forms.n_antennas), w.reshape(forms.n_users, forms.n_antennas)])
     return SolveResult(
         precoder=rows.T / np.sqrt(forms.dac_alpha)[:, None],

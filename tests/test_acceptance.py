@@ -18,7 +18,6 @@ from rsma_sim import (
     QuantizerProfile,
     SolverOptions,
     build_forms,
-    canonical_phase,
     check_power,
     draw_aods,
     gpi_solve,
@@ -48,6 +47,7 @@ from oracles import (
     random_channel,
     random_precoder,
     random_profile,
+    rotated_onto,
     seeded_rng,
     solve_one,
     solved_stack,
@@ -186,7 +186,7 @@ def test_criterion_4_nep_fixed_point():
         v = v / np.linalg.norm(v)
         for _ in range(50000):
             nxt = solve_one(pencil_b, pencil_a.matvec(v))
-            nxt = canonical_phase(nxt / np.linalg.norm(nxt))
+            nxt = rotated_onto(nxt / np.linalg.norm(nxt), v)
             if np.linalg.norm(nxt - v) < 1e-15:
                 v = nxt
                 break
@@ -219,15 +219,12 @@ def test_criterion_5_lse_sandwich():
 def _reference_unquantized_gpi_rs(h, power, tau, epsilon, t_max):
     """Dense, quantization-free rate-splitting power iteration.
 
-    Self-contained reimplementation used to show the general solver
-    collapses to it when every converter has infinite resolution.
+    A reimplementation that shares no package code, used to show the
+    general solver collapses to it when every converter has infinite
+    resolution.
     """
     n, k_users = h.shape
     dim = n * (k_users + 1)
-
-    def pin_phase(vec):
-        pivot = vec[int(np.argmax(np.abs(vec)))]
-        return vec * (np.conj(pivot) / abs(pivot))
 
     mats_a_c, mats_b_c, mats_a_p, mats_b_p = [], [], [], []
     for k in range(k_users):
@@ -249,7 +246,7 @@ def _reference_unquantized_gpi_rs(h, power, tau, epsilon, t_max):
 
     f0 = np.hstack([h.mean(axis=1, keepdims=True), h])
     w = f0.T.reshape(-1)
-    w = pin_phase(w / np.linalg.norm(w))
+    w = w / np.linalg.norm(w)
 
     def rates(vec):
         qa_c = np.array([np.vdot(vec, m @ vec).real for m in mats_a_c])
@@ -278,15 +275,16 @@ def _reference_unquantized_gpi_rs(h, power, tau, epsilon, t_max):
         residual = np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image)
         if residual <= epsilon or iterations == t_max:
             return w, residual, iterations, residual <= epsilon
-        w_next = pin_phase(image / np.linalg.norm(image))
-        # a step that lands nearer the previous iterate is half of a
-        # 2-cycle; from then on average each step with the current point
+        w_next = rotated_onto(image / np.linalg.norm(image), w)
+        # a step that lands nearer the previous iterate, up to a global
+        # phase, is half of a 2-cycle; from then on average each step with
+        # the current point
         if w_prev is not None and (
-            np.linalg.norm(w_next - w_prev) < 0.5 * np.linalg.norm(w_next - w)
+            np.linalg.norm(rotated_onto(w_next, w_prev) - w_prev) < 0.5 * np.linalg.norm(w_next - w)
         ):
             damped = True
         if damped:
-            w_next = pin_phase((w + w_next) / np.linalg.norm(w + w_next))
+            w_next = (w + w_next) / np.linalg.norm(w + w_next)
         w_prev, w = w, w_next
         iterations += 1
 

@@ -3,6 +3,8 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,17 +21,18 @@ from rsma_sim import (
     ZeroPrecoder,
     blockdiag_solve,
     build_forms,
-    canonical_phase,
     check_power,
     gpi_solve,
     init_precoder,
     kkt_matrices,
     kl_factorize,
+    load_spec,
     nep_residual,
     objective,
     one_ring_covariance,
     one_ring_factor,
     rate_report,
+    run_experiment,
     sample_channel,
     trial_rng,
     draw_aods,
@@ -45,6 +48,7 @@ from oracles import (
     principal_gep_oracle,
     random_channel,
     random_profile,
+    rotated_onto,
     scalar_gpi_solve,
     sdma_gpi_solve,
     solve_one,
@@ -391,7 +395,7 @@ class TestGpiSolve:
         v = random_unit_stack(rng, forms.dim)
         for _ in range(20000):
             nxt = solve_one(pencil_b, pencil_a.matvec(v))
-            nxt = canonical_phase(nxt / np.linalg.norm(nxt))
+            nxt = rotated_onto(nxt / np.linalg.norm(nxt), v)
             if np.linalg.norm(nxt - v) < 1e-14:
                 v = nxt
                 break
@@ -423,6 +427,50 @@ class TestGpiSolve:
         assert result.converged
         assert result.iterations < 20
         assert result.residual <= opts.epsilon
+
+    def test_step_phase_does_not_fake_a_cycle(self):
+        # trial 88 of the fig2 sweep at base_seed 1, 10 dB, SDMA: its plain
+        # steps converge, but steps pinned to a largest entry whose index
+        # moves differ from their iterates by a global phase, looked like a
+        # period-2 cycle, and the half step then stalled until t_max
+        forms = build_forms(fig2_channel(88, base_seed=1), FIG2_PROFILE, 10.0, False)
+        opts = SolverOptions(tau=1.0, epsilon=0.01, t_max=500)
+        [result] = gpi_solve(forms, opts, init_precoder(forms))
+        assert result.converged
+        assert result.iterations <= 20
+
+    @pytest.mark.parametrize("theta", [0.4, 2.0, -2.9])
+    def test_start_phase_does_not_matter(self, theta):
+        # rates and the residual ignore a global phase, and each step is
+        # rotated onto its own iterate: a rotated start rotates the whole
+        # trajectory and changes nothing else
+        h = fig2_channel(3)
+        snrs = 10.0 ** (np.arange(0, 70, 10) / 10.0)
+        forms = build_forms(h, FIG2_PROFILE, np.tile(snrs, 2), np.repeat([True, False], 7))
+        start, turn = init_precoder(forms), np.exp(1j * theta)
+        wants = gpi_solve(forms, SolverOptions(), start)
+        gots = gpi_solve(forms, SolverOptions(), turn * start)
+        for want, got in zip(wants, gots):
+            assert got.iterations == want.iterations
+            assert got.residual == pytest.approx(want.residual, rel=0, abs=1e-12)
+            np.testing.assert_allclose(got.precoder, turn * want.precoder, rtol=0, atol=1e-12)
+        want_se, got_se = (rate_report(h, np.stack([r.precoder for r in results]), FIG2_PROFILE,
+                                       np.tile(snrs, 2)).sum_se for results in (wants, gots))
+        np.testing.assert_allclose(got_se, want_se, rtol=0, atol=1e-12)
+
+    def test_image_orthogonal_to_iterate_is_not_rotated(self, monkeypatch):
+        # no phase brings an image with w^H x = 0 nearer w: the step is the
+        # normalized image, with no division by zero
+        h, profile = correlated_instance(4)
+        forms = build_forms(h, profile, 100.0)
+        w0, image = np.zeros((2, forms.dim), dtype=complex)
+        w0[[0, 4]] = 0.5 ** 0.5
+        image[8:] = 2j
+        monkeypatch.setattr(gpi, "blockdiag_solve", lambda pencil, rhs: (image[None], [None]))
+        [result] = gpi_solve(forms, SolverOptions(t_max=1), w0)
+        assert result.iterations == 1
+        np.testing.assert_allclose(
+            solved_stack(forms, result), image / np.linalg.norm(image), rtol=0, atol=1e-15)
 
     def test_start_of_other_mode_rejected(self):
         # an RSMA start has a common block that SDMA forms must not carry, and
@@ -476,11 +524,15 @@ class TestGpiSolve:
         assert (opts.tau, opts.t_max) == (1.0, 20)
 
 
-def fig2_channel(trial):
-    """The channel that trial ``trial`` of configs/fig2_sweep.json draws."""
-    rng = trial_rng(70, trial)
+FIG2_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "fig2_sweep.json"
+FIG2_PROFILE = QuantizerProfile([4] * 4, [6] * 2)
+
+
+def fig2_channel(trial, base_seed=70):
+    """The channel that trial ``trial`` of configs/fig2_sweep.json draws at ``base_seed``."""
+    rng = trial_rng(base_seed, trial)
     aods = draw_aods(rng, 2, "random_aod")
-    return sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+    return sample_channel([one_ring_factor(4, float(a)) for a in aods], rng)
 
 
 def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts):
@@ -520,20 +572,31 @@ def assert_merged_sdma_matches_reference(h, profile, snr_db, opts):
 
 
 class TestBatchedSolve:
+    def test_fig2_channel_is_the_sweeps(self):
+        spec = replace(load_spec(FIG2_CONFIG.read_text()), trials=1)
+        want = [r for r in run_experiment(spec) if r.algorithm == "QGPIRS"]
+        snrs = 10.0 ** (np.array(spec.snr_db) / 10.0)
+        h = fig2_channel(0)
+        forms = build_forms(h, FIG2_PROFILE, snrs)
+        results = gpi_solve(forms, spec.solver, init_precoder(forms))
+        for snr, got, record in zip(snrs, results, want):
+            assert got.iterations == record.iterations
+            assert got.residual == pytest.approx(record.residual, rel=1e-9)
+            sum_se = rate_report(h, got.precoder, FIG2_PROFILE, snr).sum_se
+            assert sum_se == pytest.approx(record.sum_se, rel=1e-12)
+
     @pytest.mark.parametrize("include_common", [True, False])
     def test_fig2_trials_match_scalar_oracle(self, include_common):
-        profile = QuantizerProfile([4] * 4, [6] * 2)
         for trial in range(20):
             assert_batch_matches_scalar_oracle(
-                fig2_channel(trial), profile, range(0, 70, 10), include_common,
+                fig2_channel(trial), FIG2_PROFILE, range(0, 70, 10), include_common,
                 SolverOptions(tau=1.0),
             )
 
     def test_fig2_sdma_points_match_k_block_reference(self):
-        profile = QuantizerProfile([4] * 4, [6] * 2)
         for trial in range(20):
             assert_merged_sdma_matches_reference(
-                fig2_channel(trial), profile, range(0, 70, 10), SolverOptions(tau=1.0))
+                fig2_channel(trial), FIG2_PROFILE, range(0, 70, 10), SolverOptions(tau=1.0))
 
     def test_criterion_9_sdma_points_match_k_block_reference(self):
         # the channels the criterion-9 sweep draws (seed 90), solved with
@@ -629,14 +692,12 @@ class TestInitAndExtract:
             if include_common:
                 want = stack_precoder(np.hstack([h.mean(axis=1, keepdims=True), h]), profile)
                 # the common block averages weighted rather than raw channels
-                np.testing.assert_allclose(
-                    got, canonical_phase(want / np.linalg.norm(want)), rtol=0, atol=1e-15)
+                np.testing.assert_allclose(got, want / np.linalg.norm(want), rtol=0, atol=1e-15)
             else:
                 # SDMA: the K-block matched filter behind a zero common block
                 want = stack_precoder(h, profile)
                 np.testing.assert_array_equal(got[:4], np.zeros(4))
-                np.testing.assert_array_equal(
-                    got[4:], canonical_phase(want / np.linalg.norm(want)))
+                np.testing.assert_array_equal(got[4:], want / np.linalg.norm(want))
 
     def test_one_start_per_element(self):
         h, profile = correlated_instance(3)

@@ -23,7 +23,7 @@ from rsma_sim import (
     write_summary_csv,
 )
 from rsma_sim.cli import main as cli_main
-from rsma_sim.harness import TrialRecord
+from rsma_sim.harness import BitSpec, TrialRecord
 
 from oracles import dense_blockdiag_solve
 
@@ -210,9 +210,15 @@ class TestExperimentSpec:
         ({"n_antennas": 0}, ValidationError, "'N' must be >= 1"),
         ({"n_users": -1}, ValidationError, "'K' must be >= 1"),
         ({"trials": 2.0}, ParseError, "'trials' must be an integer"),
+        ({"channel_mode": "clustered"}, ValidationError, "channel_mode must be one of"),
+        ({"dac_bits": BitSpec("fixed", 2, (4, 4))}, ValidationError, "'dac_bits' has 2"),
+        ({"adc_bits": BitSpec("uniform", 3, lo=1, hi=8)}, ValidationError, "'adc_bits' has 3"),
+        ({"n_antennas": 8}, ValidationError, "N = 8"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
             "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
-            "zero_trials", "zero_antennas", "negative_users", "float_trials"])
+            "zero_trials", "zero_antennas", "negative_users", "float_trials",
+            "unknown_channel_mode", "too_few_dacs", "too_many_adcs",
+            "antennas_without_dacs"])
     def test_replaced_spec_obeys_the_config_rules(self, change, error, match):
         # a spec made by dataclasses.replace meets the rules load_spec enforces
         with pytest.raises(error, match=match):
@@ -344,7 +350,7 @@ class TestRunExperiment:
         path = tmp_path / "results.csv"
         write_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "3aeb418f1499e834126fbc2046761817d3614d41eb8a38467d59742de801958a"
+            "f69b91b34f889ad6650b7670ea23672b41de826e05c20b0628ce85851f5234cf"
         )
 
     def test_one_block_solve_per_iteration_for_all_snr_points(self, monkeypatch):

@@ -12,7 +12,6 @@ from rsma_sim import (
     DimensionMismatch,
     SingularMatrix,
     blockdiag_solve,
-    canonical_phase,
     sample_complex_gaussian,
     trial_rng,
 )
@@ -315,39 +314,9 @@ class TestPrincipalGepOracle:
             val, vec = principal_gep_oracle(a, b)
             assert np.linalg.norm(a @ vec - val * (b @ vec)) <= 1e-8
 
-    def test_phase_convention(self):
-        rng = np.random.default_rng(7)
-        _, vec = principal_gep_oracle(random_hpd(rng, 5), random_hpd(rng, 5))
-        pivot = vec[np.argmax(np.abs(vec))]
-        assert abs(pivot.imag) < 1e-14 and pivot.real > 0
-
     def test_failure_raises(self):
         with pytest.raises((ConvergenceFailure, DimensionMismatch)):
             principal_gep_oracle(np.eye(3), np.eye(2))
-
-
-class TestCanonicalPhase:
-    def test_pins_largest_entry(self):
-        v = np.array([0.3 - 0.1j, -1.2 + 0.9j, 0.05j])
-        out = canonical_phase(v)
-        pivot = out[np.argmax(np.abs(out))]
-        assert abs(pivot.imag) < 1e-14 and pivot.real > 0
-        np.testing.assert_allclose(np.abs(out), np.abs(v), rtol=1e-12)
-
-    def test_idempotent(self):
-        v = canonical_phase(np.array([1.0 + 1j, 2.0 - 3j]))
-        np.testing.assert_allclose(canonical_phase(v), v, rtol=1e-15)
-
-    def test_zero_vector(self):
-        np.testing.assert_array_equal(canonical_phase(np.zeros(3)), np.zeros(3))
-
-    def test_stack_pinned_row_by_row(self):
-        rng = np.random.default_rng(22)
-        stack = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
-        stack[1] = 0.0
-        got = canonical_phase(stack)
-        for row, want in zip(got, stack):
-            np.testing.assert_array_equal(row, canonical_phase(want))
 
 
 class TestSampling:
