@@ -105,9 +105,9 @@ class ExperimentSpec:
             raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
         for name, key, count in (("dac_bits", "N", self.n_antennas),
                                  ("adc_bits", "K", self.n_users)):
-            if getattr(self, name).count != count:
-                raise ValidationError(f"field {name!r} has {getattr(self, name).count} "
-                                      f"resolutions but {key} = {count}")
+            given = getattr(self, name).count
+            if given != count:
+                raise ValidationError(f"field {name!r} has {given} resolutions but {key} = {count}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
