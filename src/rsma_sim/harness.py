@@ -47,34 +47,14 @@ _MIXED_PART_RE = re.compile(r"^(\d+)@(\d+)$")
 
 
 @dataclass(frozen=True)
-class BitSpec:
-    """Resolved or per-trial-random resolution assignment.
-
-    kind "fixed" carries the explicit per-element tuple; kind "uniform"
-    draws each element i.i.d. from [lo, hi] once per trial.
-    """
-
-    kind: str
-    count: int
-    values: tuple = ()
-    lo: int = 0
-    hi: int = 0
-
-    def resolve(self, rng):
-        if self.kind == "fixed":
-            return tuple(self.values)
-        return tuple(int(b) for b in rng.integers(self.lo, self.hi + 1, size=self.count))
-
-
-@dataclass(frozen=True)
 class ExperimentSpec:
-    """Validated sweep configuration."""
+    """Validated sweep configuration; each bank's bits are a tuple or the range trials draw from."""
 
     n_antennas: int
     n_users: int
     snr_db: tuple
-    dac_bits: BitSpec
-    adc_bits: BitSpec
+    dac_bits: tuple | range
+    adc_bits: tuple | range
     channel_mode: str
     trials: int
     base_seed: int
@@ -83,8 +63,11 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # checked here, not in load_spec, so a spec made by dataclasses.replace obeys them too
-        for name, key in (("n_antennas", "N"), ("n_users", "K"), ("trials", "trials")):
-            _positive_int(getattr(self, name), key)
+        _positive_int(self.n_antennas, "N")
+        _positive_int(self.n_users, "K")
+        _check_bits(self.dac_bits, "dac_bits", "N", self.n_antennas)
+        _check_bits(self.adc_bits, "adc_bits", "K", self.n_users)
+        _positive_int(self.trials, "trials")
         seed = self.base_seed
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ParseError(f"base_seed must be a nonnegative integer, got {seed!r}")
@@ -103,11 +86,6 @@ class ExperimentSpec:
         object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
         if self.channel_mode not in CHANNEL_MODES:
             raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
-        for name, key, count in (("dac_bits", "N", self.n_antennas),
-                                 ("adc_bits", "K", self.n_users)):
-            given = getattr(self, name).count
-            if given != count:
-                raise ValidationError(f"field {name!r} has {given} resolutions but {key} = {count}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
                 raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
@@ -150,35 +128,47 @@ def _positive_int(raw, field):
     return raw
 
 
-def _parse_bit_entry(raw, field):
-    if isinstance(raw, str) and raw.strip().lower() == "inf":
-        return math.inf
-    return _positive_int(raw, field)
+def _check_bits(bits, field, key, count):
+    """Raise unless a bank's bits are count positive ints or inf, or a range of positive int64s."""
+    if isinstance(bits, range):
+        # each trial draws from the range with numpy's int64 integers
+        if bits.step != 1 or not 1 <= bits.start < bits.stop <= 2**63:
+            raise ValidationError(f"field {field!r}: {bits} is not a step-1 range in 1..2^63 - 1")
+    elif not isinstance(bits, tuple):
+        raise ParseError(f"field {field!r} must be a tuple or range of resolutions, got {bits!r}")
+    elif len(bits) != count:
+        raise ValidationError(f"field {field!r} has {len(bits)} resolutions but {key} = {count}")
+    else:
+        for b in bits:
+            if not isinstance(b, float) or b != math.inf:
+                _positive_int(b, field)
+
+
+def _draw_bits(bits, count, rng):
+    """One trial's resolutions: the tuple itself, or count i.i.d. draws from the range."""
+    if isinstance(bits, range):
+        return tuple(int(b) for b in rng.integers(bits.start, bits.stop, size=count))
+    return bits
 
 
 def _parse_bit_spec(raw, count, field):
-    """Parse the resolution grammar for one converter bank.
+    """Parse the resolution grammar for one converter bank of count elements.
 
-    Accepts an explicit list (length must match), a single value applied
-    to every element, "uniform-random LO..HI", or
-    "mixed N1@B1 + N2@B2 [+ ...]" with counts summing to the bank size.
+    An explicit list, a single value applied to every element, or
+    "mixed N1@B1 + N2@B2 [+ ...]" gives a tuple; "uniform-random LO..HI"
+    gives range(LO, HI + 1). ExperimentSpec checks the entries and counts.
     """
-    if isinstance(raw, list):
-        if len(raw) != count:
-            raise ValidationError(
-                f"field {field!r} lists {len(raw)} resolutions but {count} are needed"
-            )
-        return BitSpec("fixed", count, tuple(_parse_bit_entry(v, field) for v in raw))
     if not isinstance(raw, str) or raw.strip().lower() == "inf":
-        return BitSpec("fixed", count, (_parse_bit_entry(raw, field),) * count)
+        entries = raw if isinstance(raw, list) else [raw] * count
+        # infinity is the text "inf"; ExperimentSpec would take a JSON Infinity for math.inf
+        if any(isinstance(v, float) and v == math.inf for v in entries):
+            raise ParseError(f"field {field!r}: write an infinite resolution as \"inf\"")
+        return tuple(math.inf if isinstance(v, str) and v.strip().lower() == "inf" else v
+                     for v in entries)
     text = raw.strip()
     match = _UNIFORM_RE.match(text)
     if match:
-        lo, hi = int(match.group(1)), int(match.group(2))
-        # each trial draws from the range with numpy's int64 integers
-        if lo < 1 or hi < lo or hi > np.iinfo(np.int64).max:
-            raise ValidationError(f"field {field!r}: bad range {lo}..{hi}")
-        return BitSpec("uniform", count, lo=lo, hi=hi)
+        return range(int(match.group(1)), int(match.group(2)) + 1)
     if text.startswith("mixed"):
         parts = []
         for part in text[len("mixed"):].split("+"):
@@ -186,10 +176,11 @@ def _parse_bit_spec(raw, count, field):
             if not m:
                 raise ParseError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
             parts.append((int(m.group(1)), _positive_int(int(m.group(2)), field)))
+        # checked before the tuple is built, so a count with hundreds of digits allocates nothing
         total = sum(n for n, _ in parts)
         if total != count:
             raise ValidationError(f"field {field!r}: mixed counts sum to {total}, need {count}")
-        return BitSpec("fixed", count, tuple(bits for n, bits in parts for _ in range(n)))
+        return tuple(bits for n, bits in parts for _ in range(n))
     raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
 
 
@@ -221,12 +212,15 @@ def load_spec(document):
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
     solver = SolverOptions(**solver_raw)
+    dac_bits = _parse_bit_spec(data["dac_bits"], n_antennas, "dac_bits")
+    # checked before the ADCs are parsed, so a document's first bad field is the one reported
+    _check_bits(dac_bits, "dac_bits", "N", n_antennas)
 
     return ExperimentSpec(
         n_antennas=n_antennas,
         n_users=n_users,
         snr_db=tuple(data["snr_db"]),
-        dac_bits=_parse_bit_spec(data["dac_bits"], n_antennas, "dac_bits"),
+        dac_bits=dac_bits,
         adc_bits=_parse_bit_spec(data["adc_bits"], n_users, "adc_bits"),
         channel_mode=data.get("channel_mode", "random_aod"),
         trials=data["trials"],
@@ -239,9 +233,8 @@ def load_spec(document):
 def _run_trial(spec, trial_index):
     """All records for one trial: shared channel and bits, every (snr, alg), one scoring call."""
     rng = trial_rng(spec.base_seed, trial_index)
-    dac_bits = spec.dac_bits.resolve(rng)
-    adc_bits = spec.adc_bits.resolve(rng)
-    profile = QuantizerProfile(dac_bits, adc_bits)
+    profile = QuantizerProfile(_draw_bits(spec.dac_bits, spec.n_antennas, rng),
+                               _draw_bits(spec.adc_bits, spec.n_users, rng))
 
     aods = draw_aods(rng, spec.n_users, spec.channel_mode)
     factors = [one_ring_factor(spec.n_antennas, float(theta)) for theta in aods]
@@ -294,9 +287,7 @@ def run_experiment(spec, workers=1):
     (converged False, zeroed metrics); it never aborts the sweep.
     Up to ``workers`` trials, but no more than there are trials or CPUs, run in parallel.
     """
-    if workers < 1:
-        raise ValidationError(f"workers must be >= 1, got {workers}")
-    workers = min(workers, spec.trials, os.cpu_count() or 1)
+    workers = min(_positive_int(workers, "workers"), spec.trials, os.cpu_count() or 1)
     if workers == 1:
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:
@@ -307,31 +298,19 @@ def run_experiment(spec, workers=1):
     return records
 
 
-# Column groups of the results and summary CSVs, in dataclass field order.
-# A group is (field, kind): kind is the type of a one-column field, or,
-# for a vector field, the column prefix; a vector field spans one float
-# column per element, numbered from 1.
-_RECORD_COLUMNS = (
-    ("trial_index", int), ("snr_db", float), ("algorithm", str),
-    ("sum_se", float), ("common_rate", float), ("private_rates", "private_rate_"),
-    ("iterations", int), ("converged", bool), ("residual", float),
-    ("per_antenna_power", "per_antenna_power_"), ("note", str),
-)
-_SUMMARY_COLUMNS = (
-    ("snr_db", float), ("algorithm", str), ("n_records", int), ("n_failed", int),
-    ("mean_sum_se", float), ("stderr_sum_se", float), ("mean_common_rate", float),
-    ("mean_power_ratio", "mean_power_ratio_"),
-)
+def _prefix(name):
+    """The name of a tuple field's columns up to the element number (see write_csv)."""
+    return name.removesuffix("s") + "_"
 
 
-def _header(groups, widths):
-    """Column names; ``widths`` maps each vector field to its element count."""
+def _header(plan, widths):
+    """Column names of a (field, kind) plan; ``widths`` maps each tuple field to its length."""
     columns = []
-    for field, kind in groups:
-        if isinstance(kind, str):
-            columns += [f"{kind}{i + 1}" for i in range(widths[field])]
+    for name, kind in plan:
+        if kind is tuple:
+            columns += [f"{_prefix(name)}{i + 1}" for i in range(widths[name])]
         else:
-            columns.append(field)
+            columns.append(name)
     return columns
 
 
@@ -354,16 +333,17 @@ def _parse(kind, cell):
     return cell if kind is str else kind(cell)
 
 
-def _write_table(groups, items, path):
-    """Write dataclass items as UTF-8 CSV with LF endings, one row each."""
-    widths = {field: len(getattr(items[0], field)) if items else 0
-              for field, kind in groups if isinstance(kind, str)}
-    lines = [",".join(_header(groups, widths))]
+def _write_table(table, items, path):
+    """Write items of dataclass ``table`` as UTF-8 CSV with LF endings, one row each."""
+    plan = [(f.name, f.type) for f in dataclass_fields(table)]
+    widths = {name: len(getattr(items[0], name)) if items else 0
+              for name, kind in plan if kind is tuple}
+    lines = [",".join(_header(plan, widths))]
     for item in items:
         cells = []
-        for field, kind in groups:
-            value = getattr(item, field)
-            if isinstance(kind, str):
+        for name, kind in plan:
+            value = getattr(item, name)
+            if kind is tuple:
                 cells += [_format(float, v) for v in value]
             else:
                 cells.append(_format(kind, value))
@@ -373,16 +353,17 @@ def _write_table(groups, items, path):
 
 
 def write_csv(records, path):
-    """Write records as UTF-8 CSV with LF endings.
+    """Write records as UTF-8 CSV with LF endings, byte-deterministic for a given list.
 
-    Output is byte-deterministic for a given record list. Vector fields
-    occupy one column per element, keeping the field order.
+    The columns are TrialRecord's fields in order, each of the kind its annotation
+    names. A tuple field spans one float column per element, named for the field in
+    the singular and numbered from 1: private_rates becomes private_rate_1..K.
     """
-    _write_table(_RECORD_COLUMNS, records, path)
+    _write_table(TrialRecord, records, path)
 
 
 def read_csv(path):
-    """Parse a results CSV back into TrialRecords."""
+    """Parse a results CSV, whose header must be write_csv's, back into TrialRecords."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle if line.strip()]
@@ -390,10 +371,11 @@ def read_csv(path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty results file")
+    plan = [(f.name, f.type) for f in dataclass_fields(TrialRecord)]
     header = lines[0].split(",")
-    widths = {field: sum(c.startswith(kind) for c in header)
-              for field, kind in _RECORD_COLUMNS if isinstance(kind, str)}
-    if header != _header(_RECORD_COLUMNS, widths):
+    widths = {name: sum(c.startswith(_prefix(name)) for c in header)
+              for name, kind in plan if kind is tuple}
+    if header != _header(plan, widths):
         raise ParseError(f"{path}: unexpected CSV header")
     records = []
     for row, line in enumerate(lines[1:], start=1):
@@ -403,13 +385,13 @@ def read_csv(path):
         cells = iter(cells)
         fields = {}
         try:
-            for field, kind in _RECORD_COLUMNS:
-                if isinstance(kind, str):
-                    fields[field] = tuple(float(next(cells)) for _ in range(widths[field]))
+            for name, kind in plan:
+                if kind is tuple:
+                    fields[name] = tuple(float(next(cells)) for _ in range(widths[name]))
                 else:
-                    fields[field] = _parse(kind, next(cells))
+                    fields[name] = _parse(kind, next(cells))
         except ValueError as exc:
-            raise ParseError(f"{path}: row {row}, column {field!r}: {exc}") from exc
+            raise ParseError(f"{path}: row {row}, column {name!r}: {exc}") from exc
         records.append(TrialRecord(**fields))
     return records
 
@@ -461,5 +443,5 @@ def summarize(records):
 
 
 def write_summary_csv(rows, path):
-    """Write summary rows as CSV (one power-ratio column per antenna)."""
-    _write_table(_SUMMARY_COLUMNS, rows, path)
+    """Write summary rows as CSV, SummaryRow's fields by write_csv's rule."""
+    _write_table(SummaryRow, rows, path)

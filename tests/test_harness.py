@@ -23,7 +23,7 @@ from rsma_sim import (
     write_summary_csv,
 )
 from rsma_sim.cli import main as cli_main
-from rsma_sim.harness import BitSpec, TrialRecord
+from rsma_sim.harness import TrialRecord, _draw_bits
 
 from oracles import dense_blockdiag_solve
 
@@ -63,32 +63,33 @@ class TestLoadSpec:
         assert spec.channel_mode == "random_aod"
         assert spec.base_seed == 0
         assert spec.algorithms == ("QGPIRS", "QGPISEM", "QMRT", "QZF", "QRZF")
-        assert spec.dac_bits.resolve(None) == (4, 4, 4, 4)
+        assert spec.dac_bits == (4, 4, 4, 4)
 
     def test_mixed_grammar(self):
         spec = load_spec(make_doc(dac_bits="mixed 3@3 + 1@8"))
-        assert spec.dac_bits.resolve(None) == (3, 3, 3, 8)
+        assert spec.dac_bits == (3, 3, 3, 8)
 
     def test_uniform_range_up_to_int64_max(self):
         spec = load_spec(make_doc(dac_bits="uniform-random 9223372036854775806..9223372036854775807"))
-        drawn = spec.dac_bits.resolve(np.random.default_rng(0))
+        assert spec.dac_bits == range(9223372036854775806, 2**63)
+        drawn = _draw_bits(spec.dac_bits, 4, np.random.default_rng(0))
         assert all(b >= 9223372036854775806 for b in drawn)
 
     def test_uniform_random_grammar(self):
         spec = load_spec(make_doc(dac_bits="uniform-random 2..8"))
-        rng = np.random.default_rng(0)
-        bits = spec.dac_bits.resolve(rng)
+        assert spec.dac_bits == range(2, 9)
+        bits = _draw_bits(spec.dac_bits, 4, np.random.default_rng(0))
         assert len(bits) == 4
         assert all(2 <= b <= 8 for b in bits)
         # per-trial draws differ
         assert any(
-            spec.dac_bits.resolve(np.random.default_rng(s)) != bits for s in range(1, 20)
+            _draw_bits(spec.dac_bits, 4, np.random.default_rng(s)) != bits for s in range(1, 20)
         )
 
     def test_explicit_list_and_inf(self):
         spec = load_spec(make_doc(dac_bits=[3, "inf", 8, 2], adc_bits="inf"))
-        assert spec.dac_bits.resolve(None) == (3, math.inf, 8, 2)
-        assert spec.adc_bits.resolve(None) == (math.inf, math.inf)
+        assert spec.dac_bits == (3, math.inf, 8, 2)
+        assert spec.adc_bits == (math.inf, math.inf)
 
     def test_zero_trials_rejected(self):
         with pytest.raises(ValidationError):
@@ -117,8 +118,23 @@ class TestLoadSpec:
             load_spec(json.dumps(doc))
 
     def test_wrong_list_length(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="'dac_bits' has 2 resolutions but N = 4"):
             load_spec(make_doc(dac_bits=[4, 4]))
+
+    @pytest.mark.parametrize("dac_bits", ["Infinity", "[3, 3, 3, Infinity]"])
+    def test_json_infinity_is_not_inf_text(self, dac_bits):
+        # the grammar spells an infinite resolution "inf"; a bare JSON Infinity is a float
+        document = make_doc(dac_bits="@").replace('"@"', dac_bits)
+        with pytest.raises(ParseError, match="as \"inf\""):
+            load_spec(document)
+
+    @pytest.mark.parametrize("dac_bits, adc_bits", [
+        ([0, 4, 4, 4], "bad grammar"), (["x", 4, 4, 4], "mixed 1@8"), ([4, 4], "mixed x"),
+    ])
+    def test_dac_error_reported_before_adc_grammar(self, dac_bits, adc_bits):
+        # the banks are checked in document order, so the DACs' error is the one raised
+        with pytest.raises((ParseError, ValidationError), match="'dac_bits'"):
+            load_spec(make_doc(dac_bits=dac_bits, adc_bits=adc_bits))
 
     def test_mixed_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -211,14 +227,24 @@ class TestExperimentSpec:
         ({"n_users": -1}, ValidationError, "'K' must be >= 1"),
         ({"trials": 2.0}, ParseError, "'trials' must be an integer"),
         ({"channel_mode": "clustered"}, ValidationError, "channel_mode must be one of"),
-        ({"dac_bits": BitSpec("fixed", 2, (4, 4))}, ValidationError, "'dac_bits' has 2"),
-        ({"adc_bits": BitSpec("uniform", 3, lo=1, hi=8)}, ValidationError, "'adc_bits' has 3"),
+        ({"dac_bits": (4, 4)}, ValidationError, "'dac_bits' has 2"),
+        ({"adc_bits": (1, 8, 8)}, ValidationError, "'adc_bits' has 3"),
         ({"n_antennas": 8}, ValidationError, "N = 8"),
+        ({"dac_bits": (0, 4, 4, 4)}, ValidationError, "'dac_bits' must be >= 1"),
+        ({"dac_bits": (4.5, 4, 4, 4)}, ParseError, "'dac_bits' must be an integer"),
+        ({"adc_bits": (8, "inf")}, ParseError, "'adc_bits' must be an integer"),
+        ({"dac_bits": range(0, 2)}, ValidationError, "not a step-1 range"),
+        ({"dac_bits": range(3, 2)}, ValidationError, "not a step-1 range"),
+        ({"dac_bits": range(2, 9, 2)}, ValidationError, "not a step-1 range"),
+        ({"dac_bits": range(2, 2**63 + 1)}, ValidationError, "not a step-1 range"),
+        ({"dac_bits": [4, 4, 4, 4]}, ParseError, "must be a tuple or range"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
             "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
             "zero_trials", "zero_antennas", "negative_users", "float_trials",
             "unknown_channel_mode", "too_few_dacs", "too_many_adcs",
-            "antennas_without_dacs"])
+            "antennas_without_dacs", "zero_bit_dac", "fractional_bit_dac", "text_inf_adc",
+            "range_from_zero", "empty_range", "range_with_step", "range_past_int64",
+            "list_of_bits"])
     def test_replaced_spec_obeys_the_config_rules(self, change, error, match):
         # a spec made by dataclasses.replace meets the rules load_spec enforces
         with pytest.raises(error, match=match):
@@ -434,9 +460,12 @@ class TestRunExperiment:
         powers = {r.per_antenna_power for r in records}
         assert len(powers) > 1
 
-    @pytest.mark.parametrize("workers", [0, -2])
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, "2", None, True])
     def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(ValidationError):
+        # a count below one is a bad value; anything but an int is a bad type, raised before
+        # a process pool could see it
+        error = ValidationError if type(workers) is int else ParseError
+        with pytest.raises(error, match="'workers' must be"):
             run_experiment(small_spec(), workers=workers)
 
     @pytest.mark.parametrize("cpus, expected", [(4, 3), (2, 2), (None, None)])
@@ -505,6 +534,19 @@ class TestCsvRoundTrip:
         path = tmp_path / "lf.csv"
         write_csv(run_experiment(small_spec()), path)
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize("column, renamed", [
+        ("private_rate_1", "private_rates_1"), ("per_antenna_power_2", "per_antenna_powers_2"),
+        ("note", "notes"),
+    ])
+    def test_renamed_column_rejected(self, tmp_path, column, renamed):
+        # the header must be the one TrialRecord's fields give, names and order
+        path = tmp_path / "results.csv"
+        write_csv(run_experiment(small_spec()), path)
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(column, renamed, 1), encoding="utf-8")
+        with pytest.raises(ParseError, match="unexpected CSV header"):
+            read_csv(path)
 
     @pytest.mark.parametrize("cell", ["True", "1", "yes", ""])
     def test_bad_converged_cell_rejected(self, tmp_path, cell):
