@@ -1,6 +1,6 @@
 """Quantization-aware RSMA precoding: Q-GPI-RS solver, baselines, Monte Carlo harness."""
 
-from .baselines import baseline_precoder, normalize_power
+from .baselines import baseline_precoder
 from .channel import (
     draw_aods,
     kl_factorize,

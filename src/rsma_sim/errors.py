@@ -48,7 +48,7 @@ class RankDeficient(RsmaSimError):
 
 
 class ZeroPrecoder(RsmaSimError):
-    """Precoder carries no power and cannot be normalized."""
+    """A precoder, or one of its stream directions, is zero and cannot be scaled to the budget."""
 
 
 class ParseError(RsmaSimError):

@@ -1,4 +1,4 @@
-"""Quantization-aware MRT/ZF/RZF baselines and power normalization."""
+"""Quantization-aware MRT/ZF/RZF baselines: one outcome per SNR point."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from rsma_sim import (
     ZeroPrecoder,
     baseline_precoder,
     check_power,
-    normalize_power,
     rate_report,
 )
 
@@ -21,33 +20,6 @@ from oracles import (
     random_profile,
     vector_angle,
 )
-
-
-class TestNormalizePower:
-    def test_frobenius_two_halves(self):
-        profile = ideal_profile(2, 1)
-        f = np.eye(2, dtype=complex) * np.sqrt(2.0)  # Frobenius norm 2
-        scaled = normalize_power(f, profile)
-        np.testing.assert_allclose(scaled, f / 2.0, rtol=1e-12)
-
-    def test_already_normalized_unchanged(self):
-        rng = np.random.default_rng(0)
-        profile = random_profile(rng, 3, 2)
-        f = random_channel(rng, 3, 3)
-        f = f / np.sqrt(check_power(f, profile))
-        np.testing.assert_allclose(normalize_power(f, profile), f, rtol=1e-12)
-
-    def test_random_inputs_hit_budget_exactly(self):
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            profile = random_profile(rng, 4, 2)
-            f = 3.7 * random_channel(rng, 4, 3)
-            scaled = normalize_power(f, profile)
-            assert check_power(scaled, profile) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_precoder_rejected(self):
-        with pytest.raises(ZeroPrecoder):
-            normalize_power(np.zeros((2, 2)), ideal_profile(2, 1))
 
 
 class TestBaselinePrecoder:
@@ -64,14 +36,14 @@ class TestBaselinePrecoder:
         profile = QuantizerProfile([3, 5, 2, 8], [4])
         h_eff = effective_channel(profile, h)[:, 0]
         for kind in ("QMRT", "QZF", "QRZF"):
-            f = baseline_precoder(kind, h, profile, 10.0)
+            [f] = baseline_precoder(kind, h, profile, 10.0)
             np.testing.assert_array_equal(f[:, 0], np.zeros(4))
             assert vector_angle(f[:, 1], h_eff) < 1e-6
 
     def test_zero_forcing_property(self):
         h = random_channel(self.rng, 5, 3)
         profile = QuantizerProfile([4, 3, 6, 2, 7], [5, 3, 8])
-        f = baseline_precoder("QZF", h, profile, 10.0)
+        [f] = baseline_precoder("QZF", h, profile, 10.0)
         h_eff = effective_channel(profile, h)
         for k in range(3):
             for j in range(3):
@@ -82,10 +54,10 @@ class TestBaselinePrecoder:
         h = random_channel(self.rng, 4, 2)
         profile = QuantizerProfile([4] * 4, [6] * 2)
         # loading K/snr: huge SNR -> ZF, tiny SNR -> MRT
-        f_zf = baseline_precoder("QZF", h, profile, 1e12)
-        f_rzf_small = baseline_precoder("QRZF", h, profile, 1e12)
-        f_mrt = baseline_precoder("QMRT", h, profile, 1e-9)
-        f_rzf_large = baseline_precoder("QRZF", h, profile, 1e-9)
+        [f_zf] = baseline_precoder("QZF", h, profile, 1e12)
+        [f_rzf_small] = baseline_precoder("QRZF", h, profile, 1e12)
+        [f_mrt] = baseline_precoder("QMRT", h, profile, 1e-9)
+        [f_rzf_large] = baseline_precoder("QRZF", h, profile, 1e-9)
         for k in range(2):
             assert vector_angle(f_rzf_small[:, k + 1], f_zf[:, k + 1]) < 1e-3
             assert vector_angle(f_rzf_large[:, k + 1], f_mrt[:, k + 1]) < 1e-3
@@ -94,7 +66,7 @@ class TestBaselinePrecoder:
         h = random_channel(self.rng, 4, 3)
         profile = QuantizerProfile([2, 4, 6, 8], [1, 5, 8])
         for kind in ("QMRT", "QZF", "QRZF"):
-            f = baseline_precoder(kind, h, profile, 25.0)
+            [f] = baseline_precoder(kind, h, profile, 25.0)
             assert check_power(f, profile) == pytest.approx(1.0, abs=1e-12)
             norms = np.linalg.norm(f[:, 1:], axis=0)
             np.testing.assert_allclose(norms, norms[0], rtol=1e-12)
@@ -104,16 +76,16 @@ class TestBaselinePrecoder:
         profile = ideal_profile(4, 2)
         snr = 20.0
 
-        mrt = baseline_precoder("QMRT", h, profile, snr)
+        [mrt] = baseline_precoder("QMRT", h, profile, snr)
         for k in range(2):
             assert vector_angle(mrt[:, k + 1], h[:, k]) < 1e-6
 
-        zf = baseline_precoder("QZF", h, profile, snr)
+        [zf] = baseline_precoder("QZF", h, profile, snr)
         textbook_zf = h @ np.linalg.inv(h.conj().T @ h)
         for k in range(2):
             assert vector_angle(zf[:, k + 1], textbook_zf[:, k]) < 1e-6
 
-        rzf = baseline_precoder("QRZF", h, profile, snr)
+        [rzf] = baseline_precoder("QRZF", h, profile, snr)
         loading = 2 / snr
         textbook_rzf = h @ np.linalg.inv(h.conj().T @ h + loading * np.eye(2))
         for k in range(2):
@@ -122,17 +94,19 @@ class TestBaselinePrecoder:
     def test_rank_deficient_rejected(self):
         h1 = random_channel(self.rng, 3, 1)
         h = np.column_stack([h1, h1])  # duplicated user channel
-        with pytest.raises(RankDeficient):
-            baseline_precoder("QZF", h, ideal_profile(3, 2), 10.0)
+        # a point's failure is its list entry; only whole-call errors raise
+        [error] = baseline_precoder("QZF", h, ideal_profile(3, 2), 10.0)
+        assert isinstance(error, RankDeficient)
 
     def test_overloaded_zf_rejected(self):
         h = random_channel(self.rng, 2, 3)  # K > N
-        with pytest.raises(RankDeficient):
-            baseline_precoder("QZF", h, ideal_profile(2, 3), 10.0)
+        [error] = baseline_precoder("QZF", h, ideal_profile(2, 3), 10.0)
+        assert isinstance(error, RankDeficient)
 
     def test_batched_snrs_match_scalar_calls(self):
         # one call over a trial's SNR points returns what a call per point
-        # returns, bit for bit; MRT and ZF repeat one SNR-free precoder
+        # returns, bit for bit, whatever its batch mates; MRT and ZF repeat
+        # one SNR-free precoder
         snrs = [1e-3, 1.0, 10.0, 1e4, 1e9]
         for n, k_users in ((4, 2), (8, 3), (64, 8)):
             h = random_channel(self.rng, n, k_users)
@@ -140,8 +114,11 @@ class TestBaselinePrecoder:
             for kind in ("QMRT", "QZF", "QRZF"):
                 batch = baseline_precoder(kind, h, profile, snrs)
                 assert len(batch) == len(snrs)
-                for snr, f in zip(snrs, batch):
-                    np.testing.assert_array_equal(f, baseline_precoder(kind, h, profile, snr))
+                reversed_batch = baseline_precoder(kind, h, profile, snrs[::-1])[::-1]
+                for snr, f, f_reversed in zip(snrs, batch, reversed_batch):
+                    [single] = baseline_precoder(kind, h, profile, snr)
+                    np.testing.assert_array_equal(f, single)
+                    np.testing.assert_array_equal(f_reversed, single)
 
     def test_rank_deficient_point_fails_alone(self):
         # a rank-1 effective channel: RZF's loading K / snr keeps the 10 point
@@ -150,11 +127,11 @@ class TestBaselinePrecoder:
         h = np.column_stack([h1, h1])
         profile = QuantizerProfile([4] * 3, [6] * 2)
         at_10, at_huge = baseline_precoder("QRZF", h, profile, [10.0, 1e20])
-        np.testing.assert_array_equal(at_10, baseline_precoder("QRZF", h, profile, 10.0))
+        np.testing.assert_array_equal(at_10, baseline_precoder("QRZF", h, profile, 10.0)[0])
         assert isinstance(at_huge, RankDeficient)
         assert str(at_huge) == "effective channel Gram matrix is singular (kind=QRZF)"
-        with pytest.raises(RankDeficient, match=r"singular \(kind=QRZF\)"):
-            baseline_precoder("QRZF", h, profile, 1e20)
+        [alone] = baseline_precoder("QRZF", h, profile, 1e20)
+        assert isinstance(alone, RankDeficient) and str(alone) == str(at_huge)
         zf = baseline_precoder("QZF", h, profile, [10.0, 1e20])
         assert all(isinstance(e, RankDeficient) for e in zf)
 
@@ -163,15 +140,16 @@ class TestBaselinePrecoder:
         h[:, 1] = 0.0
         errors = baseline_precoder("QRZF", h, ideal_profile(3, 2), [1.0, 100.0])
         assert [str(e) for e in errors] == ["an effective channel column vanishes"] * 2
-        with pytest.raises(ZeroPrecoder, match="column vanishes"):
-            baseline_precoder("QMRT", h, ideal_profile(3, 2), 1.0)
+        [error] = baseline_precoder("QMRT", h, ideal_profile(3, 2), 1.0)
+        assert isinstance(error, ZeroPrecoder)
+        assert str(error) == "an effective channel column vanishes"
 
     def test_rates_flow_through_shared_report(self):
         # baselines evaluate through the same rate computation as the
         # iterative solvers; the zero common column yields zero common rate
         h = random_channel(self.rng, 4, 2)
         profile = QuantizerProfile([4] * 4, [6] * 2)
-        f = baseline_precoder("QRZF", h, profile, 100.0)
+        [f] = baseline_precoder("QRZF", h, profile, 100.0)
         report = rate_report(h, f, profile, 100.0)
         assert report.common_rate == 0.0
         assert report.sum_se == pytest.approx(report.private_rates.sum(), rel=1e-14)

@@ -95,6 +95,18 @@ class TestLoadSpec:
         with pytest.raises(ValidationError):
             load_spec(make_doc(trials=0))
 
+    @pytest.mark.parametrize("key, value", [("N", 2049), ("K", 2049), ("N", 10**400),
+                                            ("K", 10**400)],
+                             ids=["N-2049", "K-2049", "N-401-digits", "K-401-digits"])
+    def test_size_above_bound_rejected_before_banks_are_built(self, key, value):
+        # a scalar bank spec is expanded to N or K entries, so the bound is checked first
+        with pytest.raises(ValidationError, match=f"'{key}' must be <= 2048"):
+            load_spec(make_doc(**{key: value}))
+
+    def test_size_at_bound_loads(self):
+        spec = load_spec(make_doc(N=rsma_sim.harness.MAX_SIZE, K=rsma_sim.harness.MAX_SIZE))
+        assert len(spec.dac_bits) == len(spec.adc_bits) == 2048
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError):
             load_spec(make_doc(wavelength=0.1))
@@ -225,6 +237,8 @@ class TestExperimentSpec:
         ({"trials": 0}, ValidationError, "'trials' must be >= 1"),
         ({"n_antennas": 0}, ValidationError, "'N' must be >= 1"),
         ({"n_users": -1}, ValidationError, "'K' must be >= 1"),
+        ({"n_antennas": 2049}, ValidationError, "'N' must be <= 2048"),
+        ({"n_users": 10**400}, ValidationError, "'K' must be <= 2048"),
         ({"trials": 2.0}, ParseError, "'trials' must be an integer"),
         ({"channel_mode": "clustered"}, ValidationError, "channel_mode must be one of"),
         ({"dac_bits": (4, 4)}, ValidationError, "'dac_bits' has 2"),
@@ -240,7 +254,8 @@ class TestExperimentSpec:
         ({"dac_bits": [4, 4, 4, 4]}, ParseError, "must be a tuple or range"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
             "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
-            "zero_trials", "zero_antennas", "negative_users", "float_trials",
+            "zero_trials", "zero_antennas", "negative_users", "too_many_antennas",
+            "too_many_users", "float_trials",
             "unknown_channel_mode", "too_few_dacs", "too_many_adcs",
             "antennas_without_dacs", "zero_bit_dac", "fractional_bit_dac", "text_inf_adc",
             "range_from_zero", "empty_range", "range_with_step", "range_past_int64",
@@ -249,6 +264,21 @@ class TestExperimentSpec:
         # a spec made by dataclasses.replace meets the rules load_spec enforces
         with pytest.raises(error, match=match):
             replace(load_spec(make_doc()), **change)
+
+    def test_numpy_integers_count_as_integers(self):
+        # numpy integers meet the integer rule, and a spec of them runs the same records
+        spec = small_spec(trials=2, dac_bits=[3, 3, 3, 8])
+        as_numpy = replace(spec, n_antennas=np.int64(4), n_users=np.int32(2),
+                           trials=np.int64(2), base_seed=np.uint8(77),
+                           dac_bits=tuple(np.int16(b) for b in spec.dac_bits))
+        records = run_experiment(spec)
+        assert run_experiment(as_numpy, workers=np.int64(1)) == records
+        assert run_experiment(spec, workers=np.int64(2)) == records
+        for change in ({"trials": np.int64(0)}, {"n_antennas": np.int64(2049)}):
+            with pytest.raises(ValidationError):
+                replace(spec, **change)
+        with pytest.raises(ValidationError, match="'workers' must be >= 1"):
+            run_experiment(spec, workers=np.int64(0))
 
     def test_snr_stored_as_floats(self):
         spec = replace(load_spec(make_doc()), snr_db=(40, 10**2))
@@ -493,6 +523,41 @@ class TestRunExperiment:
         assert sizes == ([] if expected is None else [expected])
         assert pooled == run_experiment(spec, workers=1)
 
+    def test_pool_is_handed_a_window_of_trials(self, monkeypatch):
+        # the pool queues every trial it is handed, so a trial count too large for a list
+        # starts as the serial path does instead of raising OverflowError
+        handed = []
+
+        class Stop(Exception):
+            pass
+
+        class FirstWindowPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, specs, trials):
+                handed.append((len(specs), trials))
+                raise Stop
+
+        monkeypatch.setattr(rsma_sim.harness, "ProcessPoolExecutor", FirstWindowPool)
+        monkeypatch.setattr(rsma_sim.harness.os, "cpu_count", lambda: 2)
+        with pytest.raises(Stop):
+            run_experiment(replace(small_spec(), trials=10**400), workers=2)
+        window = rsma_sim.harness._POOL_WINDOW
+        assert handed == [(window, range(window))]
+
+    def test_pooled_windows_give_the_serial_records(self, monkeypatch):
+        monkeypatch.setattr(rsma_sim.harness, "_POOL_WINDOW", 2)
+        monkeypatch.setattr(rsma_sim.harness.os, "cpu_count", lambda: 2)
+        spec = small_spec(trials=5)
+        assert run_experiment(spec, workers=2) == run_experiment(spec, workers=1)
+
 
 class TestCsvRoundTrip:
     def test_empty_records_header_only(self, tmp_path):
@@ -729,6 +794,14 @@ class TestCli:
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["N", "K"])
+    def test_huge_size_is_config_error(self, tmp_path, capsys, key):
+        config = self._write_config(tmp_path, **{key: 10**400})
+        out = tmp_path / "never.csv"
+        assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
+        assert f"config error: field '{key}' must be <= 2048" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_workers_is_config_error(self, tmp_path, capsys):

@@ -12,7 +12,6 @@ from rsma_sim import (
     QuantizerProfile,
     check_power,
     lse_min,
-    normalize_power,
     rate_report,
     softmin_weights,
 )
@@ -259,13 +258,11 @@ class TestCheckPower:
 
     def test_non_matrix_rejected(self):
         # a precoder is an (N, S) matrix; other ranks fail with DimensionMismatch,
-        # not numpy's AxisError, and so does normalize_power through it
+        # not numpy's AxisError
         profile = QuantizerProfile([4] * 4, [6] * 2)
         for f_matrix in (np.ones(4), np.ones(()), np.ones((4, 3, 1)), np.ones((3, 3))):
             with pytest.raises(DimensionMismatch, match="precoder shape"):
                 check_power(f_matrix, profile)
-        with pytest.raises(DimensionMismatch, match="precoder shape"):
-            normalize_power(np.ones(4), profile)
 
 
 class TestLseMin:
