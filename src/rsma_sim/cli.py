@@ -5,18 +5,13 @@ import sys
 from dataclasses import replace
 
 from .errors import ParseError, RsmaSimError, ValidationError
-from .harness import (
-    load_spec,
-    read_csv,
-    run_experiment,
-    summarize,
-    write_csv,
-    write_summary_csv,
-)
+from .harness import load_spec, read_csv, run_experiment, summarize, write_csv, write_summary_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IO = 2
+# each command's stderr prefix for an input that cannot be parsed or breaks the schema
+_BAD_INPUT = {"run": "config error", "summarize": "bad results file"}
 
 
 def _build_parser():
@@ -40,61 +35,30 @@ def _build_parser():
     return parser
 
 
-def _cmd_run(args):
+def main(argv=None):
+    """Run one command; a file error exits EXIT_IO, any other rsma-sim error EXIT_CONFIG."""
+    args = _build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            document = handle.read()
+        if args.command == "run":
+            with open(args.config, "r", encoding="utf-8") as handle:
+                document = handle.read()
+            spec = load_spec(document)
+            if args.seed is not None:
+                spec = replace(spec, base_seed=args.seed)
+            write_csv(run_experiment(spec, workers=args.workers), args.out)
+        else:
+            write_summary_csv(summarize(read_csv(args.in_path)), args.out)
     except OSError as exc:
-        print(f"rsma-sim: cannot read config: {exc}", file=sys.stderr)
+        # the OS message names the path
+        print(f"rsma-sim: {exc}", file=sys.stderr)
         return EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"rsma-sim: config error: {args.config} is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        spec = load_spec(document)
-        if args.seed is not None:
-            spec = replace(spec, base_seed=args.seed)
-        records = run_experiment(spec, workers=args.workers)
-    except (ParseError, ValidationError) as exc:
-        print(f"rsma-sim: config error: {exc}", file=sys.stderr)
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+        print(f"rsma-sim: {_BAD_INPUT[args.command]}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RsmaSimError as exc:
         print(f"rsma-sim: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        write_csv(records, args.out)
-    except OSError as exc:
-        print(f"rsma-sim: cannot write results: {exc}", file=sys.stderr)
-        return EXIT_IO
     return EXIT_OK
-
-
-def _cmd_summarize(args):
-    try:
-        records = read_csv(args.in_path)
-    except OSError as exc:
-        print(f"rsma-sim: cannot read results: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"rsma-sim: bad results file: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        rows = summarize(records)
-        write_summary_csv(rows, args.out)
-    except OSError as exc:
-        print(f"rsma-sim: cannot write summary: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ParseError as exc:
-        print(f"rsma-sim: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
-
-
-def main(argv=None):
-    args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    return _cmd_summarize(args)
 
 
 if __name__ == "__main__":

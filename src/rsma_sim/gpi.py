@@ -127,8 +127,9 @@ def _stacked(forms, w, name="stacked vector"):
 def _quadratics(forms, w):
     """Numerator/denominator values of the rate quotients at stacked vectors.
 
-    Returns (a_common, b_common, a_private, b_private), each (B, K); with
-    a zero common block the common pair is equal. Valid for any nonzero w,
+    Returns (totals, common, private), each (B, K), as ``interference`` names
+    them: the common quotient is totals / common and each private one common /
+    private; with a zero common block the first two are equal. Valid for any nonzero w,
     not just unit norm: the noise term scales with ||w||^2, which keeps
     every quotient invariant to scaling.
     """
@@ -137,7 +138,7 @@ def _quadratics(forms, w):
     noise = forms.noise_over_power[:, None] * (w.conj() * w).real.sum(axis=1, keepdims=True)
     beam, totals = quadratic_terms(forms.weighted_channels, forms.distortion_diags, rows, noise)
     common, private = interference(beam, totals, forms.adc_alpha)
-    return totals, common, common, private
+    return totals, common, private
 
 
 def objective(forms, w, tau):
@@ -147,9 +148,9 @@ def objective(forms, w, tau):
     rates; SDMA: private rates only (tau unused). Invariant to scaling
     of w.
     """
-    a_c, b_c, a_p, b_p = _quadratics(forms, w)
-    common = np.where(forms.include_common, lse_min(np.log2(a_c / b_c), tau), 0.0)
-    return common + np.log2(a_p / b_p).sum(axis=1)
+    totals, common, private = _quadratics(forms, w)
+    common_rate = np.where(forms.include_common, lse_min(np.log2(totals / common), tau), 0.0)
+    return common_rate + np.log2(common / private).sum(axis=1)
 
 
 def kkt_matrices(forms, w, tau):
@@ -167,12 +168,12 @@ def kkt_matrices(forms, w, tau):
     Where the common stream is off the softmin weights are zero: the private
     blocks are the SDMA pencil's, and block 0 maps a zero common block to zero.
     """
-    a_c, b_c, a_p, b_p = _quadratics(forms, w)
+    totals, common, private = _quadratics(forms, w)
     m, k, alpha = forms.weighted_channels, forms.n_users, forms.adc_alpha
 
-    mu = softmin_weights(np.log2(a_c / b_c), tau) * forms.include_common[:, None]
-    coeff_a = mu / a_c + 1.0 / a_p
-    coeff_b = mu / b_c + 1.0 / b_p
+    mu = softmin_weights(np.log2(totals / common), tau) * forms.include_common[:, None]
+    coeff_a = mu / totals + 1.0 / common
+    coeff_b = mu / common + 1.0 / private
 
     d, noise = forms.distortion_diags, forms.noise_over_power[:, None]
     diag_a = coeff_a @ d + coeff_a.sum(axis=1, keepdims=True) * noise
@@ -184,8 +185,8 @@ def kkt_matrices(forms, w, tau):
     # denominator at that user's block. Those own weights sit every K+1
     # flat entries from user 0's in the first private block. With
     # alpha <= 1 the differences below stay nonnegative in floating point.
-    weights_b.reshape(forms.batch, -1)[:, k:: k + 1] = coeff_b - alpha / b_p
-    weights_a[:, 0] = coeff_a - alpha / a_p
+    weights_b.reshape(forms.batch, -1)[:, k:: k + 1] = coeff_b - alpha / private
+    weights_a[:, 0] = coeff_a - alpha / common
     weights_b[:, 0] = (1.0 - alpha) * coeff_b
     return BlockDiag(diag_a, m, weights_a), BlockDiag(diag_b, m, weights_b)
 

@@ -17,7 +17,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .channel import (
     one_ring_factor,
     sample_channel,
 )
-from .errors import ParseError, RsmaSimError, ValidationError
+from .errors import DimensionMismatch, ParseError, RsmaSimError, ValidationError
 from .gpi import SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
@@ -77,19 +77,22 @@ class ExperimentSpec:
         seed = self.base_seed
         if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
             raise ParseError(f"base_seed must be a nonnegative integer, got {seed!r}")
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.snr_db):
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in self.snr_db):
             raise ParseError("snr_db entries must be numbers")
+        snr_db = []
         for v in self.snr_db:
-            # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite
+            # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite.
+            # On Python floats an overflow raises, where numpy's would only warn.
             try:
-                loading = self.n_users / 10.0 ** (v / 10.0)
+                snr_db.append(float(v))
+                loading = self.n_users / 10.0 ** (snr_db[-1] / 10.0)
             except (OverflowError, ZeroDivisionError):
                 loading = math.inf
             if not 0.0 < loading < math.inf:
                 raise ValidationError(f"snr_db entry {v}: K * 10^(-snr_db/10) is not "
                                       "positive and finite")
-        # float(v) cannot overflow where v / 10.0 did not; a frozen field is set through object
-        object.__setattr__(self, "snr_db", tuple(float(v) for v in self.snr_db))
+        # a frozen field is set through object
+        object.__setattr__(self, "snr_db", tuple(snr_db))
         if self.channel_mode not in CHANNEL_MODES:
             raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
         for alg in self.algorithms:
@@ -350,11 +353,15 @@ def _write_table(table, items, path):
     widths = {name: len(getattr(items[0], name)) if items else 0
               for name, kind in plan if kind is tuple}
     lines = [",".join(_header(plan, widths))]
-    for item in items:
+    for row, item in enumerate(items, start=1):
         cells = []
         for name, kind in plan:
             value = getattr(item, name)
             if kind is tuple:
+                # checked before the file is opened, so a ragged table writes nothing
+                if len(value) != widths[name]:
+                    raise DimensionMismatch(f"field {name!r}: row {row} has {len(value)} "
+                                            f"entries, row 1 has {widths[name]}")
                 cells += [_format(float, v) for v in value]
             else:
                 cells.append(_format(kind, value))

@@ -80,8 +80,13 @@ def effective_channel(profile, channel):
 
 
 def element_quadratics(forms, w):
-    """``_quadratics`` of a batch of one, without the batch axis."""
-    return tuple(q[0] for q in _quadratics(forms, w))
+    """Rate quotients' (a_common, b_common, a_private, b_private) of a batch of one.
+
+    ``_quadratics`` returns the three distinct sums, without the batch axis here:
+    the common quotient's denominator is the private one's numerator.
+    """
+    totals, common, private = (q[0] for q in _quadratics(forms, w))
+    return totals, common, common, private
 
 
 def stream_rates(forms, w):

@@ -13,6 +13,7 @@ import rsma_sim.channel
 import rsma_sim.gpi
 import rsma_sim.harness
 from rsma_sim import (
+    DimensionMismatch,
     ParseError,
     ValidationError,
     load_spec,
@@ -230,6 +231,7 @@ class TestExperimentSpec:
         ({"snr_db": (10, 10.0)}, ValidationError, "snr_db repeats"),
         ({"snr_db": (math.nan,)}, ValidationError, "snr_db entry"),
         ({"snr_db": (10, 10**400)}, ValidationError, "snr_db entry"),
+        ({"snr_db": (np.float64(1e308),)}, ValidationError, "snr_db entry"),
         ({"snr_db": ("10",)}, ParseError, "snr_db entries"),
         ({"algorithms": ()}, ValidationError, "algorithms must be a nonempty"),
         ({"algorithms": ("QZF", "WMMSE")}, ValidationError, "unknown algorithm"),
@@ -253,7 +255,7 @@ class TestExperimentSpec:
         ({"dac_bits": range(2, 2**63 + 1)}, ValidationError, "not a step-1 range"),
         ({"dac_bits": [4, 4, 4, 4]}, ParseError, "must be a tuple or range"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
-            "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
+            "huge_numpy_snr", "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
             "zero_trials", "zero_antennas", "negative_users", "too_many_antennas",
             "too_many_users", "float_trials",
             "unknown_channel_mode", "too_few_dacs", "too_many_adcs",
@@ -283,6 +285,12 @@ class TestExperimentSpec:
     def test_snr_stored_as_floats(self):
         spec = replace(load_spec(make_doc()), snr_db=(40, 10**2))
         assert spec.snr_db == (40.0, 100.0)
+        assert all(type(v) is float for v in spec.snr_db)
+
+    def test_numpy_snr_entries_stored_as_floats(self):
+        # any real number but a bool is an SNR, as in the solver settings
+        spec = replace(load_spec(make_doc()), snr_db=(np.int64(10), np.float32(20.5)))
+        assert spec.snr_db == (10.0, 20.5)
         assert all(type(v) is float for v in spec.snr_db)
 
 
@@ -613,6 +621,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="unexpected CSV header"):
             read_csv(path)
 
+    def test_ragged_tables_are_not_written(self, tmp_path):
+        # a tuple column's width comes from row 1, so a wider later row would not read back
+        records = (run_experiment(small_spec(algorithms=["QMRT"]))
+                   + run_experiment(small_spec(algorithms=["QMRT"], K=3, adc_bits=6)))
+        path = tmp_path / "results.csv"
+        with pytest.raises(DimensionMismatch, match="'private_rates': row 2 has 3 entries"):
+            write_csv(records, path)
+        rows = summarize(records[:1]) + summarize(run_experiment(small_spec(N=5, dac_bits=4)))
+        with pytest.raises(DimensionMismatch, match="'mean_power_ratio': row 2 has 5"):
+            write_summary_csv(rows, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("cell", ["True", "1", "yes", ""])
     def test_bad_converged_cell_rejected(self, tmp_path, cell):
         path = tmp_path / "results.csv"
@@ -842,3 +862,19 @@ class TestCli:
         out = tmp_path / "summary.csv"
         assert cli_main(["summarize", "--in", str(tmp_path / "none.csv"),
                          "--out", str(out)]) == 2
+
+    def test_summarize_header_only_results_is_bad_results_file(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        write_csv([], results)
+        out = tmp_path / "summary.csv"
+        assert cli_main(["summarize", "--in", str(results), "--out", str(out)]) == 1
+        assert "rsma-sim: bad results file: cannot summarize" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_summarize_unwritable_output_is_io_error(self, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        write_csv(run_experiment(small_spec()), results)
+        out = tmp_path / "no" / "such" / "dir" / "summary.csv"
+        assert cli_main(["summarize", "--in", str(results), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("rsma-sim: ") and str(out) in err
