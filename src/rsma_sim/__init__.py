@@ -1,13 +1,7 @@
 """Quantization-aware RSMA precoding: Q-GPI-RS solver, baselines, Monte Carlo harness."""
 
 from .baselines import baseline_precoder
-from .channel import (
-    draw_aods,
-    kl_factorize,
-    one_ring_covariance,
-    one_ring_factor,
-    sample_channel,
-)
+from .channel import one_ring_factor, sample_channel
 from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
@@ -20,19 +14,8 @@ from .errors import (
     ZeroChannel,
     ZeroPrecoder,
 )
-from .gpi import (
-    QuadraticForms,
-    SolveResult,
-    SolverOptions,
-    build_forms,
-    gpi_solve,
-    init_precoder,
-    kkt_matrices,
-    nep_residual,
-    objective,
-)
+from .gpi import QuadraticForms, SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .harness import (
-    ALGORITHMS,
     TrialRecord,
     load_spec,
     read_csv,
@@ -41,23 +24,8 @@ from .harness import (
     write_csv,
     write_summary_csv,
 )
-from .linalg import (
-    BlockDiag,
-    blockdiag_solve,
-    sample_complex_gaussian,
-    trial_rng,
-)
-from .quantization import (
-    BETA_TABLE,
-    QuantizerProfile,
-    beta_of_bits,
-)
-from .rates import (
-    RateReport,
-    check_power,
-    lse_min,
-    rate_report,
-    softmin_weights,
-)
+from .linalg import trial_rng
+from .quantization import QuantizerProfile
+from .rates import RateReport, check_power, rate_report
 
 __version__ = "0.1.0"

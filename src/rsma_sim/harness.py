@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
 from numbers import Integral, Real
@@ -195,10 +196,18 @@ def _parse_bit_spec(raw, count, field):
     raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
 
 
+def _unique_keys(pairs):
+    """JSON object hook: a repeated key raises ParseError instead of keeping its last value."""
+    repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+    if repeated:
+        raise ParseError(f"repeated keys in a JSON object: {repeated}")
+    return dict(pairs)
+
+
 def load_spec(document):
     """Parse and validate a JSON experiment document into an ExperimentSpec."""
     try:
-        data = json.loads(document)
+        data = json.loads(document, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(data, dict):

@@ -38,17 +38,6 @@ def beta_of_bits(bits):
     return math.ldexp(math.pi * math.sqrt(3.0) / 2.0, -2 * int(bits))
 
 
-def _gains(bits_list):
-    """Per-element (alpha, beta) with alpha + beta == 1 exactly.
-
-    alpha is computed first; beta is then re-derived as 1 - alpha, which is
-    exact in floating point because alpha lies in [0.5, 1].
-    """
-    alpha = np.array([1.0 - beta_of_bits(b) for b in bits_list], dtype=float)
-    beta = 1.0 - alpha
-    return alpha, beta
-
-
 @dataclass(frozen=True)
 class QuantizerProfile:
     """Per-antenna DAC and per-user ADC resolutions with derived gains.
@@ -67,10 +56,11 @@ class QuantizerProfile:
     def __post_init__(self):
         for bank in ("dac", "adc"):
             bits = tuple(getattr(self, f"{bank}_bits"))
-            alpha, beta = _gains(bits)
+            alpha = np.array([1.0 - beta_of_bits(b) for b in bits], dtype=float)
             object.__setattr__(self, f"{bank}_bits", bits)
             object.__setattr__(self, f"{bank}_alpha", alpha)
-            object.__setattr__(self, f"{bank}_beta", beta)
+            # so alpha + beta == 1 exactly: 1 - alpha is exact because alpha lies in [0.5, 1]
+            object.__setattr__(self, f"{bank}_beta", 1.0 - alpha)
 
     @property
     def n_antennas(self):

@@ -11,20 +11,17 @@ import numpy as np
 import scipy.linalg
 
 from rsma_sim import (
-    BlockDiag,
     ConvergenceFailure,
     DimensionMismatch,
     QuantizerProfile,
     SingularMatrix,
     SolveResult,
     ZeroPrecoder,
-    blockdiag_solve,
     check_power,
-    kkt_matrices,
 )
 from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
-from rsma_sim.gpi import _quadratics, _to_full_precoder
-from rsma_sim.linalg import PIVOT_RTOL
+from rsma_sim.gpi import _quadratics, _to_full_precoder, kkt_matrices
+from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve
 from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]

@@ -19,21 +19,18 @@ from rsma_sim import (
     SolverOptions,
     build_forms,
     check_power,
-    draw_aods,
     gpi_solve,
     init_precoder,
-    kkt_matrices,
-    kl_factorize,
     load_spec,
-    lse_min,
-    objective,
-    one_ring_covariance,
     rate_report,
     run_experiment,
     sample_channel,
     summarize,
     trial_rng,
 )
+from rsma_sim.channel import draw_aods, kl_factorize, one_ring_covariance
+from rsma_sim.gpi import kkt_matrices, objective
+from rsma_sim.rates import lse_min
 from oracles import (
     adc_noise_variance,
     dac_noise_covariance,

@@ -9,14 +9,17 @@ import pytest
 from rsma_sim import (
     ConvergenceFailure,
     DimensionMismatch,
+    one_ring_factor,
+    sample_channel,
+)
+from rsma_sim.channel import (
+    ANGULAR_SPREAD,
+    _gauss_legendre,
     draw_aods,
     kl_factorize,
     one_ring_covariance,
-    one_ring_factor,
-    sample_channel,
-    sample_complex_gaussian,
 )
-from rsma_sim.channel import ANGULAR_SPREAD, _gauss_legendre
+from rsma_sim.linalg import sample_complex_gaussian
 
 from oracles import (
     dense_one_ring,

@@ -13,30 +13,26 @@ from hypothesis import strategies as st
 
 from rsma_sim import gpi
 from rsma_sim import (
-    BETA_TABLE,
     DimensionMismatch,
     QuadraticForms,
     QuantizerProfile,
     SolverOptions,
     ZeroPrecoder,
-    blockdiag_solve,
     build_forms,
     check_power,
     gpi_solve,
     init_precoder,
-    kkt_matrices,
-    kl_factorize,
     load_spec,
-    nep_residual,
-    objective,
-    one_ring_covariance,
     one_ring_factor,
     rate_report,
     run_experiment,
     sample_channel,
     trial_rng,
-    draw_aods,
 )
+from rsma_sim.channel import draw_aods, kl_factorize, one_ring_covariance
+from rsma_sim.gpi import kkt_matrices, nep_residual, objective
+from rsma_sim.linalg import blockdiag_solve
+from rsma_sim.quantization import BETA_TABLE
 from oracles import (
     BIT_POOL,
     dense_blocks,

@@ -124,6 +124,16 @@ class TestLoadSpec:
         with pytest.raises(ParseError):
             load_spec("[1, 2]")
 
+    @pytest.mark.parametrize("document, key", [
+        (make_doc().replace('"N": 4,', '"N": 4, "N": 8,'), "N"),
+        (make_doc(solver={"tau": 1.0}).replace('"tau": 1.0', '"tau": 1.0, "tau": 0.3'), "tau"),
+    ])
+    def test_repeated_key_rejected(self, document, key):
+        # json.loads alone keeps a repeated key's last value, so N=8 or tau=0.3 would run
+        assert document.count(f'"{key}"') == 2
+        with pytest.raises(ParseError, match=f"repeated keys in a JSON object: \\['{key}'\\]"):
+            load_spec(document)
+
     def test_missing_required(self):
         doc = dict(MINIMAL)
         del doc["snr_db"]

@@ -7,14 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rsma_sim import (
-    BlockDiag,
     ConvergenceFailure,
     DimensionMismatch,
     SingularMatrix,
-    blockdiag_solve,
-    sample_complex_gaussian,
     trial_rng,
 )
+from rsma_sim.linalg import BlockDiag, blockdiag_solve, sample_complex_gaussian
 
 from oracles import (
     cholesky_pivot_rule,

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from rsma_sim import (
-    BETA_TABLE,
     DimensionMismatch,
     InvalidResolution,
     QuantizerProfile,
     baseline_precoder,
-    beta_of_bits,
     build_forms,
     rate_report,
 )
+from rsma_sim.quantization import BETA_TABLE, beta_of_bits
 from oracles import (
     adc_noise_variance,
     dac_noise_covariance,

@@ -11,10 +11,9 @@ from rsma_sim import (
     DimensionMismatch,
     QuantizerProfile,
     check_power,
-    lse_min,
     rate_report,
-    softmin_weights,
 )
+from rsma_sim.rates import lse_min, softmin_weights
 
 from oracles import (
     direct_sinr_common,
