@@ -6,7 +6,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionMismatch,
     InvalidResolution,
-    ParseError,
     RankDeficient,
     RsmaSimError,
     SingularMatrix,

@@ -4,7 +4,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .errors import ParseError, RsmaSimError, ValidationError
+from .errors import RsmaSimError, ValidationError
 from .harness import load_spec, read_csv, run_experiment, summarize, write_csv, write_summary_csv
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def main(argv=None):
         # the OS message names the path
         print(f"rsma-sim: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:
         print(f"rsma-sim: {_BAD_INPUT[args.command]}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RsmaSimError as exc:

@@ -51,10 +51,10 @@ class ZeroPrecoder(RsmaSimError):
     """A precoder, or one of its stream directions, is zero and cannot be scaled to the budget."""
 
 
-class ParseError(RsmaSimError):
-    """Experiment config document is not valid JSON or has a malformed field,
-    or a solver setting has the wrong type, from a config or a direct call."""
-
-
 class ValidationError(RsmaSimError):
-    """Experiment config violates a schema constraint."""
+    """An experiment config, solver setting or results file breaks a rule of its schema.
+
+    A wrong type and a bad value are the same error, from a JSON document or a
+    direct call alike: invalid JSON, a repeated key, a field of the wrong kind
+    or out of range, or a results file whose header or cells do not parse.
+    """

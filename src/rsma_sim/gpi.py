@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, ValidationError, ZeroChannel, ZeroPrecoder
+from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder
 from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -33,8 +33,9 @@ class SolverOptions:
 
     tau is the smoothing temperature of the common-rate minimum (bits);
     epsilon the bound on the relative NEP residual at which a solve has
-    converged; t_max the iteration cap. A setting of the wrong type raises
-    ParseError, a bad value ValidationError.
+    converged; t_max the iteration cap. tau and epsilon are positive finite
+    numbers and t_max an integer >= 1, a numpy scalar too but not a bool;
+    any other setting, of the wrong type or value, raises ValidationError.
     """
 
     tau: float = 1.0
@@ -42,20 +43,17 @@ class SolverOptions:
     t_max: int = 500
 
     def __post_init__(self):
-        for name, kind in (("tau", Real), ("epsilon", Real), ("t_max", Integral)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                noun = "an integer" if kind is Integral else "a number"
-                raise ParseError(f"solver {name!r} must be {noun}, got {value!r}")
         for name in ("tau", "epsilon"):
             # compared as a Python number, since a numpy scalar would cast the bound to its
             # own type; false for NaN, infinity and ints too large for a float
             value = getattr(self, name)
-            value = int(value) if isinstance(value, Integral) else float(value)
-            if not 0 < value <= sys.float_info.max:
-                raise ValidationError(f"{name} must be positive and finite, got {value}")
-        if self.t_max < 1:
-            raise ValidationError(f"t_max must be at least 1, got {self.t_max}")
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not 0 < (int(value) if isinstance(value, Integral) else float(value))
+                    <= sys.float_info.max):
+                raise ValidationError(f"solver {name!r} must be a positive and finite number, "
+                                      f"got {value!r}")
+        if isinstance(self.t_max, bool) or not isinstance(self.t_max, Integral) or self.t_max < 1:
+            raise ValidationError(f"solver 't_max' must be an integer >= 1, got {self.t_max!r}")
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .channel import (
     one_ring_factor,
     sample_channel,
 )
-from .errors import DimensionMismatch, ParseError, RsmaSimError, ValidationError
+from .errors import DimensionMismatch, RsmaSimError, ValidationError
 from .gpi import SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
@@ -75,11 +75,17 @@ class ExperimentSpec:
         _check_bits(self.dac_bits, "dac_bits", "N", self.n_antennas)
         _check_bits(self.adc_bits, "adc_bits", "K", self.n_users)
         _positive_int(self.trials, "trials")
-        seed = self.base_seed
-        if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
-            raise ParseError(f"base_seed must be a nonnegative integer, got {seed!r}")
+        _positive_int(self.base_seed, "base_seed", least=0)
+        if not isinstance(self.solver, SolverOptions):
+            raise ValidationError(f"solver must be a SolverOptions, got {self.solver!r}")
+        for name in ("snr_db", "algorithms"):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
+            # a frozen field is set through object; a tuple keeps the spec hashable
+            object.__setattr__(self, name, tuple(values))
         if not all(isinstance(v, Real) and not isinstance(v, bool) for v in self.snr_db):
-            raise ParseError("snr_db entries must be numbers")
+            raise ValidationError("snr_db entries must be numbers")
         snr_db = []
         for v in self.snr_db:
             # K/snr is the QRZF loading; positive and finite keeps snr and 1/snr finite.
@@ -92,7 +98,6 @@ class ExperimentSpec:
             if not 0.0 < loading < math.inf:
                 raise ValidationError(f"snr_db entry {v}: K * 10^(-snr_db/10) is not "
                                       "positive and finite")
-        # a frozen field is set through object
         object.__setattr__(self, "snr_db", tuple(snr_db))
         if self.channel_mode not in CHANNEL_MODES:
             raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
@@ -101,8 +106,6 @@ class ExperimentSpec:
                 raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
         for name in ("snr_db", "algorithms"):
             values = getattr(self, name)
-            if not values:
-                raise ValidationError(f"{name} must be a nonempty list")
             # a repeat would repeat records, which summarize counts as independent samples
             if len(set(values)) < len(values):
                 raise ValidationError(f"{name} repeats an entry: {list(values)}")
@@ -130,13 +133,11 @@ class TrialRecord:
     note: str = ""
 
 
-def _positive_int(raw, field, most=math.inf):
-    if isinstance(raw, bool) or not isinstance(raw, Integral):
-        raise ParseError(f"field {field!r} must be an integer, got {raw!r}")
-    if raw < 1:
-        raise ValidationError(f"field {field!r} must be >= 1, got {raw}")
-    if raw > most:
-        raise ValidationError(f"field {field!r} must be <= {most}, got {raw}")
+def _positive_int(raw, field, most=math.inf, least=1):
+    """raw if it is an integer in least..most, a numpy one too but not a bool or a float."""
+    if isinstance(raw, bool) or not isinstance(raw, Integral) or not least <= raw <= most:
+        bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise ValidationError(f"field {field!r} must be an integer {bounds}, got {raw!r}")
     return raw
 
 
@@ -147,7 +148,8 @@ def _check_bits(bits, field, key, count):
         if bits.step != 1 or not 1 <= bits.start < bits.stop <= 2**63:
             raise ValidationError(f"field {field!r}: {bits} is not a step-1 range in 1..2^63 - 1")
     elif not isinstance(bits, tuple):
-        raise ParseError(f"field {field!r} must be a tuple or range of resolutions, got {bits!r}")
+        raise ValidationError(f"field {field!r} must be a tuple or range of resolutions, "
+                              f"got {bits!r}")
     elif len(bits) != count:
         raise ValidationError(f"field {field!r} has {len(bits)} resolutions but {key} = {count}")
     else:
@@ -174,7 +176,7 @@ def _parse_bit_spec(raw, count, field):
         entries = raw if isinstance(raw, list) else [raw] * count
         # infinity is the text "inf"; ExperimentSpec would take a JSON Infinity for math.inf
         if any(isinstance(v, float) and v == math.inf for v in entries):
-            raise ParseError(f"field {field!r}: write an infinite resolution as \"inf\"")
+            raise ValidationError(f"field {field!r}: write an infinite resolution as \"inf\"")
         return tuple(math.inf if isinstance(v, str) and v.strip().lower() == "inf" else v
                      for v in entries)
     text = raw.strip()
@@ -186,21 +188,21 @@ def _parse_bit_spec(raw, count, field):
         for part in text[len("mixed"):].split("+"):
             m = _MIXED_PART_RE.match(part.strip())
             if not m:
-                raise ParseError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
+                raise ValidationError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
             parts.append((int(m.group(1)), _positive_int(int(m.group(2)), field)))
         # checked before the tuple is built, so a count with hundreds of digits allocates nothing
         total = sum(n for n, _ in parts)
         if total != count:
             raise ValidationError(f"field {field!r}: mixed counts sum to {total}, need {count}")
         return tuple(bits for n, bits in parts for _ in range(n))
-    raise ParseError(f"field {field!r}: unrecognized resolution spec {raw!r}")
+    raise ValidationError(f"field {field!r}: unrecognized resolution spec {raw!r}")
 
 
 def _unique_keys(pairs):
-    """JSON object hook: a repeated key raises ParseError instead of keeping its last value."""
+    """JSON object hook: a repeated key is an error instead of keeping its last value."""
     repeated = sorted(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
     if repeated:
-        raise ParseError(f"repeated keys in a JSON object: {repeated}")
+        raise ValidationError(f"repeated keys in a JSON object: {repeated}")
     return dict(pairs)
 
 
@@ -208,10 +210,11 @@ def load_spec(document):
     """Parse and validate a JSON experiment document into an ExperimentSpec."""
     try:
         data = json.loads(document, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer past Python's int-conversion digit limit
+        raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParseError("experiment document must be a JSON object")
+        raise ValidationError("experiment document must be a JSON object")
     unknown = set(data) - _ALLOWED_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -222,12 +225,9 @@ def load_spec(document):
     # N and K size the converter banks below; ExperimentSpec checks the rest
     n_antennas = _positive_int(data["N"], "N", MAX_SIZE)
     n_users = _positive_int(data["K"], "K", MAX_SIZE)
-    for key in ("snr_db", "algorithms"):
-        if not isinstance(data.get(key, []), list):
-            raise ValidationError(f"{key} must be a nonempty list")
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
-        raise ParseError("solver must be a JSON object")
+        raise ValidationError("solver must be a JSON object")
     unknown = set(solver_raw) - {f.name for f in dataclass_fields(SolverOptions)}
     if unknown:
         raise ValidationError(f"unknown solver keys: {sorted(unknown)}")
@@ -239,13 +239,13 @@ def load_spec(document):
     return ExperimentSpec(
         n_antennas=n_antennas,
         n_users=n_users,
-        snr_db=tuple(data["snr_db"]),
+        snr_db=data["snr_db"],
         dac_bits=dac_bits,
         adc_bits=_parse_bit_spec(data["adc_bits"], n_users, "adc_bits"),
         channel_mode=data.get("channel_mode", "random_aod"),
         trials=data["trials"],
         base_seed=data.get("base_seed", 0),
-        algorithms=tuple(data.get("algorithms", ALGORITHMS)),
+        algorithms=data.get("algorithms", ALGORITHMS),
         solver=solver,
     )
 
@@ -395,20 +395,21 @@ def read_csv(path):
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line.rstrip("\n") for line in handle if line.strip()]
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
-        raise ParseError(f"{path}: empty results file")
+        raise ValidationError(f"{path}: empty results file")
     plan = [(f.name, f.type) for f in dataclass_fields(TrialRecord)]
     header = lines[0].split(",")
     widths = {name: sum(c.startswith(_prefix(name)) for c in header)
               for name, kind in plan if kind is tuple}
     if header != _header(plan, widths):
-        raise ParseError(f"{path}: unexpected CSV header")
+        raise ValidationError(f"{path}: unexpected CSV header")
     records = []
     for row, line in enumerate(lines[1:], start=1):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ParseError(f"{path}: row {row} has {len(cells)} cells, expected {len(header)}")
+            raise ValidationError(f"{path}: row {row} has {len(cells)} cells, "
+                                  f"expected {len(header)}")
         cells = iter(cells)
         fields = {}
         try:
@@ -418,7 +419,7 @@ def read_csv(path):
                 else:
                     fields[name] = _parse(kind, next(cells))
         except ValueError as exc:
-            raise ParseError(f"{path}: row {row}, column {name!r}: {exc}") from exc
+            raise ValidationError(f"{path}: row {row}, column {name!r}: {exc}") from exc
         records.append(TrialRecord(**fields))
     return records
 
@@ -440,7 +441,7 @@ class SummaryRow:
 def summarize(records):
     """Per-(snr, algorithm) means and standard errors of solved records (NaN if none), sorted."""
     if not records:
-        raise ParseError("cannot summarize an empty record list")
+        raise ValidationError("cannot summarize an empty record list")
     groups = {}
     for rec in records:
         groups.setdefault((rec.snr_db, rec.algorithm), []).append(rec)

@@ -497,7 +497,7 @@ class TestGpiSolve:
             gpi_solve(forms, SolverOptions(), np.zeros(forms.dim))
 
     def test_options_validation(self):
-        from rsma_sim import ParseError, ValidationError
+        from rsma_sim import ValidationError
 
         with pytest.raises(ValidationError):
             SolverOptions(tau=0.0)
@@ -508,7 +508,7 @@ class TestGpiSolve:
         # a direct call gets the same type errors as a config
         for bad in ({"t_max": 2.5}, {"t_max": True}, {"t_max": "9"},
                     {"tau": "1"}, {"tau": None}, {"tau": True}):
-            with pytest.raises(ParseError, match=f"solver '{next(iter(bad))}' must be"):
+            with pytest.raises(ValidationError, match=f"solver '{next(iter(bad))}' must be"):
                 SolverOptions(**bad)
         with pytest.raises(ValidationError, match="positive and finite"):
             SolverOptions(tau=10**400)

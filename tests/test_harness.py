@@ -14,7 +14,6 @@ import rsma_sim.gpi
 import rsma_sim.harness
 from rsma_sim import (
     DimensionMismatch,
-    ParseError,
     ValidationError,
     load_spec,
     read_csv,
@@ -101,7 +100,7 @@ class TestLoadSpec:
                              ids=["N-2049", "K-2049", "N-401-digits", "K-401-digits"])
     def test_size_above_bound_rejected_before_banks_are_built(self, key, value):
         # a scalar bank spec is expanded to N or K entries, so the bound is checked first
-        with pytest.raises(ValidationError, match=f"'{key}' must be <= 2048"):
+        with pytest.raises(ValidationError, match=f"'{key}' must be an integer in 1\\.\\.2048"):
             load_spec(make_doc(**{key: value}))
 
     def test_size_at_bound_loads(self):
@@ -117,11 +116,11 @@ class TestLoadSpec:
             load_spec(make_doc(solver={"tau": 0.3, "anneal": True}))
 
     def test_bad_json(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_spec("{not json")
 
     def test_non_object(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_spec("[1, 2]")
 
     @pytest.mark.parametrize("document, key", [
@@ -131,8 +130,27 @@ class TestLoadSpec:
     def test_repeated_key_rejected(self, document, key):
         # json.loads alone keeps a repeated key's last value, so N=8 or tau=0.3 would run
         assert document.count(f'"{key}"') == 2
-        with pytest.raises(ParseError, match=f"repeated keys in a JSON object: \\['{key}'\\]"):
+        with pytest.raises(ValidationError,
+                           match=f"repeated keys in a JSON object: \\['{key}'\\]"):
             load_spec(document)
+
+    @pytest.mark.parametrize("change, match", [
+        ({"base_seed": -1}, "'base_seed' must be an integer >= 0"),
+        ({"channel_mode": 5}, "channel_mode must be one of"),
+        ({"algorithms": [5]}, "unknown algorithm 5"),
+        ({"algorithms": "QMRT"}, "algorithms must be a nonempty list"),
+        ({"snr_db": "10"}, "snr_db must be a nonempty list"),
+    ], ids=["negative_seed", "number_channel_mode", "number_algorithm", "text_algorithms",
+            "text_snr_db"])
+    def test_wrong_type_and_bad_value_are_one_error(self, change, match):
+        # a field of the wrong type and one with a bad value raise the same error
+        with pytest.raises(ValidationError, match=match):
+            load_spec(make_doc(**change))
+
+    def test_integer_past_digit_limit_rejected(self):
+        # json.loads raises a bare ValueError for an integer past Python's digit limit
+        with pytest.raises(ValidationError):
+            load_spec(make_doc(N="@").replace('"@"', "1" * 5000))
 
     def test_missing_required(self):
         doc = dict(MINIMAL)
@@ -148,7 +166,7 @@ class TestLoadSpec:
     def test_json_infinity_is_not_inf_text(self, dac_bits):
         # the grammar spells an infinite resolution "inf"; a bare JSON Infinity is a float
         document = make_doc(dac_bits="@").replace('"@"', dac_bits)
-        with pytest.raises(ParseError, match="as \"inf\""):
+        with pytest.raises(ValidationError, match="as \"inf\""):
             load_spec(document)
 
     @pytest.mark.parametrize("dac_bits, adc_bits", [
@@ -156,7 +174,7 @@ class TestLoadSpec:
     ])
     def test_dac_error_reported_before_adc_grammar(self, dac_bits, adc_bits):
         # the banks are checked in document order, so the DACs' error is the one raised
-        with pytest.raises((ParseError, ValidationError), match="'dac_bits'"):
+        with pytest.raises(ValidationError, match="'dac_bits'"):
             load_spec(make_doc(dac_bits=dac_bits, adc_bits=adc_bits))
 
     def test_mixed_count_mismatch(self):
@@ -164,7 +182,7 @@ class TestLoadSpec:
             load_spec(make_doc(dac_bits="mixed 2@3 + 1@8"))
 
     def test_bad_grammar(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_spec(make_doc(dac_bits="random 2..8"))
 
     def test_unknown_algorithm(self):
@@ -202,7 +220,7 @@ class TestLoadSpec:
         {"t_max": "9"}, {"t_max": 2.7}, {"t_max": True}, {"t_max": [1]}, {"t_max": None},
     ])
     def test_malformed_solver_value(self, solver):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             load_spec(make_doc(solver=solver))
 
     @pytest.mark.parametrize("solver", [
@@ -242,28 +260,33 @@ class TestExperimentSpec:
         ({"snr_db": (math.nan,)}, ValidationError, "snr_db entry"),
         ({"snr_db": (10, 10**400)}, ValidationError, "snr_db entry"),
         ({"snr_db": (np.float64(1e308),)}, ValidationError, "snr_db entry"),
-        ({"snr_db": ("10",)}, ParseError, "snr_db entries"),
+        ({"snr_db": ("10",)}, ValidationError, "snr_db entries"),
         ({"algorithms": ()}, ValidationError, "algorithms must be a nonempty"),
         ({"algorithms": ("QZF", "WMMSE")}, ValidationError, "unknown algorithm"),
         ({"algorithms": ("QZF", "QMRT", "QZF")}, ValidationError, "algorithms repeats"),
-        ({"trials": 0}, ValidationError, "'trials' must be >= 1"),
-        ({"n_antennas": 0}, ValidationError, "'N' must be >= 1"),
-        ({"n_users": -1}, ValidationError, "'K' must be >= 1"),
-        ({"n_antennas": 2049}, ValidationError, "'N' must be <= 2048"),
-        ({"n_users": 10**400}, ValidationError, "'K' must be <= 2048"),
-        ({"trials": 2.0}, ParseError, "'trials' must be an integer"),
+        ({"trials": 0}, ValidationError, "'trials' must be an integer >= 1"),
+        ({"n_antennas": 0}, ValidationError, "'N' must be an integer in 1\\.\\.2048"),
+        ({"n_users": -1}, ValidationError, "'K' must be an integer in 1\\.\\.2048"),
+        ({"n_antennas": 2049}, ValidationError, "'N' must be an integer in 1\\.\\.2048"),
+        ({"n_users": 10**400}, ValidationError, "'K' must be an integer in 1\\.\\.2048"),
+        ({"trials": 2.0}, ValidationError, "'trials' must be an integer"),
         ({"channel_mode": "clustered"}, ValidationError, "channel_mode must be one of"),
         ({"dac_bits": (4, 4)}, ValidationError, "'dac_bits' has 2"),
         ({"adc_bits": (1, 8, 8)}, ValidationError, "'adc_bits' has 3"),
         ({"n_antennas": 8}, ValidationError, "N = 8"),
-        ({"dac_bits": (0, 4, 4, 4)}, ValidationError, "'dac_bits' must be >= 1"),
-        ({"dac_bits": (4.5, 4, 4, 4)}, ParseError, "'dac_bits' must be an integer"),
-        ({"adc_bits": (8, "inf")}, ParseError, "'adc_bits' must be an integer"),
+        ({"dac_bits": (0, 4, 4, 4)}, ValidationError, "'dac_bits' must be an integer >= 1"),
+        ({"dac_bits": (4.5, 4, 4, 4)}, ValidationError, "'dac_bits' must be an integer"),
+        ({"adc_bits": (8, "inf")}, ValidationError, "'adc_bits' must be an integer"),
         ({"dac_bits": range(0, 2)}, ValidationError, "not a step-1 range"),
         ({"dac_bits": range(3, 2)}, ValidationError, "not a step-1 range"),
         ({"dac_bits": range(2, 9, 2)}, ValidationError, "not a step-1 range"),
         ({"dac_bits": range(2, 2**63 + 1)}, ValidationError, "not a step-1 range"),
-        ({"dac_bits": [4, 4, 4, 4]}, ParseError, "must be a tuple or range"),
+        ({"dac_bits": [4, 4, 4, 4]}, ValidationError, "must be a tuple or range"),
+        ({"base_seed": -1}, ValidationError, "'base_seed' must be an integer >= 0"),
+        ({"base_seed": 1.0}, ValidationError, "'base_seed' must be an integer >= 0"),
+        ({"solver": {"tau": 1}}, ValidationError, "solver must be a SolverOptions"),
+        ({"algorithms": "QMRT"}, ValidationError, "algorithms must be a nonempty list"),
+        ({"snr_db": "10"}, ValidationError, "snr_db must be a nonempty list"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
             "huge_numpy_snr", "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
             "zero_trials", "zero_antennas", "negative_users", "too_many_antennas",
@@ -271,11 +294,21 @@ class TestExperimentSpec:
             "unknown_channel_mode", "too_few_dacs", "too_many_adcs",
             "antennas_without_dacs", "zero_bit_dac", "fractional_bit_dac", "text_inf_adc",
             "range_from_zero", "empty_range", "range_with_step", "range_past_int64",
-            "list_of_bits"])
+            "list_of_bits", "negative_seed", "float_seed", "solver_dict", "algorithm_text",
+            "snr_text"])
     def test_replaced_spec_obeys_the_config_rules(self, change, error, match):
         # a spec made by dataclasses.replace meets the rules load_spec enforces
         with pytest.raises(error, match=match):
             replace(load_spec(make_doc()), **change)
+
+    def test_list_fields_stored_as_tuples(self):
+        # a frozen spec stays hashable, and equal to the one tuples give
+        spec = load_spec(make_doc())
+        listed = replace(spec, snr_db=[10, 20], algorithms=["QMRT", "QZF"])
+        as_tuples = replace(spec, snr_db=(10, 20), algorithms=("QMRT", "QZF"))
+        assert listed == as_tuples
+        assert hash(listed) == hash(as_tuples)
+        assert listed.algorithms == ("QMRT", "QZF")
 
     def test_numpy_integers_count_as_integers(self):
         # numpy integers meet the integer rule, and a spec of them runs the same records
@@ -289,7 +322,7 @@ class TestExperimentSpec:
         for change in ({"trials": np.int64(0)}, {"n_antennas": np.int64(2049)}):
             with pytest.raises(ValidationError):
                 replace(spec, **change)
-        with pytest.raises(ValidationError, match="'workers' must be >= 1"):
+        with pytest.raises(ValidationError, match="'workers' must be an integer >= 1"):
             run_experiment(spec, workers=np.int64(0))
 
     def test_snr_stored_as_floats(self):
@@ -510,10 +543,9 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, "2", None, True])
     def test_workers_below_one_rejected(self, workers):
-        # a count below one is a bad value; anything but an int is a bad type, raised before
-        # a process pool could see it
-        error = ValidationError if type(workers) is int else ParseError
-        with pytest.raises(error, match="'workers' must be"):
+        # a count below one and anything but an int are rejected before a process pool
+        # could see them
+        with pytest.raises(ValidationError, match="'workers' must be"):
             run_experiment(small_spec(), workers=workers)
 
     @pytest.mark.parametrize("cpus, expected", [(4, 3), (2, 2), (None, None)])
@@ -628,7 +660,7 @@ class TestCsvRoundTrip:
         write_csv(run_experiment(small_spec()), path)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(column, renamed, 1), encoding="utf-8")
-        with pytest.raises(ParseError, match="unexpected CSV header"):
+        with pytest.raises(ValidationError, match="unexpected CSV header"):
             read_csv(path)
 
     def test_ragged_tables_are_not_written(self, tmp_path):
@@ -653,7 +685,7 @@ class TestCsvRoundTrip:
         cells[column] = cell
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="row 2, column .converged."):
+        with pytest.raises(ValidationError, match="row 2, column .converged."):
             read_csv(path)
 
 
@@ -692,7 +724,7 @@ class TestSummarize:
         assert rows[1].mean_sum_se == 5.0
 
     def test_empty_rejected(self):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValidationError):
             summarize([])
 
     def test_failed_records_counted_and_left_out(self):
@@ -761,7 +793,7 @@ class TestCli:
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out),
                          "--seed", "-1"]) == 1
-        assert "config error: base_seed must be a nonnegative integer" in capsys.readouterr().err
+        assert "config error: field 'base_seed' must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_flag(self, tmp_path):
@@ -831,7 +863,8 @@ class TestCli:
         config = self._write_config(tmp_path, **{key: 10**400})
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
-        assert f"config error: field '{key}' must be <= 2048" in capsys.readouterr().err
+        assert (f"config error: field '{key}' must be an integer in 1..2048"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_zero_workers_is_config_error(self, tmp_path, capsys):
