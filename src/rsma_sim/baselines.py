@@ -8,7 +8,7 @@ and the whole precoder is scaled to use the full reduced power budget.
 
 import numpy as np
 
-from .errors import DimensionMismatch, RankDeficient, ZeroPrecoder
+from .errors import DimensionMismatch, RankDeficient, ZeroPrecoder, shown
 from .rates import check_power
 
 BASELINE_KINDS = ("QMRT", "QZF", "QRZF")
@@ -28,7 +28,7 @@ def baseline_precoder(kind, channel, profile, snr):
     list repeats one precoder (or one error).
     """
     if kind not in BASELINE_KINDS:
-        raise DimensionMismatch(f"kind must be one of {BASELINE_KINDS}, got {kind!r}")
+        raise DimensionMismatch(f"kind must be one of {BASELINE_KINDS}, got {shown(kind)}")
     channel = profile.check_channel(channel)
     h_eff = profile.dac_alpha[:, None] * channel * profile.adc_alpha
     n_users = profile.n_users

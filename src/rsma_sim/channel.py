@@ -5,15 +5,17 @@ Each user's N x N spatial covariance is an integral over the scatter ring
 around its angle of departure; channels are drawn straight from the plane
 waves of the quadrature that evaluates it, with no eigendecomposition.
 
-The quadrature never evaluates all N phases of a node. Lag r + split*m,
-with split = ceil(sqrt(N)), is the product of the phases of lags r and
-split*m, so each doubling level takes cos and sin of at most 2*split
-phases per node. Product-built values sit within ``16*N*pi*eps`` of the
-directly evaluated ones; a stop test that lands within that band of
-``QUADRATURE_TOL`` is redone on exact phases, so the rule stops where a
-doubling over exact phases does. :func:`one_ring_covariance` is bit-exact
-(lag sums over exact phases); :func:`one_ring_factor`'s basis is
-product-built and agrees with the exact steering vectors to that band.
+The quadrature never evaluates all N phases of a node, and no code forms
+the (N, q) steering matrix. With z = exp(-j*pi*cos(x)) at a node x and
+split = ceil(sqrt(N)), the phase of lag r + split*m is z^r * (z^split)^m:
+each doubling level takes one plane wave per node and fills the tables of
+z^r (r < split) and z^(split*m) by products. Product-built values sit
+within ``16*N*pi*eps`` of the directly evaluated ones; a stop test that
+lands within that band of ``QUADRATURE_TOL`` is redone on exact phases,
+so the rule stops where a doubling over exact phases does.
+:func:`one_ring_covariance` is bit-exact (lag sums over exact phases);
+:func:`sample_channel` draws through the two tables, and agrees with a
+draw through the exact steering vectors to that band.
 """
 
 import functools
@@ -21,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch
+from .errors import ConvergenceFailure, DimensionMismatch, shown
 from .linalg import sample_complex_gaussian
 
 # Half-width of every user's scatter ring around its angle of departure.
@@ -68,55 +70,55 @@ def one_ring_covariance(n_antennas, aod):
 
 
 def one_ring_factor(n_antennas, aod):
-    """Plane-wave factor ``(basis, weights)`` of the one-ring covariance.
+    """Split plane-wave factor ``(inner, outer, weights)`` of the one-ring covariance.
 
     Gauss-Legendre quadrature, with nodes cached per count, doubles the
-    node count from 16 until no lag sum ``weights @ basis.T`` moves by
-    ``QUADRATURE_TOL``. At that rule's q nodes x_q, ``basis`` (N, q) holds
-    the steering vectors ``exp(-j*pi*n*cos(x_q))`` and ``weights`` (q,) is
-    positive and sums to one, so ``basis diag(weights) basis^H`` is
-    :func:`one_ring_covariance` up to roundoff and :func:`sample_channel`
-    draws from the pair with no eigendecomposition.
+    node count from 16 until no lag sum moves by ``QUADRATURE_TOL``. At
+    that rule's q nodes x_q, with ``z_q = exp(-j*pi*cos(x_q))`` and
+    ``split = ceil(sqrt(N))``, ``inner`` (split, q) holds ``z^r`` for
+    r < split and ``outer`` (ceil(N / split), q) holds ``z^(split*m)``;
+    ``weights`` (q,) is positive and sums to one. The steering vector entry
+    ``exp(-j*pi*d*cos(x_q))`` of antenna d = r + split*m is
+    ``outer[m, q] * inner[r, q]``, so the lag sums are
+    ``((outer * weights) @ inner.T).ravel()[:N]`` and :func:`sample_channel`
+    draws from the factor with no (N, q) basis and no eigendecomposition.
 
-    No level evaluates N phases per node. With ``split = ceil(sqrt(N))``,
-    the phase of lag ``d = r + split*m`` is the product of the phases of
-    lags r < split and split*m, so each level takes cos and sin of at most
-    2*split phases per node and tests its stop rule on lag sums built
-    from those products; the returned basis is the last level's outer
-    product, each entry within ``16*N*pi*eps`` of the directly evaluated
-    phase. A stop test whose change lies within that band of
+    Each level takes one plane wave per node and fills both tables by
+    products in ceil(log2) doubling steps, so no level evaluates N phases
+    per node; every table product is within ``16*N*pi*eps`` of the directly
+    evaluated phase. A stop test whose change lies within that band of
     ``QUADRATURE_TOL``, and the test at ``MAX_QUADRATURE_NODES``, is redone
     on the exact lag sums of :func:`one_ring_covariance`, so the node
     count, and so ``weights``, is that of a doubling over exact phases.
     Raises as :func:`one_ring_covariance` does.
     """
     _, weights, (inner, outer) = _one_ring_rule(n_antennas, aod)
-    basis = (outer[:, None] * inner).reshape(-1, len(weights))
-    return basis[:n_antennas], weights
+    return inner, outer, weights
 
 
 def _one_ring_rule(n_antennas, aod):
-    """Nodes, weights and split phase tables of the converged one-ring rule.
+    """Nodes, weights and split tables of the converged one-ring rule.
 
-    Returns ``(x, w, (inner, outer))`` for q nodes: inner (split, q) holds
-    the plane waves of lags r < split and outer (ceil(N / split), q) those
-    of lags split*m.
+    Returns ``(x, w, (inner, outer))`` for q nodes, the tables as
+    :func:`one_ring_factor` describes them.
     """
     if isinstance(n_antennas, bool) or not isinstance(n_antennas, (int, np.integer)):
-        raise DimensionMismatch(f"n_antennas must be an integer, got {n_antennas!r}")
+        raise DimensionMismatch(f"n_antennas must be an integer, got {shown(n_antennas)}")
     if n_antennas < 1:
-        raise DimensionMismatch(f"n_antennas must be >= 1, got {n_antennas}")
+        raise DimensionMismatch(f"n_antennas must be >= 1, got {shown(n_antennas)}")
     if not 0.0 <= aod < math.pi:
-        raise DimensionMismatch(f"aod must lie in [0, pi), got {aod}")
-    split, angles, band = _split_phases(n_antennas)
+        raise DimensionMismatch(f"aod must lie in [0, pi), got {shown(aod)}")
+    split, band = _split_phases(n_antennas)
+    n_outer = -(-n_antennas // split)
     lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
 
     def level(n_nodes):
         nodes, weights = _gauss_legendre(n_nodes)
         x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
         w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
-        table = _plane_waves(angles * np.cos(x))
-        inner, outer = table[:split], table[split:]
+        z = _plane_waves(-math.pi * np.cos(x))
+        inner = _powers(z, split)
+        outer = _powers(inner[-1] * z, n_outer)
         sums = np.dot(outer * w, inner.T).ravel()[:n_antennas]
         return (x, w, (inner, outer)), sums
 
@@ -141,21 +143,32 @@ def _one_ring_rule(n_antennas, aod):
         coarse, values = fine, refined
 
 
-@functools.lru_cache(maxsize=16)
 def _split_phases(n_antennas):
-    """``(split, angles, band)`` of the split phase tables for N antennas.
+    """``(split, band)`` of the split tables for N antennas.
 
-    ``split = ceil(sqrt(N))``; the column ``angles`` holds ``-pi*d`` for the
-    lags d = 0..split-1 and then d = split*m < N, so a level's tables take at
-    most 2*ceil(sqrt(N)) phases per node. ``band`` bounds how far a
-    product-built lag sum, and so a stop test's change, may sit from the
-    exact one: phase roundoff grows with the lag, and over 1,016 rules
-    with N from 1 to 256 no lag sum moved by more than 0.5*N*pi*eps.
+    ``split = ceil(sqrt(N))``, so a level's tables hold about 2*sqrt(N)
+    rows. ``band`` bounds how far a product-built lag sum, and so a stop
+    test's change, may sit from the exact one: roundoff grows with the lag,
+    and over 1,024 rules (N from 1 to 256, 4 random AoDs each, every level)
+    no lag sum sat more than 0.24*N*pi*eps from the exact one and no table
+    product more than 1.14*N*pi*eps from the directly evaluated phase.
     """
     split = math.isqrt(n_antennas - 1) + 1
-    angles = -math.pi * np.array([*range(split), *range(0, n_antennas, split)], dtype=float)[:, None]
-    angles.flags.writeable = False
-    return split, angles, 16 * n_antennas * math.pi * np.finfo(float).eps
+    return split, 16 * n_antennas * math.pi * np.finfo(float).eps
+
+
+def _powers(base, count):
+    """``base**k`` for k < count, as a (count, q) table filled in ceil(log2(count)) doublings."""
+    table = np.empty((count, base.size), dtype=complex)
+    table[0] = 1.0
+    table[1:2] = base  # no row to fill when count is 1
+    filled = 2
+    while filled < count:
+        grow = min(filled, count - filled)
+        # rows filled..filled+grow-1 are rows 0..grow-1 times base**filled
+        np.multiply(table[:grow], table[filled - 1] * base, out=table[filled:filled + grow])
+        filled += grow
+    return table
 
 
 def _plane_waves(angle):
@@ -200,23 +213,23 @@ def kl_factorize(cov):
     return np.ascontiguousarray(vecs[:, keep]), vals[keep].copy()
 
 
-def sample_channel(factorizations, rng):
-    """Draw one block-fading channel from per-user factorizations.
+def sample_channel(n_antennas, aods, rng):
+    """Draw one block-fading channel for users at the given angles of departure.
 
-    ``factorizations`` holds (basis, weights) pairs from :func:`one_ring_factor`
-    or :func:`kl_factorize`; the basis need not be orthonormal. User k's
-    column is ``basis_k diag(sqrt(w_k)) g_k`` with a fresh standard complex
-    Gaussian g_k, one entry per weight, so its covariance is
-    ``basis_k diag(w_k) basis_k^H``. Returns the (N, K) complex channel matrix.
+    User k's column is the one-ring plane-wave sum ``sum_q c_q a(x_q)``
+    with ``c = sqrt(weights) * g`` over the rule of
+    :func:`one_ring_factor` at ``aods[k]``, and g a fresh standard complex
+    Gaussian with one entry per node, drawn user by user from ``rng``. It
+    is computed from the split tables as ``((outer * c) @ inner.T)`` cut
+    to N entries, so its covariance is :func:`one_ring_covariance` up to
+    roundoff. Returns the (N, K) complex channel matrix; raises as
+    :func:`one_ring_factor` does.
     """
     columns = []
-    for basis, weights in factorizations:
-        rank = len(weights)
-        if rank == 0:
-            columns.append(np.zeros(basis.shape[0], dtype=complex))
-        else:
-            g = sample_complex_gaussian(rng, rank)
-            columns.append(basis @ (np.sqrt(weights) * g))
+    for aod in aods:
+        inner, outer, weights = one_ring_factor(n_antennas, aod)
+        c = np.sqrt(weights) * sample_complex_gaussian(rng, len(weights))
+        columns.append(((outer * c) @ inner.T).ravel()[:n_antennas])
     return np.column_stack(columns)
 
 
@@ -233,4 +246,4 @@ def draw_aods(rng, n_users, channel_mode):
     if channel_mode == "correlated_aod":
         center = rng.uniform(math.pi / 12, math.pi - math.pi / 12)
         return center + rng.uniform(-math.pi / 12, math.pi / 12, size=n_users)
-    raise DimensionMismatch(f"unknown channel mode {channel_mode!r}")
+    raise DimensionMismatch(f"unknown channel mode {shown(channel_mode)}")

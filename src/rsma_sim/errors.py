@@ -1,4 +1,21 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages show a rejected value."""
+
+# Most characters of a rejected value that an error message echoes.
+_SHOWN_CHARS = 60
+
+
+def shown(value):
+    """repr of a rejected value, cut to at most 60 characters.
+
+    An integer past Python's int-to-str digit limit, or a container of one,
+    cannot be printed at all (repr raises ValueError), so it is named by
+    its type instead.
+    """
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
 
 
 class RsmaSimError(Exception):

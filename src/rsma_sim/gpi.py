@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder
+from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder, shown
 from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -51,9 +51,10 @@ class SolverOptions:
                     or not 0 < (int(value) if isinstance(value, Integral) else float(value))
                     <= sys.float_info.max):
                 raise ValidationError(f"solver {name!r} must be a positive and finite number, "
-                                      f"got {value!r}")
+                                      f"got {shown(value)}")
         if isinstance(self.t_max, bool) or not isinstance(self.t_max, Integral) or self.t_max < 1:
-            raise ValidationError(f"solver 't_max' must be an integer >= 1, got {self.t_max!r}")
+            raise ValidationError(f"solver 't_max' must be an integer >= 1, "
+                                  f"got {shown(self.t_max)}")
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,8 @@ from numbers import Integral, Real
 import numpy as np
 
 from .baselines import BASELINE_KINDS, baseline_precoder
-from .channel import (
-    CHANNEL_MODES,
-    draw_aods,
-    one_ring_factor,
-    sample_channel,
-)
-from .errors import DimensionMismatch, RsmaSimError, ValidationError
+from .channel import CHANNEL_MODES, draw_aods, sample_channel
+from .errors import DimensionMismatch, RsmaSimError, ValidationError, shown
 from .gpi import SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
@@ -77,11 +72,11 @@ class ExperimentSpec:
         _positive_int(self.trials, "trials")
         _positive_int(self.base_seed, "base_seed", least=0)
         if not isinstance(self.solver, SolverOptions):
-            raise ValidationError(f"solver must be a SolverOptions, got {self.solver!r}")
+            raise ValidationError(f"solver must be a SolverOptions, got {shown(self.solver)}")
         for name in ("snr_db", "algorithms"):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)) or not values:
-                raise ValidationError(f"{name} must be a nonempty list, got {values!r}")
+                raise ValidationError(f"{name} must be a nonempty list, got {shown(values)}")
             # a frozen field is set through object; a tuple keeps the spec hashable
             object.__setattr__(self, name, tuple(values))
         if not all(isinstance(v, Real) and not isinstance(v, bool) for v in self.snr_db):
@@ -96,14 +91,14 @@ class ExperimentSpec:
             except (OverflowError, ZeroDivisionError):
                 loading = math.inf
             if not 0.0 < loading < math.inf:
-                raise ValidationError(f"snr_db entry {v}: K * 10^(-snr_db/10) is not "
+                raise ValidationError(f"snr_db entry {shown(v)}: K * 10^(-snr_db/10) is not "
                                       "positive and finite")
         object.__setattr__(self, "snr_db", tuple(snr_db))
         if self.channel_mode not in CHANNEL_MODES:
             raise ValidationError(f"channel_mode must be one of {CHANNEL_MODES}")
         for alg in self.algorithms:
             if alg not in ALGORITHMS:
-                raise ValidationError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
+                raise ValidationError(f"unknown algorithm {shown(alg)}; choose from {ALGORITHMS}")
         for name in ("snr_db", "algorithms"):
             values = getattr(self, name)
             # a repeat would repeat records, which summarize counts as independent samples
@@ -137,7 +132,7 @@ def _positive_int(raw, field, most=math.inf, least=1):
     """raw if it is an integer in least..most, a numpy one too but not a bool or a float."""
     if isinstance(raw, bool) or not isinstance(raw, Integral) or not least <= raw <= most:
         bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
-        raise ValidationError(f"field {field!r} must be an integer {bounds}, got {raw!r}")
+        raise ValidationError(f"field {field!r} must be an integer {bounds}, got {shown(raw)}")
     return raw
 
 
@@ -146,10 +141,11 @@ def _check_bits(bits, field, key, count):
     if isinstance(bits, range):
         # each trial draws from the range with numpy's int64 integers
         if bits.step != 1 or not 1 <= bits.start < bits.stop <= 2**63:
-            raise ValidationError(f"field {field!r}: {bits} is not a step-1 range in 1..2^63 - 1")
+            raise ValidationError(f"field {field!r}: {shown(bits)} is not a step-1 range "
+                                  "in 1..2^63 - 1")
     elif not isinstance(bits, tuple):
         raise ValidationError(f"field {field!r} must be a tuple or range of resolutions, "
-                              f"got {bits!r}")
+                              f"got {shown(bits)}")
     elif len(bits) != count:
         raise ValidationError(f"field {field!r} has {len(bits)} resolutions but {key} = {count}")
     else:
@@ -182,20 +178,33 @@ def _parse_bit_spec(raw, count, field):
     text = raw.strip()
     match = _UNIFORM_RE.match(text)
     if match:
-        return range(int(match.group(1)), int(match.group(2)) + 1)
+        return range(_grammar_int(match.group(1), field), _grammar_int(match.group(2), field) + 1)
     if text.startswith("mixed"):
         parts = []
         for part in text[len("mixed"):].split("+"):
             m = _MIXED_PART_RE.match(part.strip())
             if not m:
-                raise ValidationError(f"field {field!r}: cannot parse mixed part {part.strip()!r}")
-            parts.append((int(m.group(1)), _positive_int(int(m.group(2)), field)))
+                raise ValidationError(f"field {field!r}: cannot parse mixed part "
+                                      f"{shown(part.strip())}")
+            parts.append((_grammar_int(m.group(1), field),
+                          _positive_int(_grammar_int(m.group(2), field), field)))
         # checked before the tuple is built, so a count with hundreds of digits allocates nothing
         total = sum(n for n, _ in parts)
         if total != count:
-            raise ValidationError(f"field {field!r}: mixed counts sum to {total}, need {count}")
+            raise ValidationError(f"field {field!r}: mixed counts sum to {shown(total)}, "
+                                  f"need {count}")
         return tuple(bits for n, bits in parts for _ in range(n))
-    raise ValidationError(f"field {field!r}: unrecognized resolution spec {raw!r}")
+    raise ValidationError(f"field {field!r}: unrecognized resolution spec {shown(raw)}")
+
+
+def _grammar_int(digits, field):
+    """The integer a digit run of the resolution grammar spells."""
+    try:
+        return int(digits)
+    except ValueError:
+        # past Python's int-conversion digit limit, as load_spec's JSON numbers are
+        raise ValidationError(
+            f"field {field!r}: a {len(digits)}-digit number is too long") from None
 
 
 def _unique_keys(pairs):
@@ -257,8 +266,7 @@ def _run_trial(spec, trial_index):
                                _draw_bits(spec.adc_bits, spec.n_users, rng))
 
     aods = draw_aods(rng, spec.n_users, spec.channel_mode)
-    factors = [one_ring_factor(spec.n_antennas, float(theta)) for theta in aods]
-    channel = sample_channel(factors, rng)
+    channel = sample_channel(spec.n_antennas, aods, rng)
 
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in spec.snr_db]
     # a failed point scores as the zero precoder, whose rates and powers are exactly 0
@@ -351,7 +359,7 @@ def _format(kind, value):
 def _parse(kind, cell):
     if kind is bool:
         if cell not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {cell!r}")
+            raise ValueError(f"expected true or false, got {shown(cell)}")
         return cell == "true"
     return cell if kind is str else kind(cell)
 

@@ -18,10 +18,11 @@ from rsma_sim import (
     SolveResult,
     ZeroPrecoder,
     check_power,
+    one_ring_factor,
 )
 from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
 from rsma_sim.gpi import _quadratics, _to_full_precoder, kkt_matrices
-from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve
+from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve, sample_complex_gaussian
 from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
@@ -271,6 +272,51 @@ def exact_lag_doubling(n_antennas, aod, tol=QUADRATURE_TOL):
         if changes[n_nodes] < tol:
             break
     return weights, changes
+
+
+def plane_wave_basis(n_antennas, aod):
+    """``(basis, weights)``: the one-ring factor's tables expanded to its (N, q) steering matrix.
+
+    Row d = r + split*m of ``basis`` is ``outer[m] * inner[r]``, the
+    product-built steering vector entry ``exp(-j*pi*d*cos(x_q))``.
+    """
+    inner, outer, weights = one_ring_factor(n_antennas, aod)
+    basis = (outer[:, None] * inner).reshape(-1, len(weights))
+    return basis[:n_antennas], weights
+
+
+def steering_basis(n_antennas, aod):
+    """``(basis, weights)`` of the converged one-ring rule with directly evaluated steering vectors.
+
+    Column q of ``basis`` is ``exp(-j*pi*n*cos(x_q))`` at the rule's node
+    x_q, one phase per antenna, with no products.
+    """
+    *_, weights = one_ring_factor(n_antennas, aod)
+    nodes, _ = np.polynomial.legendre.leggauss(len(weights))
+    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
+    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    return np.exp(-1j * math.pi * np.outer(np.arange(n_antennas), np.cos(x))), weights
+
+
+def kl_sample_channel(factorizations, rng):
+    """One (N, K) channel from per-user ``(basis, weights)`` pairs, dense.
+
+    Takes :func:`rsma_sim.channel.kl_factorize` pairs, or plane-wave ones
+    from :func:`plane_wave_basis` or :func:`steering_basis`; the basis need
+    not be orthonormal. User
+    k's column is ``basis_k @ (sqrt(w_k) * g_k)`` with a fresh standard
+    complex Gaussian g_k, one entry per weight, drawn user by user, so its
+    covariance is ``basis_k diag(w_k) basis_k^H``; an empty factor gives a
+    zero column.
+    """
+    columns = []
+    for basis, weights in factorizations:
+        if len(weights) == 0:
+            columns.append(np.zeros(basis.shape[0], dtype=complex))
+        else:
+            g = sample_complex_gaussian(rng, len(weights))
+            columns.append(basis @ (np.sqrt(weights) * g))
+    return np.column_stack(columns)
 
 
 def factorization_metadata(factorizations):

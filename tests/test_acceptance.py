@@ -25,7 +25,6 @@ from rsma_sim import (
     load_spec,
     rate_report,
     run_experiment,
-    sample_channel,
     summarize,
     trial_rng,
 )
@@ -40,6 +39,7 @@ from oracles import (
     element_quadratics,
     extract_precoder,
     ideal_profile,
+    kl_sample_channel,
     long_form_power,
     principal_gep_oracle,
     random_channel,
@@ -294,7 +294,7 @@ def test_criterion_6_degeneration():
         profile = ideal_profile(n, k_users)
         rng = seeded_rng(606)
         facs = [kl_factorize(one_ring_covariance(n, a)) for a in (0.9, 1.2)]
-        h = sample_channel(facs, rng)
+        h = kl_sample_channel(facs, rng)
         f = random_precoder(rng, profile, n, k_users)
         power = 100.0
 
@@ -364,7 +364,7 @@ def test_criterion_8_correlation_effect():
                     kl_factorize(one_ring_covariance(n, center)),
                     kl_factorize(one_ring_covariance(n, center + delta)),
                 ]
-                h = sample_channel(facs, rng)
+                h = kl_sample_channel(facs, rng)
                 forms = build_forms(h, profile, power)
                 [rs_res] = gpi_solve(forms, opts, init_precoder(forms))
                 sem_forms = build_forms(h, profile, power, include_common=False)
@@ -418,7 +418,7 @@ def test_criterion_10_performance_envelope():
         rng = trial_rng(1010, 0)
         aods = draw_aods(rng, k_users, "correlated_aod")
         facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
-        h = sample_channel(facs, rng)
+        h = kl_sample_channel(facs, rng)
         profile = QuantizerProfile([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0
         forms = build_forms(h, profile, power)

@@ -27,8 +27,9 @@ class TestBaselinePrecoder:
         self.rng = np.random.default_rng(2)
 
     def test_unknown_kind(self):
-        with pytest.raises(DimensionMismatch):
-            baseline_precoder("ZF", random_channel(self.rng, 2, 1), ideal_profile(2, 1), 1.0)
+        for kind in ("ZF", 10**5000):
+            with pytest.raises(DimensionMismatch, match="kind must be one of"):
+                baseline_precoder(kind, random_channel(self.rng, 2, 1), ideal_profile(2, 1), 1.0)
 
     def test_single_user_collapse(self):
         # K=1: all three kinds beamform along the effective channel

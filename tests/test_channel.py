@@ -13,7 +13,6 @@ from rsma_sim import (
     sample_channel,
 )
 from rsma_sim.channel import (
-    ANGULAR_SPREAD,
     _gauss_legendre,
     draw_aods,
     kl_factorize,
@@ -25,7 +24,10 @@ from oracles import (
     dense_one_ring,
     exact_lag_doubling,
     factorization_metadata,
+    kl_sample_channel,
+    plane_wave_basis,
     seeded_rng,
+    steering_basis,
     trapezoid_one_ring,
 )
 
@@ -85,9 +87,14 @@ class TestOneRingCovariance:
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
     def test_input_validation(self):
-        for one_ring in (one_ring_covariance, one_ring_factor):
-            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0), (4.5, 1.0), (2.2, 1.0), (True, 1.0)):
-                with pytest.raises(DimensionMismatch):
+        def draw(n, aod):
+            return sample_channel(n, [aod], seeded_rng(0))
+
+        for one_ring in (one_ring_covariance, one_ring_factor, draw):
+            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0), (4.5, 1.0), (2.2, 1.0), (True, 1.0),
+                           (-10**5000, 1.0), (4, 10**5000)):
+                # an integer too long to print still gets a short message
+                with pytest.raises(DimensionMismatch, match="too long to print|must"):
                     one_ring(n, aod)
         for n in (np.int64(4), np.int32(4)):
             np.testing.assert_array_equal(one_ring_covariance(n, 1.0), one_ring_covariance(4, 1.0))
@@ -103,7 +110,7 @@ class TestOneRingCovariance:
             for tol in np.nextafter(changes[level], [0.0, changes[level], 1.0]):
                 monkeypatch.setattr("rsma_sim.channel.QUADRATURE_TOL", tol)
                 want_weights, _ = exact_lag_doubling(n, aod, tol)
-                _, weights = one_ring_factor(n, aod)
+                _, _, weights = one_ring_factor(n, aod)
                 np.testing.assert_array_equal(weights, want_weights)
                 np.testing.assert_array_equal(one_ring_covariance(n, aod), dense_one_ring(n, aod, tol))
 
@@ -112,7 +119,7 @@ class TestOneRingFactor:
     def test_reconstructs_covariance(self):
         for n in (1, 2, 4, 8, 64, 128):
             for aod in (0.0, 0.2, 1.1, 2.7):
-                basis, weights = one_ring_factor(n, aod)
+                basis, weights = plane_wave_basis(n, aod)
                 assert basis.shape == (n, len(weights))
                 rebuilt = (basis * weights) @ basis.conj().T
                 assert np.abs(rebuilt - one_ring_covariance(n, aod)).max() <= 1e-13
@@ -121,16 +128,14 @@ class TestOneRingFactor:
         random_aods = tuple(seeded_rng(13).uniform(0.0, math.pi, 2))
         for n in (1, 2, 3, 4, 17, 64, 128):
             for aod in (0.0, 0.2, 1.1, 2.7) + random_aods:
-                basis, weights = one_ring_factor(n, aod)
-                nodes, _ = _gauss_legendre(len(weights))
-                lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
-                x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-                direct = np.exp(-1j * math.pi * np.outer(np.arange(n), np.cos(x)))
+                basis, weights = plane_wave_basis(n, aod)
+                direct, direct_weights = steering_basis(n, aod)
+                np.testing.assert_array_equal(weights, direct_weights)
                 assert np.abs(basis - direct).max() <= 16 * n * math.pi * np.finfo(float).eps
 
     def test_weights_positive_and_sum_to_one(self):
         for n, aod in ((4, 0.8), (64, 1.2)):
-            _, weights = one_ring_factor(n, aod)
+            _, _, weights = one_ring_factor(n, aod)
             assert np.all(weights > 0)
             assert weights.sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -178,27 +183,28 @@ class TestSampleChannel:
         return [factor(n, a) for a in self.AODS]
 
     def test_deterministic(self):
-        facs = self._factorizations()
-        a = sample_channel(facs, seeded_rng(7))
-        b = sample_channel(facs, seeded_rng(7))
+        a = sample_channel(4, self.AODS, seeded_rng(7))
+        b = sample_channel(4, self.AODS, seeded_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_zero_covariance_gives_zero_channel(self):
         facs = [kl_factorize(np.zeros((3, 3)))]
-        h = sample_channel(facs, seeded_rng(1))
+        h = kl_sample_channel(facs, seeded_rng(1))
         np.testing.assert_array_equal(h, np.zeros((3, 1)))
         assert factorization_metadata(facs)[1] == (0,)
 
     def test_column_space(self):
         facs = self._factorizations()
-        channel = sample_channel(facs, seeded_rng(3))
+        channel = kl_sample_channel(facs, seeded_rng(3))
         for k, (basis, _) in enumerate(facs):
             h = channel[:, k]
             projected = basis @ (basis.conj().T @ h)
             np.testing.assert_allclose(projected, h, atol=1e-10)
 
-    @pytest.mark.parametrize("factor", [kl_one_ring, one_ring_factor], ids=["kl", "plane_waves"])
+    @pytest.mark.parametrize("factor", [kl_one_ring, plane_wave_basis], ids=["kl", "plane_waves"])
     def test_draws_follow_basis_formula(self, factor):
+        # the dense reference draw that test_draws_match_dense_basis_draw
+        # holds sample_channel to, and that criteria 7, 8 and 10 draw from
         facs = self._factorizations(factor=factor)
         rng = seeded_rng(5)
         for _ in range(5):
@@ -207,12 +213,32 @@ class TestSampleChannel:
                 basis @ (np.sqrt(weights) * sample_complex_gaussian(clone, len(weights)))
                 for basis, weights in facs
             ])
-            np.testing.assert_array_equal(sample_channel(facs, rng), want)
+            np.testing.assert_array_equal(kl_sample_channel(facs, rng), want)
 
-    @pytest.mark.parametrize("factor", [kl_one_ring, one_ring_factor], ids=["kl", "plane_waves"])
+    def test_draws_match_dense_basis_draw(self):
+        # N = 3, 5, 17, 63 and 65 cut the last outer block short of N. Each
+        # product-built steering vector is within 16*N*pi*eps of the direct
+        # one (test_basis_matches_direct_steering_vectors), so a draw is
+        # within that times sum |c| of the dense draw through direct ones.
+        eps = np.finfo(float).eps
+        for n in (1, 2, 3, 5, 17, 63, 64, 65, 128):
+            rng = seeded_rng(n)
+            reference, coefficients = copy.deepcopy(rng), copy.deepcopy(rng)
+            facs = [steering_basis(n, a) for a in self.AODS]
+            want = kl_sample_channel(facs, reference)
+            got = sample_channel(n, self.AODS, rng)
+            assert got.shape == (n, len(self.AODS))
+            for k, (_, weights) in enumerate(facs):
+                c = np.sqrt(weights) * sample_complex_gaussian(coefficients, len(weights))
+                bound = 16 * n * math.pi * eps * np.abs(c).sum()
+                assert np.abs(got[:, k] - want[:, k]).max() <= bound
+            # the draw took its Gaussians from the generator in the reference's order
+            assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("factor", [kl_one_ring, plane_wave_basis], ids=["kl", "plane_waves"])
     def test_empirical_covariance(self, factor):
-        # sample_channel's formula (test_draws_follow_basis_formula), drawn
-        # for all trials of a user at once
+        # the dense draw (test_draws_follow_basis_formula), drawn for all
+        # trials of a user at once
         rng = seeded_rng(5)
         trials = 100_000
         for aod, (basis, weights) in zip(self.AODS, self._factorizations(factor=factor)):
@@ -242,6 +268,6 @@ class TestDrawAods:
             assert aods.max() - aods.min() <= math.pi / 6 + 1e-12
 
     def test_unknown_mode(self):
-        for mode in ("clustered", "random"):
-            with pytest.raises(DimensionMismatch):
+        for mode in ("clustered", "random", 10**5000):
+            with pytest.raises(DimensionMismatch, match="unknown channel mode"):
                 draw_aods(seeded_rng(0), 2, mode)

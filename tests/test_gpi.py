@@ -23,7 +23,6 @@ from rsma_sim import (
     gpi_solve,
     init_precoder,
     load_spec,
-    one_ring_factor,
     rate_report,
     run_experiment,
     sample_channel,
@@ -41,6 +40,7 @@ from oracles import (
     extract_precoder,
     hermitian_solve,
     ideal_profile,
+    kl_sample_channel,
     principal_gep_oracle,
     random_channel,
     random_profile,
@@ -65,7 +65,7 @@ def correlated_instance(seed, n=4, k_users=2, dac=4, adc=6):
     rng = trial_rng(seed, 0)
     aods = draw_aods(rng, k_users, "correlated_aod")
     facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
-    h = sample_channel(facs, rng)
+    h = kl_sample_channel(facs, rng)
     profile = QuantizerProfile([dac] * n, [adc] * k_users)
     return h, profile
 
@@ -321,7 +321,7 @@ class TestKktMatrices:
         rng = trial_rng(3, 0)
         dac_bits = [4] * n if n == 4 else [int(b) for b in rng.integers(2, 9, n)]
         aods = draw_aods(rng, k_users, "random_aod")
-        h = sample_channel([kl_factorize(one_ring_covariance(n, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(one_ring_covariance(n, float(a))) for a in aods], rng)
         profile = QuantizerProfile(dac_bits, [adc_bits] * k_users)
         snr_db = np.arange(-30.0, 91.0, 15.0)
         forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
@@ -416,7 +416,7 @@ class TestGpiSolve:
         # 50 dB) cycles under the plain step; the damped step settles it
         rng = trial_rng(90, 0)
         aods = draw_aods(rng, 2, "correlated_aod")
-        h = sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
         forms = build_forms(h, QuantizerProfile([3, 3, 3, 8], [8, 8]), 10.0 ** 5.0)
         opts = SolverOptions(tau=1.0)
         [result] = gpi_solve(forms, opts, init_precoder(forms))
@@ -507,9 +507,13 @@ class TestGpiSolve:
             SolverOptions(t_max=0)
         # a direct call gets the same type errors as a config
         for bad in ({"t_max": 2.5}, {"t_max": True}, {"t_max": "9"},
-                    {"tau": "1"}, {"tau": None}, {"tau": True}):
-            with pytest.raises(ValidationError, match=f"solver '{next(iter(bad))}' must be"):
+                    {"tau": "1"}, {"tau": None}, {"tau": True},
+                    # too long to print: the message names the field, not a ValueError
+                    {"t_max": -10**5000}, {"tau": -10**5000}):
+            name = next(iter(bad))
+            with pytest.raises(ValidationError, match=f"solver '{name}' must be") as info:
                 SolverOptions(**bad)
+            assert len(str(info.value)) <= 150
         with pytest.raises(ValidationError, match="positive and finite"):
             SolverOptions(tau=10**400)
         # numpy scalars are numbers too; comparing them must not overflow a cast
@@ -528,7 +532,7 @@ def fig2_channel(trial, base_seed=70):
     """The channel that trial ``trial`` of configs/fig2_sweep.json draws at ``base_seed``."""
     rng = trial_rng(base_seed, trial)
     aods = draw_aods(rng, 2, "random_aod")
-    return sample_channel([one_ring_factor(4, float(a)) for a in aods], rng)
+    return sample_channel(4, aods, rng)
 
 
 def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts):
@@ -601,7 +605,7 @@ class TestBatchedSolve:
         for trial in range(100):
             rng = trial_rng(90, trial)
             aods = draw_aods(rng, 2, "correlated_aod")
-            h = sample_channel([one_ring_factor(4, float(a)) for a in aods], rng)
+            h = sample_channel(4, aods, rng)
             assert_merged_sdma_matches_reference(h, profile, [50], SolverOptions(tau=1.0))
 
     def test_half_step_switch_is_per_element(self):
@@ -610,7 +614,7 @@ class TestBatchedSolve:
         # not, each element still takes its own scalar trajectory
         rng = trial_rng(90, 0)
         aods = draw_aods(rng, 2, "correlated_aod")
-        h = sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
         results = assert_batch_matches_scalar_oracle(
             h, QuantizerProfile([3, 3, 3, 8], [8, 8]), [50, 0, 30, 60], True,
             SolverOptions(tau=1.0),

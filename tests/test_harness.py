@@ -287,6 +287,10 @@ class TestExperimentSpec:
         ({"solver": {"tau": 1}}, ValidationError, "solver must be a SolverOptions"),
         ({"algorithms": "QMRT"}, ValidationError, "algorithms must be a nonempty list"),
         ({"snr_db": "10"}, ValidationError, "snr_db must be a nonempty list"),
+        ({"n_antennas": 10**5000}, ValidationError, "'N' must be an integer in 1\\.\\.2048"),
+        ({"snr_db": (10**5000,)}, ValidationError, "snr_db entry"),
+        ({"base_seed": -10**5000}, ValidationError, "'base_seed' must be an integer >= 0"),
+        ({"algorithms": (10**5000,)}, ValidationError, "unknown algorithm"),
     ], ids=["empty_snr", "repeated_snr", "repeated_int_snr", "nan_snr", "huge_snr",
             "huge_numpy_snr", "text_snr", "no_algorithm", "unknown_algorithm", "repeated_algorithm",
             "zero_trials", "zero_antennas", "negative_users", "too_many_antennas",
@@ -295,11 +299,14 @@ class TestExperimentSpec:
             "antennas_without_dacs", "zero_bit_dac", "fractional_bit_dac", "text_inf_adc",
             "range_from_zero", "empty_range", "range_with_step", "range_past_int64",
             "list_of_bits", "negative_seed", "float_seed", "solver_dict", "algorithm_text",
-            "snr_text"])
+            "snr_text", "unprintable_antennas", "unprintable_snr", "unprintable_seed",
+            "unprintable_algorithm"])
     def test_replaced_spec_obeys_the_config_rules(self, change, error, match):
-        # a spec made by dataclasses.replace meets the rules load_spec enforces
-        with pytest.raises(error, match=match):
+        # a spec made by dataclasses.replace meets the rules load_spec enforces; the
+        # message stays short for a value too long to print
+        with pytest.raises(error, match=match) as info:
             replace(load_spec(make_doc()), **change)
+        assert len(str(info.value)) <= 150
 
     def test_list_fields_stored_as_tuples(self):
         # a frozen spec stays hashable, and equal to the one tuples give
@@ -850,7 +857,14 @@ class TestCli:
         "uniform-random 2.." + "9" * 30,
         "uniform-random 2..9223372036854775808",
         "mixed " + "9" * 400 + "@2",
-    ], ids=["30-digit-range", "int64-max-plus-one", "400-digit-mixed-count"])
+        # past Python's int-conversion digit limit
+        "uniform-random 2.." + "9" * 5000,
+        "mixed " + "9" * 5000 + "@2",
+        "mixed 4@" + "9" * 5000,
+        "mixed " + "9" * 4300 + "@2 + " + "9" * 4300 + "@2",
+    ], ids=["30-digit-range", "int64-max-plus-one", "400-digit-mixed-count",
+            "5000-digit-range", "5000-digit-mixed-count", "5000-digit-mixed-bits",
+            "4301-digit-mixed-total"])
     def test_unrepresentable_resolution_is_config_error(self, tmp_path, capsys, dac_bits):
         config = self._write_config(tmp_path, dac_bits=dac_bits)
         out = tmp_path / "never.csv"

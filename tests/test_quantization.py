@@ -54,8 +54,10 @@ class TestBetaOfBits:
         assert beta_of_bits(10**400) == 0.0
         assert beta_of_bits(np.int64(2**62)) == 0.0
 
-    @pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, -10**5000, [10**5000]],
+                             ids=["0", "-3", "2.5", "True", "unprintable_int", "unprintable_list"])
     def test_invalid_resolution(self, bad):
+        # a value too long to print gets the typed error too, not a ValueError
         with pytest.raises(InvalidResolution):
             beta_of_bits(bad)
 
