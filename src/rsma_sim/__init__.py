@@ -3,7 +3,6 @@
 from .baselines import baseline_precoder
 from .channel import one_ring_factor, sample_channel
 from .errors import (
-    ConvergenceFailure,
     DimensionMismatch,
     InvalidResolution,
     RankDeficient,

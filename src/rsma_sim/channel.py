@@ -5,17 +5,15 @@ Each user's N x N spatial covariance is an integral over the scatter ring
 around its angle of departure; channels are drawn straight from the plane
 waves of the quadrature that evaluates it, with no eigendecomposition.
 
-The quadrature never evaluates all N phases of a node, and no code forms
-the (N, q) steering matrix. With z = exp(-j*pi*cos(x)) at a node x and
-split = ceil(sqrt(N)), the phase of lag r + split*m is z^r * (z^split)^m:
-each doubling level takes one plane wave per node and fills the tables of
-z^r (r < split) and z^(split*m) by products. Product-built values sit
-within ``16*N*pi*eps`` of the directly evaluated ones; a stop test that
-lands within that band of ``QUADRATURE_TOL`` is redone on exact phases,
-so the rule stops where a doubling over exact phases does.
-:func:`one_ring_covariance` is bit-exact (lag sums over exact phases);
-:func:`sample_channel` draws through the two tables, and agrees with a
-draw through the exact steering vectors to that band.
+The quadrature is one Gauss-Legendre rule whose node count q(N) an
+a-priori error bound fixes, so no rule is refined or retested. No code
+forms the (N, q) steering matrix or evaluates all N phases of a node. With
+z = exp(-j*pi*cos(x)) at a node x and split = ceil(sqrt(N)), the phase of
+lag r + split*m is z^r * (z^split)^m: one plane wave per node fills the
+tables of z^r (r < split) and z^(split*m) by products, each within
+``16*N*pi*eps`` of the directly evaluated phase.
+:func:`one_ring_covariance` sums exact phases; :func:`sample_channel`
+draws all users of a channel through the tables at once.
 """
 
 import functools
@@ -23,18 +21,18 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, shown
-from .linalg import sample_complex_gaussian
+from .errors import DimensionMismatch, shown
 
 # Half-width of every user's scatter ring around its angle of departure.
 ANGULAR_SPREAD = math.pi / 6
-# The quadrature stops once no covariance entry moves by this much.
+# Largest error of any covariance entry that the node count q(N) admits.
 QUADRATURE_TOL = 1e-10
 # Eigenvalues below this fraction of the largest are treated as numerical
 # rank deficiency and truncated.
 RANK_TOL = 1e-10
-# Node count past which the one-ring quadrature gives up.
-MAX_QUADRATURE_NODES = 4096
+# Users x nodes x antennas of one batch of sample_channel: one batch for all
+# users at N = K = 2048 (q = 1,756) would hold gigabytes of tables.
+_BATCH_ENTRIES = 2**20
 CHANNEL_MODES = ("random_aod", "correlated_aod")
 
 
@@ -44,23 +42,19 @@ def one_ring_covariance(n_antennas, aod):
     Entry (n, m) averages ``exp(-j*2*pi * cos(x) * (n - m) / 2)`` over the
     ring ``x in [aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD]``. It depends
     only on the lag n - m, and lag -d is the conjugate of lag d, so the
-    rule of :func:`one_ring_factor` is summed once per lag 0, 1, ..., N - 1
-    and the matrix is filled as a Hermitian Toeplitz matrix. The lag sums
-    are taken once, at the stopping rule's nodes, over phases evaluated
-    directly for every lag, not built as products, so the result is
-    bit-exact: it equals a doubling over all N^2 entries value for value.
+    rule of :func:`one_ring_factor` is summed once per lag 0, 1, ..., N - 1,
+    over phases evaluated directly, not built as products, and the matrix
+    is filled as a Hermitian Toeplitz matrix.
 
     Raises
     ------
     DimensionMismatch
         If ``n_antennas`` is not an integer >= 1 (a bool is not) or
         ``aod`` lies outside [0, pi).
-    ConvergenceFailure
-        If the estimate still moves by ``QUADRATURE_TOL`` or more at
-        ``MAX_QUADRATURE_NODES`` (4096) nodes.
     """
-    x, weights, _ = _one_ring_rule(n_antennas, aod)
-    values = _lag_sums(x, weights, n_antennas)
+    x, weights = _one_ring_rule(n_antennas, [aod])
+    angle = -2.0 * math.pi * (np.cos(x[0])[:, None] * (0.5 * np.arange(n_antennas)))
+    values = np.einsum("q,qd->d", weights, _plane_waves(angle))
     lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
     lower = values[np.abs(lag)]
     cov = np.where(lag >= 0, lower, lower.conj())
@@ -72,94 +66,99 @@ def one_ring_covariance(n_antennas, aod):
 def one_ring_factor(n_antennas, aod):
     """Split plane-wave factor ``(inner, outer, weights)`` of the one-ring covariance.
 
-    Gauss-Legendre quadrature, with nodes cached per count, doubles the
-    node count from 16 until no lag sum moves by ``QUADRATURE_TOL``. At
-    that rule's q nodes x_q, with ``z_q = exp(-j*pi*cos(x_q))`` and
-    ``split = ceil(sqrt(N))``, ``inner`` (split, q) holds ``z^r`` for
-    r < split and ``outer`` (ceil(N / split), q) holds ``z^(split*m)``;
-    ``weights`` (q,) is positive and sums to one. The steering vector entry
-    ``exp(-j*pi*d*cos(x_q))`` of antenna d = r + split*m is
-    ``outer[m, q] * inner[r, q]``, so the lag sums are
-    ``((outer * weights) @ inner.T).ravel()[:N]`` and :func:`sample_channel`
-    draws from the factor with no (N, q) basis and no eigendecomposition.
-
-    Each level takes one plane wave per node and fills both tables by
-    products in ceil(log2) doubling steps, so no level evaluates N phases
-    per node; every table product is within ``16*N*pi*eps`` of the directly
-    evaluated phase. A stop test whose change lies within that band of
-    ``QUADRATURE_TOL``, and the test at ``MAX_QUADRATURE_NODES``, is redone
-    on the exact lag sums of :func:`one_ring_covariance`, so the node
-    count, and so ``weights``, is that of a doubling over exact phases.
-    Raises as :func:`one_ring_covariance` does.
+    At the q = q(N) nodes x_q of the rule (see :func:`_node_count`), with
+    ``z_q = exp(-j*pi*cos(x_q))`` and ``split = ceil(sqrt(N))``, ``inner``
+    (split, q) holds ``z^r`` for r < split and ``outer`` (ceil(N / split), q)
+    holds ``z^(split*m)``; ``weights`` (q,) is positive and sums to one.
+    The steering vector entry ``exp(-j*pi*d*cos(x_q))`` of antenna
+    d = r + split*m is ``outer[m, q] * inner[r, q]``, within
+    ``16*N*pi*eps`` of the directly evaluated phase, so the lag sums are
+    ``((outer * weights) @ inner.T).ravel()[:N]``. Raises as
+    :func:`one_ring_covariance` does.
     """
-    _, weights, (inner, outer) = _one_ring_rule(n_antennas, aod)
+    x, weights = _one_ring_rule(n_antennas, [aod])
+    inner, outer = _split_tables(n_antennas, x[0])
     return inner, outer, weights
 
 
-def _one_ring_rule(n_antennas, aod):
-    """Nodes, weights and split tables of the converged one-ring rule.
+def sample_channel(n_antennas, aods, rng):
+    """Draw one block-fading channel for users at the given angles of departure.
 
-    Returns ``(x, w, (inner, outer))`` for q nodes, the tables as
-    :func:`one_ring_factor` describes them.
+    User k's column is the one-ring plane-wave sum ``sum_q c_q a(x_q)``
+    with ``c = sqrt(weights) * g`` over the rule of
+    :func:`one_ring_factor` at ``aods[k]``, and g a standard complex
+    Gaussian with one entry per node. All users' g come from one
+    ``rng.standard_normal((K, 2, q))`` call, which takes them user by user
+    (real parts, then imaginary parts), as K draws of q values would. The
+    columns are ``((outer * c) @ inner.T)`` cut to N entries, one batched
+    product over the users, so each user's covariance is
+    :func:`one_ring_covariance` up to roundoff. Returns the (N, K) complex
+    channel matrix; raises as :func:`one_ring_factor` does.
     """
+    x, weights = _one_ring_rule(n_antennas, aods)
+    n_users, n_nodes = x.shape
+    g = rng.standard_normal((n_users, 2, n_nodes))
+    c = np.sqrt(weights) * ((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    channel = np.empty((n_antennas, n_users), dtype=complex)
+    batch = max(1, _BATCH_ENTRIES // (n_nodes * n_antennas))
+    for start in range(0, n_users, batch):
+        users = slice(start, start + batch)
+        inner, outer = _split_tables(n_antennas, x[users])
+        # (k, n_outer, q) @ (k, q, split): row m, column r of user k is antenna r + split*m
+        blocks = np.matmul((outer * c[users]).transpose(1, 0, 2), inner.transpose(1, 2, 0))
+        channel[:, users] = blocks.reshape(len(blocks), -1)[:, :n_antennas].T
+    return channel
+
+
+def _one_ring_rule(n_antennas, aods):
+    """Nodes ``x`` (K, q) of the q(N)-node rule on each user's ring, and its weights (q,)."""
     if isinstance(n_antennas, bool) or not isinstance(n_antennas, (int, np.integer)):
         raise DimensionMismatch(f"n_antennas must be an integer, got {shown(n_antennas)}")
     if n_antennas < 1:
         raise DimensionMismatch(f"n_antennas must be >= 1, got {shown(n_antennas)}")
-    if not 0.0 <= aod < math.pi:
-        raise DimensionMismatch(f"aod must lie in [0, pi), got {shown(aod)}")
-    split, band = _split_phases(n_antennas)
-    n_outer = -(-n_antennas // split)
-    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
-
-    def level(n_nodes):
-        nodes, weights = _gauss_legendre(n_nodes)
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
-        z = _plane_waves(-math.pi * np.cos(x))
-        inner = _powers(z, split)
-        outer = _powers(inner[-1] * z, n_outer)
-        sums = np.dot(outer * w, inner.T).ravel()[:n_antennas]
-        return (x, w, (inner, outer)), sums
-
-    n_nodes = 16
-    coarse, values = level(n_nodes)
-    while True:
-        n_nodes *= 2
-        fine, refined = level(n_nodes)
-        change = np.abs(refined - values).max()
-        last = n_nodes >= MAX_QUADRATURE_NODES
-        if last or abs(change - QUADRATURE_TOL) <= band:
-            # product-built sums may sit on the other side of the tolerance
-            exact, exact_coarse = (_lag_sums(x, w, n_antennas) for x, w, _ in (fine, coarse))
-            change = np.abs(exact - exact_coarse).max()
-        if change < QUADRATURE_TOL:
-            return fine
-        if last:
-            raise ConvergenceFailure(
-                f"one-ring quadrature still changed by {change:.3e} "
-                f"(tolerance {QUADRATURE_TOL:.1e}) at {n_nodes} nodes"
-            )
-        coarse, values = fine, refined
+    for aod in aods:
+        if not 0.0 <= aod < math.pi:
+            raise DimensionMismatch(f"aod must lie in [0, pi), got {shown(aod)}")
+    nodes, weights = _gauss_legendre(_node_count(n_antennas))
+    # the ring has length 2*ANGULAR_SPREAD, so weights summing to one are half the [-1, 1] ones
+    return np.asarray(aods, dtype=float)[:, None] + ANGULAR_SPREAD * nodes, 0.5 * weights
 
 
-def _split_phases(n_antennas):
-    """``(split, band)`` of the split tables for N antennas.
+@functools.lru_cache(maxsize=None)
+def _node_count(n_antennas):
+    """Node count q(N) of a Gauss-Legendre rule whose lag sums all lie within ``QUADRATURE_TOL``.
 
-    ``split = ceil(sqrt(N))``, so a level's tables hold about 2*sqrt(N)
-    rows. ``band`` bounds how far a product-built lag sum, and so a stop
-    test's change, may sit from the exact one: roundoff grows with the lag,
-    and over 1,024 rules (N from 1 to 256, 4 random AoDs each, every level)
-    no lag sum sat more than 0.24*N*pi*eps from the exact one and no table
-    product more than 1.14*N*pi*eps from the directly evaluated phase.
+    On the ring ``x = aod + ANGULAR_SPREAD * t``, lag d's integrand
+    ``exp(-j*pi*d*cos(x))`` is entire in t. On the Bernstein ellipse E_rho,
+    where ``|Im t| <= (rho - 1/rho) / 2``, its modulus is at most
+    ``M = exp(pi*(N-1)*sinh(ANGULAR_SPREAD*(rho - 1/rho)/2))`` for every
+    lag d < N and every AoD. A q-node rule is exact to degree 2q - 1, so
+    with weights summing to one it errs by at most
+    ``(32/15) * M * rho**(2 - 2q) / (rho**2 - 1)`` for q >= 2 (Trefethen,
+    "Is Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50(1),
+    2008, Theorem 4.5, whose rule I_n has n + 1 nodes). q(N) is the least
+    q >= 2 whose bound meets ``QUADRATURE_TOL`` at some rho of a grid that
+    holds the optimum for every N up to 2048: q(4) = 13, q(64) = 75 and
+    q(2048) = 1,756. Cached per N.
     """
+    rho = 1.0 + np.geomspace(1e-3, 1e3, 2001)
+    log_m = math.pi * (n_antennas - 1) * np.sinh(0.5 * ANGULAR_SPREAD * (rho - 1.0 / rho))
+    # log of (32/15) * M * rho**2 / (rho**2 - 1) / QUADRATURE_TOL, which 2*q*log(rho) must reach
+    excess = math.log(32.0 / 15.0 / QUADRATURE_TOL) + log_m + np.log(rho**2 / (rho**2 - 1.0))
+    return max(2, math.ceil((excess / (2.0 * np.log(rho))).min()))
+
+
+def _split_tables(n_antennas, x):
+    """Tables ``inner`` (split,) + x.shape and ``outer`` (ceil(N / split),) + x.shape at nodes x."""
     split = math.isqrt(n_antennas - 1) + 1
-    return split, 16 * n_antennas * math.pi * np.finfo(float).eps
+    z = _plane_waves(-math.pi * np.cos(x))
+    inner = _powers(z, split)
+    return inner, _powers(inner[-1] * z, -(-n_antennas // split))
 
 
 def _powers(base, count):
-    """``base**k`` for k < count, as a (count, q) table filled in ceil(log2(count)) doublings."""
-    table = np.empty((count, base.size), dtype=complex)
+    """``base**k`` for k < count, a (count,) + base.shape table filled in ceil(log2(count)) doublings."""
+    table = np.empty((count,) + base.shape, dtype=complex)
     table[0] = 1.0
     table[1:2] = base  # no row to fill when count is 1
     filled = 2
@@ -180,18 +179,12 @@ def _plane_waves(angle):
     return waves
 
 
-def _lag_sums(x, w, n_antennas):
-    """Exact lag sums ``sum_q w_q exp(-j*pi*d*cos(x_q))`` for d < N."""
-    angle = -2.0 * math.pi * (np.cos(x)[:, None] * (0.5 * np.arange(n_antennas)))
-    return np.einsum("q,qd->d", w, _plane_waves(angle))
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n_nodes):
     """Read-only Gauss-Legendre nodes and weights on [-1, 1].
 
-    The doubling asks only for powers of two from 16 to
-    ``MAX_QUADRATURE_NODES``, so the cache holds at most 9 entries.
+    Asked only for q(N), so the cache holds one entry per antenna count
+    drawn for.
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     nodes.flags.writeable = False
@@ -211,26 +204,6 @@ def kl_factorize(cov):
     vals, vecs = vals[::-1], vecs[:, ::-1]
     keep = vals > RANK_TOL * max(vals[0], 0.0)
     return np.ascontiguousarray(vecs[:, keep]), vals[keep].copy()
-
-
-def sample_channel(n_antennas, aods, rng):
-    """Draw one block-fading channel for users at the given angles of departure.
-
-    User k's column is the one-ring plane-wave sum ``sum_q c_q a(x_q)``
-    with ``c = sqrt(weights) * g`` over the rule of
-    :func:`one_ring_factor` at ``aods[k]``, and g a fresh standard complex
-    Gaussian with one entry per node, drawn user by user from ``rng``. It
-    is computed from the split tables as ``((outer * c) @ inner.T)`` cut
-    to N entries, so its covariance is :func:`one_ring_covariance` up to
-    roundoff. Returns the (N, K) complex channel matrix; raises as
-    :func:`one_ring_factor` does.
-    """
-    columns = []
-    for aod in aods:
-        inner, outer, weights = one_ring_factor(n_antennas, aod)
-        c = np.sqrt(weights) * sample_complex_gaussian(rng, len(weights))
-        columns.append(((outer * c) @ inner.T).ravel()[:n_antennas])
-    return np.column_stack(columns)
 
 
 def draw_aods(rng, n_users, channel_mode):

@@ -43,15 +43,6 @@ class SingularMatrix(RsmaSimError):
         self.block_index = block_index
 
 
-class ConvergenceFailure(RsmaSimError):
-    """An iterative or adaptive computation did not converge.
-
-    Raised by the one-ring quadrature when its estimate still moves by at
-    least the tolerance at the node cap. The test oracles raise it when a
-    dense eigensolver fails.
-    """
-
-
 class InvalidResolution(RsmaSimError):
     """Quantizer resolution is not a positive integer or infinity."""
 

@@ -41,8 +41,8 @@ _ALLOWED_KEYS = {
 }
 _UNIFORM_RE = re.compile(r"^uniform-random\s+(\d+)\.\.(\d+)$")
 _MIXED_PART_RE = re.compile(r"^(\d+)@(\d+)$")
-# Largest N and K: one_ring_factor converged at all 91 AoDs of a pi/91 grid at N = 2048
-# (44 of them fail at 3072), so every accepted spec can draw its channel
+# Largest N and K. At N = 2048 the one-ring rule has q(2048) = 1,756 nodes, and
+# leggauss(1756) runs once per process: about 0.5 s on one core (0.85 s for 2048 nodes)
 MAX_SIZE = 2048
 # Trials per pool.map call, which queues every trial it is handed before any result returns
 _POOL_WINDOW = 1024

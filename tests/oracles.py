@@ -11,7 +11,6 @@ import numpy as np
 import scipy.linalg
 
 from rsma_sim import (
-    ConvergenceFailure,
     DimensionMismatch,
     QuantizerProfile,
     SingularMatrix,
@@ -20,12 +19,16 @@ from rsma_sim import (
     check_power,
     one_ring_factor,
 )
-from rsma_sim.channel import ANGULAR_SPREAD, QUADRATURE_TOL
+from rsma_sim.channel import ANGULAR_SPREAD, _node_count
 from rsma_sim.gpi import _quadratics, _to_full_precoder, kkt_matrices
 from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve, sample_complex_gaussian
 from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
+
+
+class OracleFailure(Exception):
+    """A dense reference computation failed."""
 
 
 def seeded_rng(seed):
@@ -212,66 +215,20 @@ def trapezoid_one_ring(n_antennas, aod, n_points=100_000):
     return np.trapezoid(values, x, axis=0) / (2.0 * ANGULAR_SPREAD)
 
 
-def dense_one_ring(n_antennas, aod, tol=QUADRATURE_TOL):
-    """One-ring covariance by Gauss-Legendre doubling over all N^2 entries.
+def dense_one_ring(n_antennas, aod):
+    """One-ring covariance by Gauss-Legendre quadrature over all N^2 entries.
 
-    Evaluates the planar integrand at every antenna pair, with fresh nodes
-    for each count, and returns the last estimate even if the doubling
-    stops at 4096 nodes without any entry moving by less than ``tol``.
+    Evaluates the planar integrand at every antenna pair, at the package's
+    node count q(N) with fresh nodes.
     """
     dx, dy = _ula_displacements(n_antennas)
-    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
-
-    def estimate(n_nodes):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
-        phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
-        return np.einsum("q,qnm->nm", w, np.exp(-2j * math.pi * phase))
-
-    n_nodes = 16
-    cov = estimate(n_nodes)
-    while n_nodes < 4096:
-        n_nodes *= 2
-        refined = estimate(n_nodes)
-        if np.abs(refined - cov).max() < tol:
-            cov = refined
-            break
-        cov = refined
+    nodes, weights = np.polynomial.legendre.leggauss(_node_count(n_antennas))
+    x = aod + ANGULAR_SPREAD * nodes
+    phase = np.cos(x)[:, None, None] * dx + np.sin(x)[:, None, None] * dy
+    cov = np.einsum("q,qnm->nm", 0.5 * weights, np.exp(-2j * math.pi * phase))
     cov = 0.5 * (cov + cov.conj().T)
     np.fill_diagonal(cov, 1.0)
     return cov
-
-
-def exact_lag_doubling(n_antennas, aod, tol=QUADRATURE_TOL):
-    """Weights and per-level changes of the exact-phase one-ring doubling.
-
-    Runs :func:`dense_one_ring`'s doubling on the N lag sums of a
-    half-wavelength ULA, with every phase ``exp(-j*2*pi*cos(x_q)*d/2)``
-    evaluated directly. Returns ``(weights, changes)``: the weights of the
-    first rule whose lag sums all move by less than ``tol`` (or of the
-    4096-node rule), and each level's largest change keyed by node count.
-    """
-    disp = 0.5 * np.arange(n_antennas)
-    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
-
-    def rule(n_nodes):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-        w = 0.5 * (hi - lo) * weights / (2.0 * ANGULAR_SPREAD)
-        return w, np.einsum("q,qd->d", w, np.exp(-2j * math.pi * (np.cos(x)[:, None] * disp)))
-
-    n_nodes = 16
-    _, values = rule(n_nodes)
-    changes = {}
-    while n_nodes < 4096:
-        n_nodes *= 2
-        weights, refined = rule(n_nodes)
-        changes[n_nodes] = np.abs(refined - values).max()
-        values = refined
-        if changes[n_nodes] < tol:
-            break
-    return weights, changes
 
 
 def plane_wave_basis(n_antennas, aod):
@@ -293,8 +250,7 @@ def steering_basis(n_antennas, aod):
     """
     *_, weights = one_ring_factor(n_antennas, aod)
     nodes, _ = np.polynomial.legendre.leggauss(len(weights))
-    lo, hi = aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD
-    x = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
+    x = aod + ANGULAR_SPREAD * nodes
     return np.exp(-1j * math.pi * np.outer(np.arange(n_antennas), np.cos(x))), weights
 
 
@@ -529,7 +485,7 @@ def principal_gep_oracle(a, b):
     try:
         vals, vecs = scipy.linalg.eigh(a, b)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise ConvergenceFailure(f"dense generalized eigensolver failed: {exc}") from exc
+        raise OracleFailure(f"dense generalized eigensolver failed: {exc}") from exc
     vec = vecs[:, -1]
     return float(vals[-1]), vec / np.linalg.norm(vec)
 

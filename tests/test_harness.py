@@ -454,9 +454,9 @@ class TestRunExperiment:
         assert [r.note for r in records if r.snr_db == 150] == [
             f"SingularMatrix: block {block} singular: diagonal floor {floor} below tolerance {tol}"
             for block, floor, tol in (
-                (1, "1.712e-14", "7.710e-14"), (1, "1.143e-14", "4.099e-14"),
-                (1, "7.799e-15", "9.500e-14"), (1, "5.352e-15", "6.624e-14"),
-                (1, "2.649e-14", "9.896e-13"), (1, "2.038e-14", "7.517e-13"),
+                (1, "4.262e-15", "5.854e-14"), (1, "3.318e-15", "3.790e-14"),
+                (1, "1.450e-14", "4.467e-13"), (1, "1.032e-14", "3.180e-13"),
+                (1, "1.282e-13", "1.363e-12"), (1, "1.004e-13", "1.052e-12"),
             )
         ]
         assert [r for r in records if r.snr_db == 20] == run_experiment(
@@ -464,7 +464,7 @@ class TestRunExperiment:
         path = tmp_path / "results.csv"
         write_csv(records, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f69b91b34f889ad6650b7670ea23672b41de826e05c20b0628ce85851f5234cf"
+            "2957bccb02be9d9c6b7bc4076fe31d485651fe80fb8b9c943acd72afc1ca9265"
         )
 
     def test_one_block_solve_per_iteration_for_all_snr_points(self, monkeypatch):
