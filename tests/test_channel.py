@@ -201,6 +201,20 @@ class TestSampleChannel:
             projected = basis @ (basis.conj().T @ h)
             np.testing.assert_allclose(projected, h, atol=1e-10)
 
+    @pytest.mark.parametrize("factor", [kl_one_ring, plane_wave_basis], ids=["kl", "plane_waves"])
+    def test_draws_follow_basis_formula(self, factor):
+        # the dense reference draw that test_draws_match_dense_basis_draw
+        # holds sample_channel to, and that criteria 7, 8 and 10 draw from
+        facs = self._factorizations(factor=factor)
+        rng = seeded_rng(5)
+        for _ in range(5):
+            clone = copy.deepcopy(rng)
+            want = np.column_stack([
+                basis @ (np.sqrt(weights) * sample_complex_gaussian(clone, len(weights)))
+                for basis, weights in facs
+            ])
+            np.testing.assert_array_equal(kl_sample_channel(facs, rng), want)
+
     def test_batched_draw_matches_per_user_steering_sums(self, monkeypatch):
         # one draw for all K users equals, user by user, sum_q sqrt(w_q) g_q a(x_q)
         # through directly evaluated steering vectors, with g taken from the
