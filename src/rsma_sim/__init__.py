@@ -1,15 +1,13 @@
 """Quantization-aware RSMA precoding: Q-GPI-RS solver, baselines, Monte Carlo harness."""
 
 from .baselines import baseline_precoder
-from .channel import one_ring_factor, sample_channel
+from .channel import sample_channel
 from .errors import (
     DimensionMismatch,
-    InvalidResolution,
     RankDeficient,
     RsmaSimError,
     SingularMatrix,
     ValidationError,
-    ZeroChannel,
     ZeroPrecoder,
 )
 from .gpi import QuadraticForms, SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder

@@ -42,7 +42,7 @@ def one_ring_covariance(n_antennas, aod):
     Entry (n, m) averages ``exp(-j*2*pi * cos(x) * (n - m) / 2)`` over the
     ring ``x in [aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD]``. It depends
     only on the lag n - m, and lag -d is the conjugate of lag d, so the
-    rule of :func:`one_ring_factor` is summed once per lag 0, 1, ..., N - 1,
+    q(N)-node rule of :func:`_node_count` is summed once per lag 0, 1, ..., N - 1,
     over phases evaluated directly, not built as products, and the matrix
     is filled as a Hermitian Toeplitz matrix.
 
@@ -63,37 +63,19 @@ def one_ring_covariance(n_antennas, aod):
     return cov
 
 
-def one_ring_factor(n_antennas, aod):
-    """Split plane-wave factor ``(inner, outer, weights)`` of the one-ring covariance.
-
-    At the q = q(N) nodes x_q of the rule (see :func:`_node_count`), with
-    ``z_q = exp(-j*pi*cos(x_q))`` and ``split = ceil(sqrt(N))``, ``inner``
-    (split, q) holds ``z^r`` for r < split and ``outer`` (ceil(N / split), q)
-    holds ``z^(split*m)``; ``weights`` (q,) is positive and sums to one.
-    The steering vector entry ``exp(-j*pi*d*cos(x_q))`` of antenna
-    d = r + split*m is ``outer[m, q] * inner[r, q]``, within
-    ``16*N*pi*eps`` of the directly evaluated phase, so the lag sums are
-    ``((outer * weights) @ inner.T).ravel()[:N]``. Raises as
-    :func:`one_ring_covariance` does.
-    """
-    x, weights = _one_ring_rule(n_antennas, [aod])
-    inner, outer = _split_tables(n_antennas, x[0])
-    return inner, outer, weights
-
-
 def sample_channel(n_antennas, aods, rng):
     """Draw one block-fading channel for users at the given angles of departure.
 
     User k's column is the one-ring plane-wave sum ``sum_q c_q a(x_q)``
-    with ``c = sqrt(weights) * g`` over the rule of
-    :func:`one_ring_factor` at ``aods[k]``, and g a standard complex
-    Gaussian with one entry per node. All users' g come from one
-    ``rng.standard_normal((K, 2, q))`` call, which takes them user by user
-    (real parts, then imaginary parts), as K draws of q values would. The
-    columns are ``((outer * c) @ inner.T)`` cut to N entries, one batched
-    product over the users, so each user's covariance is
-    :func:`one_ring_covariance` up to roundoff. Returns the (N, K) complex
-    channel matrix; raises as :func:`one_ring_factor` does.
+    with ``c = sqrt(weights) * g`` over the q(N)-node rule on the ring
+    around ``aods[k]``, and g a standard complex Gaussian with one entry
+    per node. All users' g come from one ``rng.standard_normal((K, 2, q))``
+    call, which takes them user by user (real parts, then imaginary parts),
+    as K draws of q values would. With the split tables ``inner`` of z^r and
+    ``outer`` of z^(split*m), the columns are ``((outer * c) @ inner.T)``
+    cut to N entries, one batched product over the users, so each user's
+    covariance is :func:`one_ring_covariance` up to roundoff. Returns the
+    (N, K) complex channel matrix; raises as :func:`one_ring_covariance` does.
     """
     x, weights = _one_ring_rule(n_antennas, aods)
     n_users, n_nodes = x.shape

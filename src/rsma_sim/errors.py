@@ -43,24 +43,19 @@ class SingularMatrix(RsmaSimError):
         self.block_index = block_index
 
 
-class InvalidResolution(RsmaSimError):
-    """Quantizer resolution is not a positive integer or infinity."""
-
-
-class ZeroChannel(RsmaSimError):
-    """All channel columns vanish; no precoder direction exists."""
-
-
 class RankDeficient(RsmaSimError):
     """Effective channel Gram matrix is singular beyond tolerance."""
 
 
 class ZeroPrecoder(RsmaSimError):
-    """A precoder, or one of its stream directions, is zero and cannot be scaled to the budget."""
+    """A precoder, or one of its stream directions, is zero and cannot be scaled to the budget.
+
+    Raised too for a channel whose columns all vanish, which gives no stream a direction.
+    """
 
 
 class ValidationError(RsmaSimError):
-    """An experiment config, solver setting or results file breaks a rule of its schema.
+    """An experiment config, solver setting, resolution or results file breaks a rule of its schema.
 
     A wrong type and a bad value are the same error, from a JSON document or a
     direct call alike: invalid JSON, a repeated key, a field of the wrong kind

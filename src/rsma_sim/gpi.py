@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroChannel, ZeroPrecoder, shown
+from .errors import DimensionMismatch, ValidationError, ZeroPrecoder, shown
 from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -300,7 +300,7 @@ def init_precoder(forms):
     """
     m = forms.weighted_channels
     if np.linalg.norm(m) == 0:
-        raise ZeroChannel("all channel columns vanish")
+        raise ZeroPrecoder("all channel columns vanish")
     rsma = np.vstack([m.mean(axis=0), m]).reshape(-1)
     sdma = np.concatenate([np.zeros(forms.n_antennas), m.reshape(-1) / np.linalg.norm(m)])
     return np.where(forms.include_common[:, None], rsma / np.linalg.norm(rsma), sdma)

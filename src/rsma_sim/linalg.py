@@ -1,4 +1,4 @@
-"""Block-diagonal Hermitian solves and seeded sampling.
+"""Block-diagonal Hermitian solves and per-trial random streams.
 
 Everything here operates on plain complex numpy arrays. The block-diagonal
 container mirrors the structure of the solver's iteration matrices, one
@@ -149,14 +149,3 @@ def trial_rng(base_seed, trial_index):
     """
     ss = np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_complex_gaussian(rng, n):
-    """Draw n i.i.d. circularly symmetric complex normal values.
-
-    Zero mean, unit variance: real and imaginary parts each carry
-    variance 1/2.
-    """
-    if n < 1:
-        raise DimensionMismatch(f"need n >= 1, got {n}")
-    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)

@@ -17,11 +17,10 @@ from rsma_sim import (
     SolveResult,
     ZeroPrecoder,
     check_power,
-    one_ring_factor,
 )
-from rsma_sim.channel import ANGULAR_SPREAD, _node_count
+from rsma_sim.channel import ANGULAR_SPREAD, _node_count, _one_ring_rule, _split_tables
 from rsma_sim.gpi import _quadratics, _to_full_precoder, kkt_matrices
-from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve, sample_complex_gaussian
+from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve
 from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
@@ -232,26 +231,37 @@ def dense_one_ring(n_antennas, aod):
 
 
 def plane_wave_basis(n_antennas, aod):
-    """``(basis, weights)``: the one-ring factor's tables expanded to its (N, q) steering matrix.
+    """``(basis, weights)``: the draw's split tables expanded to the (N, q) steering matrix.
 
     Row d = r + split*m of ``basis`` is ``outer[m] * inner[r]``, the
-    product-built steering vector entry ``exp(-j*pi*d*cos(x_q))``.
+    product-built steering vector entry ``exp(-j*pi*d*cos(x_q))``, from the
+    rule and tables that :func:`rsma_sim.sample_channel` draws through.
     """
-    inner, outer, weights = one_ring_factor(n_antennas, aod)
+    x, weights = _one_ring_rule(n_antennas, [aod])
+    inner, outer = _split_tables(n_antennas, x[0])
     basis = (outer[:, None] * inner).reshape(-1, len(weights))
     return basis[:n_antennas], weights
 
 
 def steering_basis(n_antennas, aod):
-    """``(basis, weights)`` of the converged one-ring rule with directly evaluated steering vectors.
+    """``(basis, weights)`` of the one-ring rule with directly evaluated steering vectors.
 
     Column q of ``basis`` is ``exp(-j*pi*n*cos(x_q))`` at the rule's node
     x_q, one phase per antenna, with no products.
     """
-    *_, weights = one_ring_factor(n_antennas, aod)
-    nodes, _ = np.polynomial.legendre.leggauss(len(weights))
-    x = aod + ANGULAR_SPREAD * nodes
-    return np.exp(-1j * math.pi * np.outer(np.arange(n_antennas), np.cos(x))), weights
+    x, weights = _one_ring_rule(n_antennas, [aod])
+    return np.exp(-1j * math.pi * np.outer(np.arange(n_antennas), np.cos(x[0]))), weights
+
+
+def sample_complex_gaussian(rng, n):
+    """Draw n i.i.d. circularly symmetric complex normal values.
+
+    Zero mean, unit variance: real and imaginary parts each carry
+    variance 1/2.
+    """
+    if n < 1:
+        raise DimensionMismatch(f"need n >= 1, got {n}")
+    return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
 
 
 def kl_sample_channel(factorizations, rng):
@@ -333,6 +343,31 @@ def dense_blocks(bd):
         for weight, vec in zip(bd.weights[b, j], bd.vectors):
             blocks[b, j] += weight * np.outer(vec, vec.conj())
     return blocks.reshape(-1, bd.block_dim, bd.block_dim)
+
+
+def principal_gap(forms, results, tau):
+    """How far each returned point of a solve is from its pencil's principal eigenvector.
+
+    ``results`` holds one SolveResult per element of ``forms``. At element
+    b's returned unit point w, with the ``kkt_matrices`` pencil (A, B) and
+    ``rho = Re(w^H A w) / Re(w^H B w)``, gap b is the largest
+    ``lambda_max(A_j, B_j) / rho - 1`` over the blocks j the element uses
+    (block 0 only where the common stream is on). Each dense block pair is
+    reduced by the Cholesky factor L of B_j to ``L^-1 A_j L^-H``, as LAPACK's
+    generalized Hermitian eigensolver does. A gap is about 0 where w is the
+    principal eigenvector of every block it uses.
+    """
+    w = np.stack([solved_stack(forms, result) for result in results])
+    pencil_a, pencil_b = kkt_matrices(forms, w, tau)
+    rho = ((w.conj() * pencil_a.matvec(w)).sum(axis=1).real
+           / (w.conj() * pencil_b.matvec(w)).sum(axis=1).real)
+    shape = (forms.batch, forms.n_users + 1, forms.n_antennas, forms.n_antennas)
+    blocks_a, blocks_b = dense_blocks(pencil_a).reshape(shape), dense_blocks(pencil_b).reshape(shape)
+    factor = np.linalg.cholesky(blocks_b)
+    half = np.linalg.solve(factor, blocks_a)
+    lam = np.linalg.eigvalsh(np.linalg.solve(factor, half.conj().swapaxes(-1, -2)))[..., -1]
+    lam[~forms.include_common, 0] = -np.inf
+    return lam.max(axis=1) / rho - 1.0
 
 
 def solve_one(bd, v):

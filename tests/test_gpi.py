@@ -661,9 +661,7 @@ class TestInitAndExtract:
             assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_channel_rejected(self):
-        from rsma_sim import ZeroChannel
-
-        with pytest.raises(ZeroChannel):
+        with pytest.raises(ZeroPrecoder):
             init_precoder(build_forms(np.zeros((3, 2)), ideal_profile(3, 2), 1.0))
 
     def test_extract_is_identity_for_perfect_quantization(self):

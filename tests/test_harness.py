@@ -440,6 +440,17 @@ class TestRunExperiment:
         assert len(records) == 140
         assert [r.note for r in records if r.note] == []
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+    def test_ideal_converters_at_160_db_give_finite_cells(self):
+        # with ideal converters, zero forcing cancels the private interference to exactly 0
+        # once the noise 1/snr is below the roundoff of the received total: QZF and QRZF
+        # records get sum_se = inf after a divide-by-zero warning (finite at 150 dB)
+        spec = load_spec(json.dumps({"N": 4, "K": 2, "snr_db": [160], "dac_bits": "inf",
+                                     "adc_bits": "inf", "trials": 3}))
+        cells = [(r.snr_db, r.sum_se, r.common_rate, r.residual, *r.private_rates,
+                  *r.per_antenna_power) for r in run_experiment(spec)]
+        assert np.isfinite(cells).all()
+
     def test_singular_snr_point_leaves_batch_mates_alone(self, tmp_path):
         # without converter distortion the 150 dB pencils are singular to
         # working precision: those records fail at iteration 0 inside the

@@ -11,13 +11,14 @@ from rsma_sim import (
     SingularMatrix,
     trial_rng,
 )
-from rsma_sim.linalg import BlockDiag, blockdiag_solve, sample_complex_gaussian
+from rsma_sim.linalg import BlockDiag, blockdiag_solve
 
 from oracles import (
     cholesky_pivot_rule,
     dense_blocks,
     hermitian_solve,
     principal_gep_oracle,
+    sample_complex_gaussian,
     seeded_rng,
     solve_one,
     to_dense,

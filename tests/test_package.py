@@ -1,5 +1,6 @@
 """Package-level guards."""
 
+import ast
 import importlib.util
 import inspect
 import os
@@ -28,14 +29,34 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_bench_layer_functions_exist():
-    # bench/tracing.py times package functions by name; a deleted or renamed
-    # one would otherwise show up only as zero calls in a traced run.
+def _bench_tracing():
     path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    assert tracing.missing_layers() == []
+    return tracing
+
+
+def test_bench_layer_functions_exist():
+    # bench/tracing.py times package functions by name; a deleted or renamed
+    # one would otherwise show up only as zero calls in a traced run.
+    assert _bench_tracing().missing_layers() == []
+
+
+def test_every_package_definition_has_a_package_caller():
+    # A module-level function or class that no package code names is API without
+    # a caller: it belongs in tests/oracles.py if only tests need it. Imports do not
+    # count as a use. The benchmark's layers and the console entry are named from
+    # outside the package.
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(rsma_sim.__file__).resolve().parent.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    external = {layer.split(".")[-1] for layer in _bench_tracing().LAYER_FUNCTIONS} | {"main"}
+    assert sorted(defined - used - external) == []
 
 
 def test_readme_library_example_runs(capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from rsma_sim import (
     DimensionMismatch,
-    InvalidResolution,
     QuantizerProfile,
+    ValidationError,
     baseline_precoder,
     build_forms,
     rate_report,
@@ -58,7 +58,7 @@ class TestBetaOfBits:
                              ids=["0", "-3", "2.5", "True", "unprintable_int", "unprintable_list"])
     def test_invalid_resolution(self, bad):
         # a value too long to print gets the typed error too, not a ValueError
-        with pytest.raises(InvalidResolution):
+        with pytest.raises(ValidationError):
             beta_of_bits(bad)
 
 
