@@ -21,8 +21,11 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, shown
+from .errors import DimensionMismatch, integer, shown
 
+# Largest antenna count, and the harness's bound on N and K. At N = 2048 the rule has q = 1,756
+# nodes, and leggauss(1756) runs once per process: about 0.5 s on one core (0.85 s for 2048)
+MAX_SIZE = 2048
 # Half-width of every user's scatter ring around its angle of departure.
 ANGULAR_SPREAD = math.pi / 6
 # Largest error of any covariance entry that the node count q(N) admits.
@@ -49,12 +52,12 @@ def one_ring_covariance(n_antennas, aod):
     Raises
     ------
     DimensionMismatch
-        If ``n_antennas`` is not an integer >= 1 (a bool is not) or
-        ``aod`` lies outside [0, pi).
+        If ``n_antennas`` is not an integer in 1..MAX_SIZE (a bool is not)
+        or ``aod`` lies outside [0, pi).
     """
     x, weights = _one_ring_rule(n_antennas, [aod])
     angle = -2.0 * math.pi * (np.cos(x[0])[:, None] * (0.5 * np.arange(n_antennas)))
-    values = np.einsum("q,qd->d", weights, _plane_waves(angle))
+    values = np.einsum("q,qd->d", weights, np.exp(1j * angle))
     lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
     lower = values[np.abs(lag)]
     cov = np.where(lag >= 0, lower, lower.conj())
@@ -94,10 +97,7 @@ def sample_channel(n_antennas, aods, rng):
 
 def _one_ring_rule(n_antennas, aods):
     """Nodes ``x`` (K, q) of the q(N)-node rule on each user's ring, and its weights (q,)."""
-    if isinstance(n_antennas, bool) or not isinstance(n_antennas, (int, np.integer)):
-        raise DimensionMismatch(f"n_antennas must be an integer, got {shown(n_antennas)}")
-    if n_antennas < 1:
-        raise DimensionMismatch(f"n_antennas must be >= 1, got {shown(n_antennas)}")
+    integer(n_antennas, "n_antennas", most=MAX_SIZE, error=DimensionMismatch)
     for aod in aods:
         if not 0.0 <= aod < math.pi:
             raise DimensionMismatch(f"aod must lie in [0, pi), got {shown(aod)}")
@@ -133,7 +133,7 @@ def _node_count(n_antennas):
 def _split_tables(n_antennas, x):
     """Tables ``inner`` (split,) + x.shape and ``outer`` (ceil(N / split),) + x.shape at nodes x."""
     split = math.isqrt(n_antennas - 1) + 1
-    z = _plane_waves(-math.pi * np.cos(x))
+    z = np.exp(1j * (-math.pi * np.cos(x)))
     inner = _powers(z, split)
     return inner, _powers(inner[-1] * z, -(-n_antennas // split))
 
@@ -150,15 +150,6 @@ def _powers(base, count):
         np.multiply(table[:grow], table[filled - 1] * base, out=table[filled:filled + grow])
         filled += grow
     return table
-
-
-def _plane_waves(angle):
-    """``exp(j*angle)`` for a real array of angles."""
-    # cos and sin written in place equal np.exp(1j * angle) value for value
-    waves = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=waves.real)
-    np.sin(angle, out=waves.imag)
-    return waves
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and how their messages show a rejected value."""
+"""Exception types, how an error message shows a rejected value, and the package's integer check."""
+
+import math
+
+import numpy as np
 
 # Most characters of a rejected value that an error message echoes.
 _SHOWN_CHARS = 60
@@ -55,9 +59,19 @@ class ZeroPrecoder(RsmaSimError):
 
 
 class ValidationError(RsmaSimError):
-    """An experiment config, solver setting, resolution or results file breaks a rule of its schema.
+    """A config, solver setting, resolution, seed or results file breaks a rule of its schema.
 
     A wrong type and a bad value are the same error, from a JSON document or a
     direct call alike: invalid JSON, a repeated key, a field of the wrong kind
     or out of range, or a results file whose header or cells do not parse.
     """
+
+
+def integer(value, name, least=1, most=math.inf, error=ValidationError):
+    """value if it is an integer in least..most, a numpy one too but not a bool; else error."""
+    # a tuple, not numbers.Integral: the ABC check costs more on the per-trial path
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not least <= value <= most):
+        bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise error(f"{name} must be an integer {bounds}, got {shown(value)}")
+    return value

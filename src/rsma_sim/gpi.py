@@ -22,7 +22,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroPrecoder, shown
+from .errors import DimensionMismatch, ValidationError, ZeroPrecoder, integer, shown
 from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -52,9 +52,7 @@ class SolverOptions:
                     <= sys.float_info.max):
                 raise ValidationError(f"solver {name!r} must be a positive and finite number, "
                                       f"got {shown(value)}")
-        if isinstance(self.t_max, bool) or not isinstance(self.t_max, Integral) or self.t_max < 1:
-            raise ValidationError(f"solver 't_max' must be an integer >= 1, "
-                                  f"got {shown(self.t_max)}")
+        integer(self.t_max, "solver 't_max'")
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,13 @@ import re
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from .baselines import BASELINE_KINDS, baseline_precoder
-from .channel import CHANNEL_MODES, draw_aods, sample_channel
-from .errors import DimensionMismatch, RsmaSimError, ValidationError, shown
+from .channel import CHANNEL_MODES, MAX_SIZE, draw_aods, sample_channel
+from .errors import DimensionMismatch, RsmaSimError, ValidationError, integer, shown
 from .gpi import SolveResult, SolverOptions, build_forms, gpi_solve, init_precoder
 from .linalg import trial_rng
 from .quantization import QuantizerProfile
@@ -41,9 +41,6 @@ _ALLOWED_KEYS = {
 }
 _UNIFORM_RE = re.compile(r"^uniform-random\s+(\d+)\.\.(\d+)$")
 _MIXED_PART_RE = re.compile(r"^(\d+)@(\d+)$")
-# Largest N and K. At N = 2048 the one-ring rule has q(2048) = 1,756 nodes, and
-# leggauss(1756) runs once per process: about 0.5 s on one core (0.85 s for 2048 nodes)
-MAX_SIZE = 2048
 # Trials per pool.map call, which queues every trial it is handed before any result returns
 _POOL_WINDOW = 1024
 
@@ -65,12 +62,12 @@ class ExperimentSpec:
 
     def __post_init__(self):
         # checked here, not in load_spec, so a spec made by dataclasses.replace obeys them too
-        _positive_int(self.n_antennas, "N", MAX_SIZE)
-        _positive_int(self.n_users, "K", MAX_SIZE)
+        integer(self.n_antennas, "field 'N'", most=MAX_SIZE)
+        integer(self.n_users, "field 'K'", most=MAX_SIZE)
         _check_bits(self.dac_bits, "dac_bits", "N", self.n_antennas)
         _check_bits(self.adc_bits, "adc_bits", "K", self.n_users)
-        _positive_int(self.trials, "trials")
-        _positive_int(self.base_seed, "base_seed", least=0)
+        integer(self.trials, "field 'trials'")
+        integer(self.base_seed, "field 'base_seed'", least=0)
         if not isinstance(self.solver, SolverOptions):
             raise ValidationError(f"solver must be a SolverOptions, got {shown(self.solver)}")
         for name in ("snr_db", "algorithms"):
@@ -128,14 +125,6 @@ class TrialRecord:
     note: str = ""
 
 
-def _positive_int(raw, field, most=math.inf, least=1):
-    """raw if it is an integer in least..most, a numpy one too but not a bool or a float."""
-    if isinstance(raw, bool) or not isinstance(raw, Integral) or not least <= raw <= most:
-        bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
-        raise ValidationError(f"field {field!r} must be an integer {bounds}, got {shown(raw)}")
-    return raw
-
-
 def _check_bits(bits, field, key, count):
     """Raise unless a bank's bits are count positive ints or inf, or a range of positive int64s."""
     if isinstance(bits, range):
@@ -151,7 +140,7 @@ def _check_bits(bits, field, key, count):
     else:
         for b in bits:
             if not isinstance(b, float) or b != math.inf:
-                _positive_int(b, field)
+                integer(b, f"field {field!r}")
 
 
 def _draw_bits(bits, count, rng):
@@ -186,8 +175,7 @@ def _parse_bit_spec(raw, count, field):
             if not m:
                 raise ValidationError(f"field {field!r}: cannot parse mixed part "
                                       f"{shown(part.strip())}")
-            parts.append((_grammar_int(m.group(1), field),
-                          _positive_int(_grammar_int(m.group(2), field), field)))
+            parts.append((_grammar_int(m.group(1), field), _grammar_int(m.group(2), field)))
         # checked before the tuple is built, so a count with hundreds of digits allocates nothing
         total = sum(n for n, _ in parts)
         if total != count:
@@ -232,8 +220,8 @@ def load_spec(document):
             raise ValidationError(f"missing required config key {key!r}")
 
     # N and K size the converter banks below; ExperimentSpec checks the rest
-    n_antennas = _positive_int(data["N"], "N", MAX_SIZE)
-    n_users = _positive_int(data["K"], "K", MAX_SIZE)
+    n_antennas = integer(data["N"], "field 'N'", most=MAX_SIZE)
+    n_users = integer(data["K"], "field 'K'", most=MAX_SIZE)
     solver_raw = data.get("solver", {})
     if not isinstance(solver_raw, dict):
         raise ValidationError("solver must be a JSON object")
@@ -315,7 +303,7 @@ def run_experiment(spec, workers=1):
     (converged False, zeroed metrics); it never aborts the sweep.
     Up to ``workers`` trials, but no more than there are trials or CPUs, run in parallel.
     """
-    workers = min(_positive_int(workers, "workers"), spec.trials, os.cpu_count() or 1)
+    workers = min(integer(workers, "field 'workers'"), spec.trials, os.cpu_count() or 1)
     if workers == 1:
         batches = [_run_trial(spec, t) for t in range(spec.trials)]
     else:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, SingularMatrix, integer
 
 # Relative tolerance of the singularity check. The iteration matrices are
 # positive definite but approach singularity at extreme SNR, so a block
@@ -145,7 +145,9 @@ def trial_rng(base_seed, trial_index):
     """Independent per-trial stream keyed on (base_seed, trial_index).
 
     Streams do not overlap and do not depend on the order in which trials
-    execute, which keeps parallel Monte Carlo runs deterministic.
+    execute, which keeps parallel Monte Carlo runs deterministic. Both keys
+    are integers >= 0, numpy ones too but not bools; else ValidationError.
     """
-    ss = np.random.SeedSequence(base_seed, spawn_key=(trial_index,))
+    ss = np.random.SeedSequence(integer(base_seed, "base_seed", least=0),
+                                spawn_key=(integer(trial_index, "trial_index", least=0),))
     return np.random.Generator(np.random.Philox(ss))

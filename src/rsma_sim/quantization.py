@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, shown
+from .errors import DimensionMismatch, integer
 
 # Distortion of the minimum-MSE scalar quantizer of a unit-variance Gaussian,
 # 1 through 5 bits. Above 5 bits the closed-form high-resolution
@@ -29,10 +29,7 @@ def beta_of_bits(bits):
     """
     if bits == math.inf:
         return 0.0
-    if not isinstance(bits, (int, np.integer)) or isinstance(bits, bool):
-        raise ValidationError(f"resolution must be a positive integer or inf, got {shown(bits)}")
-    if bits <= 0:
-        raise ValidationError(f"resolution must be positive, got {shown(bits)}")
+    integer(bits, "resolution")
     if bits <= 5:
         return BETA_TABLE[int(bits)]
     return math.ldexp(math.pi * math.sqrt(3.0) / 2.0, -2 * int(bits))

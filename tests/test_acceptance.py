@@ -422,9 +422,11 @@ def test_no_qgpirs_point_below_qgpisem(base_seed):
 
 @pytest.mark.parametrize("config, base_seed", [
     (FIG2_CONFIG, 70),
+    # one of 1,400 converged points stops early: gap 0.138 at trial 93, 10 dB, QGPIRS
+    pytest.param(FIG2_CONFIG, 73, marks=EARLY_STOP),
     pytest.param(CRITERION_9_CONFIG, 90, marks=EARLY_STOP),
     pytest.param(CRITERION_9_CONFIG, 123, marks=EARLY_STOP),
-], ids=["fig2-70", "criterion_9-90", "criterion_9-123"])
+], ids=["fig2-70", "fig2-73", "criterion_9-90", "criterion_9-123"])
 def test_criterion_11_principal_eigenvector_certificate(config, base_seed, monkeypatch):
     with criterion(11, "each converged GPI point is its pencil's principal eigenvector"):
         spec = replace(load_spec(config.read_text()), base_seed=base_seed)

@@ -110,6 +110,9 @@ class TestOneRingCovariance:
                 # an integer too long to print still gets a short message
                 with pytest.raises(DimensionMismatch, match="too long to print|must"):
                     one_ring(n, aod)
+            # q(2049) nodes are cheap, but far above MAX_SIZE leggauss's eigenproblem is not
+            with pytest.raises(DimensionMismatch, match=r"in 1\.\.2048"):
+                one_ring(2049, 1.0)
         for n in (np.int64(4), np.int32(4)):
             np.testing.assert_array_equal(one_ring_covariance(n, 1.0), one_ring_covariance(4, 1.0))
 

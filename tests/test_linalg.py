@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rsma_sim import (
     DimensionMismatch,
     SingularMatrix,
+    ValidationError,
     trial_rng,
 )
 from rsma_sim.linalg import BlockDiag, blockdiag_solve
@@ -350,3 +351,14 @@ class TestSampling:
         a = sample_complex_gaussian(trial_rng(42, 0), 4)
         b = sample_complex_gaussian(trial_rng(42, 1), 4)
         assert not np.allclose(a, b)
+
+    @pytest.mark.parametrize("keys", [(-1, 0), (0, -1), (1.5, 0), (True, 0), ("7", 0)],
+                             ids=["negative-seed", "negative-trial", "float", "bool", "text"])
+    def test_trial_stream_keys_rejected(self, keys):
+        with pytest.raises(ValidationError, match="must be an integer >= 0"):
+            trial_rng(*keys)
+
+    def test_trial_stream_numpy_keys(self):
+        draws = sample_complex_gaussian(trial_rng(42, 3), 4)
+        np.testing.assert_array_equal(
+            sample_complex_gaussian(trial_rng(np.int64(42), np.uint8(3)), 4), draws)
