@@ -1,11 +1,15 @@
-"""Exception types, how an error message shows a rejected value, and the package's integer check."""
+"""Exception types, how an error message shows a rejected value, and the package's number checks."""
 
 import math
+import sys
+from numbers import Real
 
 import numpy as np
 
 # Most characters of a rejected value that an error message echoes.
 _SHOWN_CHARS = 60
+# real()'s bounds for a positive finite float, which its message calls by that name
+POSITIVE = (math.ulp(0.0), sys.float_info.max)
 
 
 def shown(value):
@@ -27,7 +31,9 @@ class RsmaSimError(Exception):
 
 
 class DimensionMismatch(RsmaSimError):
-    """Array shapes are inconsistent, or a channel is empty or has a non-finite entry."""
+    """Shapes disagree, or a model input is outside its domain: an empty or non-finite channel
+    or pencil, a complex BlockDiag, an AoD outside [0, pi), N outside 1..MAX_SIZE, an unknown
+    channel mode or baseline kind, or lse_min given no values or a tau that is not positive."""
 
 
 class SingularMatrix(RsmaSimError):
@@ -75,3 +81,14 @@ def integer(value, name, least=1, most=math.inf, error=ValidationError):
         bounds = f">= {least}" if most == math.inf else f"in {least}..{most}"
         raise error(f"{name} must be an integer {bounds}, got {shown(value)}")
     return value
+
+
+def real(value, name, least, most):
+    """float(value) if it is a real number in least..most, a numpy one too but not a bool."""
+    # compared exactly as a Python number: a numpy scalar would cast the bound to its own type
+    number = value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, bool) or not isinstance(value, Real) or not least <= number <= most:
+        kind = ("positive and finite number" if (least, most) == POSITIVE
+                else f"number in {least:g}..{most:g}")
+        raise ValidationError(f"{name} must be a {kind}, got {shown(value)}")
+    return float(number)

@@ -16,13 +16,11 @@ The quantization-aware SDMA variant switches the common stream off per
 element (``include_common``), so one batch mixes RSMA and SDMA points.
 """
 
-import sys
 from dataclasses import dataclass, replace
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, ZeroPrecoder, integer, shown
+from .errors import POSITIVE, DimensionMismatch, ZeroPrecoder, integer, real
 from .linalg import BlockDiag, blockdiag_solve
 from .rates import interference, lse_min, quadratic_terms, softmin_weights
 
@@ -44,14 +42,7 @@ class SolverOptions:
 
     def __post_init__(self):
         for name in ("tau", "epsilon"):
-            # compared as a Python number, since a numpy scalar would cast the bound to its
-            # own type; false for NaN, infinity and ints too large for a float
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Real)
-                    or not 0 < (int(value) if isinstance(value, Integral) else float(value))
-                    <= sys.float_info.max):
-                raise ValidationError(f"solver {name!r} must be a positive and finite number, "
-                                      f"got {shown(value)}")
+            real(getattr(self, name), f"solver {name!r}", *POSITIVE)
         integer(self.t_max, "solver 't_max'")
 
 

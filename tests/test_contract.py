@@ -1,19 +1,23 @@
 """Generative input contract: outside input is accepted or raises ValidationError, nothing else.
 
 Config documents are built from the config grammar, valid or not, and results
-files are arbitrary bytes or corrupted copies of a real one. Examples are
-derandomized and few, so the module runs in tier-1 in a second or two; raise
+files are arbitrary bytes or corrupted copies of a real one. A config that
+loads runs to finite cells, its failures named in typed notes. Examples are
+derandomized and few, so the module runs in tier-1 in a few seconds; raise
 ``max_examples`` to search further offline.
 """
 
 import json
+import math
+import warnings
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rsma_sim import TrialRecord, ValidationError, load_spec, read_csv, write_csv
+from rsma_sim import (RsmaSimError, TrialRecord, ValidationError, load_spec, read_csv,
+                      run_experiment, write_csv)
 from rsma_sim.channel import CHANNEL_MODES
-from rsma_sim.harness import ALGORITHMS, ExperimentSpec
+from rsma_sim.harness import ALGORITHMS, SNR_DB_RANGE, ExperimentSpec
 
 CONTRACT = settings(max_examples=200, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -46,8 +50,10 @@ VALID_BANK = st.one_of(st.integers(1, 8), st.just("inf"),
 FIELDS = {
     "N": (st.integers(1, 6), SCALARS),
     "K": (st.integers(1, 4), SCALARS),
-    "snr_db": (st.lists(st.one_of(st.integers(-30, 60), st.floats(-30.0, 60.0)), min_size=1,
-                        max_size=4, unique=True),
+    # the range's bounds, values between them and values just past them
+    "snr_db": (st.lists(st.one_of(st.integers(-101, 101), st.floats(-100.5, 100.5),
+                                  st.sampled_from([-100.0, 100.0, -100.001, 100.001])),
+                        min_size=1, max_size=4, unique=True),
                st.one_of(SCALARS, st.lists(st.one_of(st.integers(-30, 60), SCALARS), max_size=4))),
     "dac_bits": (VALID_BANK, JUNK_BANK),
     "adc_bits": (VALID_BANK, JUNK_BANK),
@@ -139,3 +145,58 @@ def test_any_results_bytes_read_or_raise_validation_error(data, tmp_path):
     except ValidationError:
         return
     assert all(isinstance(r, TrialRecord) for r in records)
+
+
+LOW_DB, HIGH_DB = SNR_DB_RANGE
+PACKAGE_ERRORS = {cls.__name__ for cls in RsmaSimError.__subclasses__()}
+
+
+@st.composite
+def bank(draw, count):
+    """A bank of count converters: one resolution, a list, a mixed spec or a uniform range."""
+    bits = st.one_of(st.integers(1, 40), st.just("inf"))
+    kind = draw(st.sampled_from(["one", "list", "mixed", "uniform"]))
+    if kind == "one":
+        return draw(bits)
+    if kind == "list":
+        return draw(st.lists(bits, min_size=count, max_size=count))
+    if kind == "mixed":
+        split = draw(st.integers(0, count))
+        low, high = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        return _mixed([(split, low), (count - split, high)])
+    low = draw(st.integers(1, 40))
+    return f"uniform-random {low}..{draw(st.integers(low, 40))}"
+
+
+@st.composite
+def small_runs(draw):
+    """JSON text of a valid config with N * K <= 64 and one trial."""
+    n_antennas = draw(st.integers(1, 64))
+    n_users = draw(st.integers(1, 64 // n_antennas))
+    snr_db = st.one_of(st.floats(LOW_DB, HIGH_DB), st.integers(int(LOW_DB), int(HIGH_DB)),
+                       st.sampled_from(SNR_DB_RANGE))
+    return json.dumps({
+        "N": n_antennas, "K": n_users,
+        "snr_db": draw(st.lists(snr_db, min_size=1, max_size=4, unique=True)),
+        "dac_bits": draw(bank(n_antennas)), "adc_bits": draw(bank(n_users)),
+        "channel_mode": draw(st.sampled_from(CHANNEL_MODES)), "trials": 1,
+        "base_seed": draw(st.integers(0, 2**32)),
+        "algorithms": draw(st.lists(st.sampled_from(ALGORITHMS), min_size=1, unique=True)),
+        "solver": draw(FIELDS["solver"][0]),
+    })
+
+
+@settings(CONTRACT, max_examples=100)
+@given(small_runs())
+def test_any_small_loaded_config_runs_to_finite_cells(document):
+    spec = load_spec(document)
+    with warnings.catch_warnings():
+        # an overflow, a divide-by-zero or an invalid value anywhere in the run fails it
+        warnings.simplefilter("error")
+        records = run_experiment(spec)
+    assert len(records) == len(spec.snr_db) * len(spec.algorithms)
+    for r in records:
+        cells = (r.snr_db, r.sum_se, r.common_rate, r.residual, *r.private_rates,
+                 *r.per_antenna_power)
+        assert all(math.isfinite(c) for c in cells), r
+        assert not r.note or r.note.split(":")[0] in PACKAGE_ERRORS, r.note

@@ -243,13 +243,21 @@ class TestLoadSpec:
     @pytest.mark.parametrize("bad", [1e308, -4000, -1e308, 10**400],
                              ids=["1e308", "-4000", "-1e308", "401-digit-int"])
     def test_snr_power_outside_float_range_rejected(self, bad):
-        # 10^(snr/10) overflows, underflows to zero, or cannot be computed
+        # 10^(snr/10) would overflow, underflow to zero, or could not be computed
         with pytest.raises(ValidationError, match="snr_db entry"):
             load_spec(make_doc(snr_db=[10, bad]))
 
-    def test_tiny_snr_with_finite_loading_loads(self):
-        # K * 10^300 is still a finite RZF loading
-        assert load_spec(make_doc(snr_db=[-3000])).snr_db == (-3000.0,)
+    def test_tiny_snr_rejected(self):
+        # K * 10^300 is a finite Q-RZF loading, but -3000 dB is outside SNR_DB_RANGE
+        with pytest.raises(ValidationError,
+                           match=r"snr_db entry must be a number in -100\.\.100, got -3000"):
+            load_spec(make_doc(snr_db=[-3000]))
+
+    def test_snr_range_is_inclusive(self):
+        assert load_spec(make_doc(snr_db=[-100, 0, 100.0])).snr_db == (-100.0, 0.0, 100.0)
+        for bad in (-100.001, np.nextafter(100.0, 101.0)):
+            with pytest.raises(ValidationError, match="snr_db entry"):
+                load_spec(make_doc(snr_db=[bad]))
 
 
 class TestExperimentSpec:
@@ -260,7 +268,7 @@ class TestExperimentSpec:
         ({"snr_db": (math.nan,)}, ValidationError, "snr_db entry"),
         ({"snr_db": (10, 10**400)}, ValidationError, "snr_db entry"),
         ({"snr_db": (np.float64(1e308),)}, ValidationError, "snr_db entry"),
-        ({"snr_db": ("10",)}, ValidationError, "snr_db entries"),
+        ({"snr_db": ("10",)}, ValidationError, "snr_db entry must be a number"),
         ({"algorithms": ()}, ValidationError, "algorithms must be a nonempty"),
         ({"algorithms": ("QZF", "WMMSE")}, ValidationError, "unknown algorithm"),
         ({"algorithms": ("QZF", "QMRT", "QZF")}, ValidationError, "algorithms repeats"),
@@ -352,9 +360,11 @@ class TestRunExperiment:
         keys = [(r.trial_index, r.snr_db, r.algorithm) for r in records]
         assert keys == sorted(keys)
 
-    def test_rzf_at_tiny_snr_runs(self):
+    def test_rzf_at_tiny_snr_runs(self, monkeypatch):
         # a 2e300 loading leaves direction entries near 1e-301, whose squares
-        # underflow; the column norms must still come out positive
+        # underflow; the column norms must still come out positive. -3000 dB
+        # is below SNR_DB_RANGE, so the test widens it
+        monkeypatch.setattr(rsma_sim.harness, "SNR_DB_RANGE", (-3000.0, 100.0))
         (record,) = run_experiment(small_spec(snr_db=[-3000], algorithms=["QRZF"]))
         assert record.note == ""
         assert math.isfinite(record.sum_se)
@@ -440,22 +450,22 @@ class TestRunExperiment:
         assert len(records) == 140
         assert [r.note for r in records if r.note] == []
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
-    def test_ideal_converters_at_160_db_give_finite_cells(self):
+    def test_ideal_converters_at_160_db_rejected(self):
         # with ideal converters, zero forcing cancels the private interference to exactly 0
         # once the noise 1/snr is below the roundoff of the received total: QZF and QRZF
-        # records get sum_se = inf after a divide-by-zero warning (finite at 150 dB)
-        spec = load_spec(json.dumps({"N": 4, "K": 2, "snr_db": [160], "dac_bits": "inf",
-                                     "adc_bits": "inf", "trials": 3}))
-        cells = [(r.snr_db, r.sum_se, r.common_rate, r.residual, *r.private_rates,
-                  *r.per_antenna_power) for r in run_experiment(spec)]
-        assert np.isfinite(cells).all()
+        # records would get sum_se = inf after a divide-by-zero warning, so the config is
+        # refused before any trial runs
+        with pytest.raises(ValidationError, match=r"snr_db entry must be a number in -100\.\.100"):
+            load_spec(json.dumps({"N": 4, "K": 2, "snr_db": [160], "dac_bits": "inf",
+                                  "adc_bits": "inf", "trials": 3}))
 
-    def test_singular_snr_point_leaves_batch_mates_alone(self, tmp_path):
+    def test_singular_snr_point_leaves_batch_mates_alone(self, tmp_path, monkeypatch):
         # without converter distortion the 150 dB pencils are singular to
         # working precision: those records fail at iteration 0 inside the
         # same batched solves whose 20 dB points converge as they do alone;
-        # the notes and the file's bytes are pinned to this seed's channels
+        # the notes and the file's bytes are pinned to this seed's channels.
+        # 150 dB is above SNR_DB_RANGE, so the test widens it
+        monkeypatch.setattr(rsma_sim.harness, "SNR_DB_RANGE", (-100.0, 150.0))
         spec = load_spec(json.dumps({
             "N": 4, "K": 2, "dac_bits": "inf", "adc_bits": "inf", "snr_db": [20, 150],
             "algorithms": ["QGPIRS", "QGPISEM"], "trials": 3, "solver": {"tau": 0.3},
@@ -845,7 +855,8 @@ class TestCli:
 
     @pytest.mark.parametrize("snr_db", [-3080, -3200])
     def test_snr_with_infinite_loading_is_config_error(self, tmp_path, capsys, snr_db):
-        # K / snr overflows although the power 10^(snr_db/10) is positive
+        # K / snr would overflow although the power 10^(snr_db/10) is positive; both
+        # entries are far below SNR_DB_RANGE
         config = self._write_config(tmp_path, snr_db=[snr_db])
         out = tmp_path / "never.csv"
         assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 1
