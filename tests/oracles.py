@@ -48,7 +48,9 @@ def stack_precoder(f_matrix, profile):
     """Stack a precoder into the gain-weighted vector the solver iterates on.
 
     Column j maps to block j via ``w_j = sqrt(Phi_a) f_j``; no
-    normalization is applied.
+    normalization is applied, and an SDMA precoder's zero common column
+    gives a zero block 0. ``profile`` may be a solve's forms, so a solve's
+    precoder stacks back to the unit vector it returned.
     """
     f_matrix = np.asarray(f_matrix, dtype=complex)
     if f_matrix.shape[0] != profile.n_antennas:
@@ -61,16 +63,6 @@ def extract_precoder(w, profile):
     """Invert ``stack_precoder``: F from a stacked vector, with power ``||w||^2``."""
     rows = np.asarray(w, dtype=complex).reshape(-1, profile.n_antennas)
     return rows.T / np.sqrt(profile.dac_alpha)[:, None]
-
-
-def solved_stack(forms, result):
-    """The unit stacked vector a solve returned, rebuilt from its precoder.
-
-    Block j is ``sqrt(Phi_a) f_j``; an SDMA precoder's zero common column
-    gives a zero block 0.
-    """
-    weighted = np.sqrt(forms.dac_alpha)[:, None] * result.precoder
-    return weighted.T.reshape(-1).copy()
 
 
 def effective_channel(profile, channel):
@@ -102,17 +94,11 @@ def random_profile(rng, n_antennas, n_users, pool=BIT_POOL):
 
 
 def random_channel(rng, n_antennas, n_users):
-    return (
-        rng.standard_normal((n_antennas, n_users))
-        + 1j * rng.standard_normal((n_antennas, n_users))
-    ) / np.sqrt(2.0)
+    return sample_complex_gaussian(rng, n_antennas * n_users).reshape(n_antennas, n_users)
 
 
 def random_precoder(rng, profile, n_antennas, n_users, normalized=True):
-    f = (
-        rng.standard_normal((n_antennas, n_users + 1))
-        + 1j * rng.standard_normal((n_antennas, n_users + 1))
-    ) / np.sqrt(2.0)
+    f = sample_complex_gaussian(rng, n_antennas * (n_users + 1)).reshape(n_antennas, n_users + 1)
     if normalized:
         f = f / np.sqrt(check_power(f, profile))
     return f
@@ -357,7 +343,7 @@ def principal_gap(forms, results, tau):
     generalized Hermitian eigensolver does. A gap is about 0 where w is the
     principal eigenvector of every block it uses.
     """
-    w = np.stack([solved_stack(forms, result) for result in results])
+    w = np.stack([stack_precoder(result.precoder, forms) for result in results])
     pencil_a, pencil_b = kkt_matrices(forms, w, tau)
     rho = ((w.conj() * pencil_a.matvec(w)).sum(axis=1).real
            / (w.conj() * pencil_b.matvec(w)).sum(axis=1).real)
@@ -532,34 +518,47 @@ def rotated_onto(v, w):
     return v if overlap == 0 else v * (np.conj(overlap) / abs(overlap))
 
 
-def _scalar_iteration(pencils, options, w):
+def scalar_iteration(image, options, w):
     """The generalized power iteration of one operating point, as a scalar loop.
 
-    ``pencils(w)`` gives the pencil pair at the unbatched unit vector w.
-    The loop stops, steps and switches to the half step by the package's
-    rules: each step is rotated onto its iterate, and the cycle test takes
-    each distance at its best global phase. Returns ``(w, iterations,
-    residual)`` or raises the block solve's fault.
+    The one GPI reference loop of the tests. ``image(w)`` is
+    ``B(w)^-1 A(w) w`` at the unbatched unit vector w. The loop stops,
+    steps and switches to the half step by the package's rules: each step
+    is rotated onto its iterate, and the cycle test takes each distance at
+    its best global phase. Returns ``(w, iterations, residual)`` or raises
+    what ``image`` raises.
     """
-
-    def image_and_residual(w):
-        pencil_a, pencil_b = pencils(w)
-        image = solve_one(pencil_b, pencil_a.matvec(w))
-        return image, float(np.linalg.norm(image - np.vdot(w, image) * w) / np.linalg.norm(image))
-
     w_prev = w
     damped = False
     for iterations in range(options.t_max + 1):
-        image, residual = image_and_residual(w)
+        x = image(w)
+        residual = float(np.linalg.norm(x - np.vdot(w, x) * w) / np.linalg.norm(x))
         if residual <= options.epsilon or iterations == options.t_max:
             break
-        step = rotated_onto(image / np.linalg.norm(image), w)
+        step = rotated_onto(x / np.linalg.norm(x), w)
         damped = damped or (np.linalg.norm(rotated_onto(step, w_prev) - w_prev)
                             < 0.5 * np.linalg.norm(step - w))
         if damped:
             step = (w + step) / np.linalg.norm(w + step)
         w_prev, w = w, step
     return w, iterations, residual
+
+
+def frozen_power_iteration(pencil_a, pencil_b, v, tol, max_steps):
+    """Plain generalized power iteration on a frozen pencil pair from the unit vector v.
+
+    Each step ``B^-1 A v`` is normalized and rotated onto its iterate; the
+    loop stops after the first step that moves less than ``tol``, or after
+    ``max_steps`` steps, and returns the last step.
+    """
+    for _ in range(max_steps):
+        step = solve_one(pencil_b, pencil_a.matvec(v))
+        step = rotated_onto(step / np.linalg.norm(step), v)
+        settled = np.linalg.norm(step - v) < tol
+        v = step
+        if settled:
+            break
+    return v
 
 
 def scalar_gpi_solve(forms, options, w0):
@@ -576,8 +575,12 @@ def scalar_gpi_solve(forms, options, w0):
     norm0 = np.linalg.norm(w0)
     if norm0 == 0:
         raise ZeroPrecoder("starting stacked precoder is zero")
-    w, iterations, residual = _scalar_iteration(
-        lambda w: kkt_matrices(forms, w, options.tau), options, w0 / norm0)
+
+    def image(w):
+        pencil_a, pencil_b = kkt_matrices(forms, w, options.tau)
+        return solve_one(pencil_b, pencil_a.matvec(w))
+
+    w, iterations, residual = scalar_iteration(image, options, w0 / norm0)
     return SolveResult(
         precoder=_to_full_precoder(forms, w),
         iterations=iterations,
@@ -620,9 +623,12 @@ def sdma_gpi_solve(forms, options):
     common block through the RSMA pencil. Returns a SolveResult whose
     precoder has a zero common column.
     """
+    def image(w):
+        pencil_a, pencil_b = sdma_pencils(forms, w)
+        return solve_one(pencil_b, pencil_a.matvec(w))
+
     w = forms.weighted_channels.reshape(-1)
-    w, iterations, residual = _scalar_iteration(
-        lambda w: sdma_pencils(forms, w), options, w / np.linalg.norm(w))
+    w, iterations, residual = scalar_iteration(image, options, w / np.linalg.norm(w))
     rows = np.vstack([np.zeros(forms.n_antennas), w.reshape(forms.n_users, forms.n_antennas)])
     return SolveResult(
         precoder=rows.T / np.sqrt(forms.dac_alpha)[:, None],

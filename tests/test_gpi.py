@@ -38,17 +38,16 @@ from oracles import (
     dense_kkt,
     element_quadratics,
     extract_precoder,
+    frozen_power_iteration,
     hermitian_solve,
     ideal_profile,
     kl_sample_channel,
     principal_gep_oracle,
     random_channel,
     random_profile,
-    rotated_onto,
     scalar_gpi_solve,
     sdma_gpi_solve,
     solve_one,
-    solved_stack,
     stack_precoder,
     stream_rates,
     to_dense,
@@ -302,7 +301,7 @@ class TestKktMatrices:
             opts = SolverOptions(tau=1.0)
             w0 = init_precoder(forms)
             [result] = gpi_solve(forms, opts, w0)
-            for w in (w0, solved_stack(forms, result)):
+            for w in (w0, stack_precoder(result.precoder, forms)):
                 pencil_a, pencil_b = kkt_matrices(forms, w, opts.tau)
                 [rhs] = pencil_a.matvec(w)
                 dense = to_dense(pencil_b)
@@ -327,7 +326,7 @@ class TestKktMatrices:
         forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
         w0 = init_precoder(forms)
         stepped = gpi_solve(forms, SolverOptions(tau=1.0, t_max=3), w0)
-        starts = (w0, np.array([solved_stack(forms, r) for r in stepped]))
+        starts = (w0, np.array([stack_precoder(r.precoder, forms) for r in stepped]))
         for w in starts:
             pencil_a, pencil_b = kkt_matrices(forms, w, 1.0)
             rhs = pencil_a.matvec(w)
@@ -372,7 +371,7 @@ class TestGpiSolve:
         opts = SolverOptions(tau=0.3, epsilon=0.01, t_max=500)
         [result] = gpi_solve(forms, opts, w0)
         assert result.converged
-        w = solved_stack(forms, result)
+        w = stack_precoder(result.precoder, forms)
         assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
         assert result.residual <= opts.epsilon
         # the returned point is at least as good as the start
@@ -388,14 +387,8 @@ class TestGpiSolve:
         forms = build_forms(h, profile, 100.0)
         w = random_unit_stack(rng, forms.dim)
         pencil_a, pencil_b = kkt_matrices(forms, w, 0.3)
-        v = random_unit_stack(rng, forms.dim)
-        for _ in range(20000):
-            nxt = solve_one(pencil_b, pencil_a.matvec(v))
-            nxt = rotated_onto(nxt / np.linalg.norm(nxt), v)
-            if np.linalg.norm(nxt - v) < 1e-14:
-                v = nxt
-                break
-            v = nxt
+        v = frozen_power_iteration(pencil_a, pencil_b, random_unit_stack(rng, forms.dim),
+                                   1e-14, 20_000)
         _, oracle_vec = principal_gep_oracle(to_dense(pencil_a), to_dense(pencil_b))
         assert vector_angle(v, oracle_vec) < 1e-6
 
@@ -408,7 +401,7 @@ class TestGpiSolve:
                 forms = build_forms(h, profile, power, include_common)
                 w0 = init_precoder(forms)
                 [result] = gpi_solve(forms, SolverOptions(tau=1.0), w0)
-                w = solved_stack(forms, result)
+                w = stack_precoder(result.precoder, forms)
                 assert objective(forms, w, 1.0) >= objective(forms, w0, 1.0) - 1e-9
 
     def test_cycling_mixed_dac_trial_converges(self):
@@ -466,7 +459,7 @@ class TestGpiSolve:
         [result] = gpi_solve(forms, SolverOptions(t_max=1), w0)
         assert result.iterations == 1
         np.testing.assert_allclose(
-            solved_stack(forms, result), image / np.linalg.norm(image), rtol=0, atol=1e-15)
+            stack_precoder(result.precoder, forms), image / np.linalg.norm(image), rtol=0, atol=1e-15)
 
     def test_start_of_other_mode_rejected(self):
         # an RSMA start has a common block that SDMA forms must not carry, and
@@ -546,8 +539,8 @@ def assert_batch_matches_scalar_oracle(h, profile, snr_db, include_common, opts)
         want = scalar_gpi_solve(single, opts, init_precoder(single))
         assert got.iterations == want.iterations
         assert got.converged == want.converged
-        np.testing.assert_allclose(
-            solved_stack(forms, got), solved_stack(single, want), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stack_precoder(got.precoder, forms),
+                                   stack_precoder(want.precoder, single), rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.residual, want.residual, rtol=1e-9)
         np.testing.assert_allclose(got.precoder, want.precoder, rtol=0, atol=1e-12)
     return results
@@ -631,8 +624,8 @@ class TestBatchedSolve:
             single = build_forms(h, profile, snr)
             want = scalar_gpi_solve(single, SolverOptions(tau=1.0), start)
             assert got.iterations == want.iterations
-            np.testing.assert_allclose(
-                solved_stack(forms, got), solved_stack(single, want), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stack_precoder(got.precoder, forms),
+                                       stack_precoder(want.precoder, single), rtol=0, atol=1e-12)
 
 
 class TestInitAndExtract:
@@ -741,7 +734,7 @@ class TestGpiSemSolve:
         result = sdma_solve(h, profile, 100.0, SolverOptions())
         np.testing.assert_array_equal(result.precoder[:, 0], np.zeros(4))
         # the private blocks alone carry the whole unit-norm iterate
-        w = solved_stack(build_forms(h, profile, 100.0, include_common=False), result)
+        w = stack_precoder(result.precoder, build_forms(h, profile, 100.0, include_common=False))
         np.testing.assert_array_equal(w[:4], np.zeros(4))
         assert np.linalg.norm(w[4:]) == pytest.approx(1.0, abs=1e-12)
 
@@ -797,6 +790,6 @@ class TestNepResidual:
             h, profile = correlated_instance(seed)
             forms = build_forms(h, profile, 10.0 ** 3.0, include_common)
             [result] = gpi_solve(forms, SolverOptions(tau=1.0), init_precoder(forms))
-            assert nep_residual(forms, solved_stack(forms, result), 1.0) == pytest.approx(
+            assert nep_residual(forms, stack_precoder(result.precoder, forms), 1.0) == pytest.approx(
                 result.residual, rel=1e-9
             )

@@ -59,6 +59,25 @@ def test_every_package_definition_has_a_package_caller():
     assert sorted(defined - used - external) == []
 
 
+def test_every_oracle_has_a_caller():
+    # A reference computation that no test module and no other oracle names is
+    # left over from a consolidation: it checks nothing and should be deleted.
+    # Imports do not count as a use.
+    def names(tree):
+        return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    tests = Path(__file__).resolve().parent
+    used = set().union(*(names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in tests.glob("test_*.py")))
+    oracles = ast.parse((tests / "oracles.py").read_text(encoding="utf-8")).body
+    inner = [names(node) for node in oracles]
+    uncalled = [node.name for i, node in enumerate(oracles)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name not in used.union(*inner[:i], *inner[i + 1:])]
+    assert uncalled == []
+
+
 def test_readme_library_example_runs(capsys):
     # The README's library example is run as written, so a renamed or
     # re-signatured entry point fails here rather than in a reader's hands.
