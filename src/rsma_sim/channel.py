@@ -11,8 +11,7 @@ forms the (N, q) steering matrix or evaluates all N phases of a node. With
 z = exp(-j*pi*cos(x)) at a node x and split = ceil(sqrt(N)), the phase of
 lag r + split*m is z^r * (z^split)^m: one plane wave per node fills the
 tables of z^r (r < split) and z^(split*m) by products, each within
-``16*N*pi*eps`` of the directly evaluated phase.
-:func:`one_ring_covariance` sums exact phases; :func:`sample_channel`
+``16*N*pi*eps`` of the directly evaluated phase. :func:`sample_channel`
 draws all users of a channel through the tables at once.
 """
 
@@ -30,40 +29,10 @@ MAX_SIZE = 2048
 ANGULAR_SPREAD = math.pi / 6
 # Largest error of any covariance entry that the node count q(N) admits.
 QUADRATURE_TOL = 1e-10
-# Eigenvalues below this fraction of the largest are treated as numerical
-# rank deficiency and truncated.
-RANK_TOL = 1e-10
 # Users x nodes x antennas of one batch of sample_channel: one batch for all
 # users at N = K = 2048 (q = 1,756) would hold gigabytes of tables.
 _BATCH_ENTRIES = 2**20
 CHANNEL_MODES = ("random_aod", "correlated_aod")
-
-
-def one_ring_covariance(n_antennas, aod):
-    """Spatial covariance of the one-ring model at a half-wavelength ULA.
-
-    Entry (n, m) averages ``exp(-j*2*pi * cos(x) * (n - m) / 2)`` over the
-    ring ``x in [aod - ANGULAR_SPREAD, aod + ANGULAR_SPREAD]``. It depends
-    only on the lag n - m, and lag -d is the conjugate of lag d, so the
-    q(N)-node rule of :func:`_node_count` is summed once per lag 0, 1, ..., N - 1,
-    over phases evaluated directly, not built as products, and the matrix
-    is filled as a Hermitian Toeplitz matrix.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``n_antennas`` is not an integer in 1..MAX_SIZE (a bool is not)
-        or ``aod`` lies outside [0, pi).
-    """
-    x, weights = _one_ring_rule(n_antennas, [aod])
-    angle = -2.0 * math.pi * (np.cos(x[0])[:, None] * (0.5 * np.arange(n_antennas)))
-    values = np.einsum("q,qd->d", weights, np.exp(1j * angle))
-    lag = np.subtract.outer(np.arange(n_antennas), np.arange(n_antennas))
-    lower = values[np.abs(lag)]
-    cov = np.where(lag >= 0, lower, lower.conj())
-    # zero displacement makes the integrand identically one
-    np.fill_diagonal(cov, 1.0)
-    return cov
 
 
 def sample_channel(n_antennas, aods, rng):
@@ -77,8 +46,14 @@ def sample_channel(n_antennas, aods, rng):
     as K draws of q values would. With the split tables ``inner`` of z^r and
     ``outer`` of z^(split*m), the columns are ``((outer * c) @ inner.T)``
     cut to N entries, one batched product over the users, so each user's
-    covariance is :func:`one_ring_covariance` up to roundoff. Returns the
-    (N, K) complex channel matrix; raises as :func:`one_ring_covariance` does.
+    covariance is the rule's ``sum_q weights[q] a(x_q) a(x_q)^H`` up to
+    roundoff. Returns the (N, K) complex channel matrix.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``n_antennas`` is not an integer in 1..MAX_SIZE (a bool is not)
+        or an AoD lies outside [0, pi).
     """
     x, weights = _one_ring_rule(n_antennas, aods)
     n_users, n_nodes = x.shape
@@ -163,20 +138,6 @@ def _gauss_legendre(n_nodes):
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
-
-
-def kl_factorize(cov):
-    """Truncated eigenfactorization ``cov ~= U diag(lam) U^H``.
-
-    Returns orthonormal eigenvectors U (N x r) and the r eigenvalues above
-    ``RANK_TOL`` times the largest, sorted descending. Kept only for the
-    benchmark's channel layers and the tests.
-    """
-    cov = np.asarray(cov, dtype=complex)
-    vals, vecs = np.linalg.eigh(cov)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
-    keep = vals > RANK_TOL * max(vals[0], 0.0)
-    return np.ascontiguousarray(vecs[:, keep]), vals[keep].copy()
 
 
 def draw_aods(rng, n_users, channel_mode):

@@ -32,8 +32,8 @@ class RsmaSimError(Exception):
 
 class DimensionMismatch(RsmaSimError):
     """Shapes disagree, or a model input is outside its domain: an empty or non-finite channel
-    or pencil, a complex BlockDiag, an AoD outside [0, pi), N outside 1..MAX_SIZE, an unknown
-    channel mode or baseline kind, or lse_min given no values or a tau that is not positive."""
+    or pencil, a complex BlockDiag, an AoD outside [0, pi), N outside 1..MAX_SIZE, or an unknown
+    channel mode or baseline kind."""
 
 
 class SingularMatrix(RsmaSimError):

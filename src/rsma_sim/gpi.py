@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import POSITIVE, DimensionMismatch, ZeroPrecoder, integer, real
 from .linalg import BlockDiag, blockdiag_solve
-from .rates import interference, lse_min, quadratic_terms, softmin_weights
+from .rates import interference, quadratic_terms, softmin_weights
 
 
 @dataclass(frozen=True)
@@ -129,18 +129,6 @@ def _quadratics(forms, w):
     return totals, common, private
 
 
-def objective(forms, w, tau):
-    """Smoothed sum spectral efficiency at w (bits/s/Hz), one per element.
-
-    RSMA: smoothed minimum of the per-user common rates plus the private
-    rates; SDMA: private rates only (tau unused). Invariant to scaling
-    of w.
-    """
-    totals, common, private = _quadratics(forms, w)
-    common_rate = np.where(forms.include_common, lse_min(np.log2(totals / common), tau), 0.0)
-    return common_rate + np.log2(common / private).sum(axis=1)
-
-
 def kkt_matrices(forms, w, tau):
     """Block-diagonal pencil of the first-order optimality condition at w.
 
@@ -207,19 +195,6 @@ def _row_norms(v):
 
 def _unit(v):
     return v / _row_norms(v)[..., None]
-
-
-def nep_residual(forms, w, tau):
-    """Relative residual of the eigenvector equation ``B(w)^-1 A(w) w ~ w``.
-
-    One per element; raises the first block-solve fault. Invariant to the
-    scale and phase of w; it vanishes exactly at stationary points of the
-    smoothed objective.
-    """
-    *_, residual, faults = _image_and_residual(forms, _unit(_stacked(forms, w)), tau)
-    for fault in filter(None, faults):
-        raise fault
-    return residual
 
 
 def gpi_solve(forms, options, w0):

@@ -324,13 +324,13 @@ def _header(plan, widths):
 
 
 def _format(kind, value):
-    """One cell: floats with 9 significant digits, text without commas or newlines."""
+    """One cell: floats with 9 significant digits, text without commas or line breaks."""
     if kind is bool:
         return "true" if value else "false"
     if kind is int:
         return str(value)
     if kind is str:
-        return value.replace(",", ";").replace("\n", " ")
+        return value.replace(",", ";").replace("\n", " ").replace("\r", " ")
     return format(float(value), ".9g")
 
 

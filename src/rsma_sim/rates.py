@@ -112,27 +112,12 @@ def check_power(f_matrix, profile):
     return float(profile.dac_alpha @ row_power)
 
 
-def lse_min(values, tau):
-    """Smoothed minimum ``-tau * ln(sum_i exp(-x_i / tau))``.
-
-    Lies in [min - tau*ln(len(values)), min] and tightens as tau -> 0.
-    Computed in min-shifted form so small tau cannot underflow; reduces
-    the last axis.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.size == 0:
-        raise DimensionMismatch("lse_min needs a nonempty list")
-    if not tau > 0:
-        raise DimensionMismatch(f"tau must be positive, got {tau}")
-    low = values.min(axis=-1)
-    return low - tau * np.log(np.sum(np.exp(-(values - np.expand_dims(low, -1)) / tau), axis=-1))
-
-
 def softmin_weights(values, tau):
     """Weights ``exp(-x_k/tau) / sum_l exp(-x_l/tau)``, min-shifted.
 
-    These are the gradient weights of :func:`lse_min`; the smallest entry
-    dominates as tau -> 0. Normalized along the last axis.
+    These are the gradient weights of the smoothed minimum
+    ``-tau * ln(sum_i exp(-x_i / tau))``; the smallest entry dominates as
+    tau -> 0. Normalized along the last axis.
     """
     values = np.asarray(values, dtype=float)
     shifted = np.exp(-(values - values.min(axis=-1, keepdims=True)) / tau)

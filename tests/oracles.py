@@ -24,6 +24,9 @@ from rsma_sim.linalg import PIVOT_RTOL, BlockDiag, blockdiag_solve
 from rsma_sim.rates import quadratic_terms, softmin_weights
 
 BIT_POOL = [1, 2, 3, 4, 5, 6, 7, 8, math.inf]
+# Eigenvalues below this fraction of the largest are treated as numerical
+# rank deficiency and truncated.
+RANK_TOL = 1e-10
 
 
 class OracleFailure(Exception):
@@ -85,6 +88,34 @@ def stream_rates(forms, w):
     """Common and private stream rates (bits/s/Hz) at w."""
     a_c, b_c, a_p, b_p = element_quadratics(forms, w)
     return np.log2(a_c / b_c), np.log2(a_p / b_p)
+
+
+def lse_min(values, tau):
+    """Smoothed minimum ``-tau * ln(sum_i exp(-x_i / tau))``.
+
+    Lies in [min - tau*ln(len(values)), min] and tightens as tau -> 0.
+    Computed in min-shifted form so small tau cannot underflow; reduces
+    the last axis.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise DimensionMismatch("lse_min needs a nonempty list")
+    if not tau > 0:
+        raise DimensionMismatch(f"tau must be positive, got {tau}")
+    low = values.min(axis=-1)
+    return low - tau * np.log(np.sum(np.exp(-(values - np.expand_dims(low, -1)) / tau), axis=-1))
+
+
+def objective(forms, w, tau):
+    """Smoothed sum spectral efficiency at w (bits/s/Hz), one per element.
+
+    RSMA: smoothed minimum of the per-user common rates plus the private
+    rates; SDMA: private rates only (tau unused). Invariant to scaling
+    of w.
+    """
+    totals, common, private = _quadratics(forms, w)
+    common_rate = np.where(forms.include_common, lse_min(np.log2(totals / common), tau), 0.0)
+    return common_rate + np.log2(common / private).sum(axis=1)
 
 
 def random_profile(rng, n_antennas, n_users, pool=BIT_POOL):
@@ -239,6 +270,19 @@ def steering_basis(n_antennas, aod):
     return np.exp(-1j * math.pi * np.outer(np.arange(n_antennas), np.cos(x[0]))), weights
 
 
+def kl_factorize(cov):
+    """Truncated eigenfactorization ``cov ~= U diag(lam) U^H``.
+
+    Returns orthonormal eigenvectors U (N x r) and the r eigenvalues above
+    ``RANK_TOL`` times the largest, sorted descending.
+    """
+    cov = np.asarray(cov, dtype=complex)
+    vals, vecs = np.linalg.eigh(cov)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    keep = vals > RANK_TOL * max(vals[0], 0.0)
+    return np.ascontiguousarray(vecs[:, keep]), vals[keep].copy()
+
+
 def sample_complex_gaussian(rng, n):
     """Draw n i.i.d. circularly symmetric complex normal values.
 
@@ -253,7 +297,7 @@ def sample_complex_gaussian(rng, n):
 def kl_sample_channel(factorizations, rng):
     """One (N, K) channel from per-user ``(basis, weights)`` pairs, dense.
 
-    Takes :func:`rsma_sim.channel.kl_factorize` pairs, or plane-wave ones
+    Takes :func:`kl_factorize` pairs, or plane-wave ones
     from :func:`plane_wave_basis` or :func:`steering_basis`; the basis need
     not be orthonormal. User
     k's column is ``basis_k @ (sqrt(w_k) * g_k)`` with a fresh standard
@@ -518,6 +562,11 @@ def rotated_onto(v, w):
     return v if overlap == 0 else v * (np.conj(overlap) / abs(overlap))
 
 
+def eigen_residual(w, x):
+    """Relative residual ``||x - (w^H x) w|| / ||x||`` of an image x of the unit vector w."""
+    return float(np.linalg.norm(x - np.vdot(w, x) * w) / np.linalg.norm(x))
+
+
 def scalar_iteration(image, options, w):
     """The generalized power iteration of one operating point, as a scalar loop.
 
@@ -532,7 +581,7 @@ def scalar_iteration(image, options, w):
     damped = False
     for iterations in range(options.t_max + 1):
         x = image(w)
-        residual = float(np.linalg.norm(x - np.vdot(w, x) * w) / np.linalg.norm(x))
+        residual = eigen_residual(w, x)
         if residual <= options.epsilon or iterations == options.t_max:
             break
         step = rotated_onto(x / np.linalg.norm(x), w)
@@ -561,6 +610,24 @@ def frozen_power_iteration(pencil_a, pencil_b, v, tol, max_steps):
     return v
 
 
+def kkt_image(forms, w, tau):
+    """``B(w)^-1 A(w) w`` of the ``kkt_matrices`` pencil, at the unbatched vector w
+    of a batch of one; raises the block solve's fault."""
+    pencil_a, pencil_b = kkt_matrices(forms, w, tau)
+    return solve_one(pencil_b, pencil_a.matvec(w))
+
+
+def nep_residual(forms, w, tau):
+    """Relative residual of the eigenvector equation ``B(w)^-1 A(w) w ~ w``, batch of one.
+
+    The residual :func:`scalar_iteration` stops on, taken at ``w / ||w||``:
+    invariant to the scale and phase of w, and zero exactly at stationary
+    points of :func:`objective`. Raises the block solve's fault.
+    """
+    w = np.asarray(w, dtype=complex) / np.linalg.norm(w)
+    return eigen_residual(w, kkt_image(forms, w, tau))
+
+
 def scalar_gpi_solve(forms, options, w0):
     """The generalized power iteration for one operating point, as a scalar loop.
 
@@ -576,11 +643,8 @@ def scalar_gpi_solve(forms, options, w0):
     if norm0 == 0:
         raise ZeroPrecoder("starting stacked precoder is zero")
 
-    def image(w):
-        pencil_a, pencil_b = kkt_matrices(forms, w, options.tau)
-        return solve_one(pencil_b, pencil_a.matvec(w))
-
-    w, iterations, residual = scalar_iteration(image, options, w0 / norm0)
+    w, iterations, residual = scalar_iteration(
+        lambda w: kkt_image(forms, w, options.tau), options, w0 / norm0)
     return SolveResult(
         precoder=_to_full_precoder(forms, w),
         iterations=iterations,

@@ -27,20 +27,23 @@ from rsma_sim import (
     summarize,
     trial_rng,
 )
-from rsma_sim.channel import draw_aods, kl_factorize, one_ring_covariance
-from rsma_sim.gpi import kkt_matrices, objective
-from rsma_sim.rates import lse_min
+from rsma_sim.channel import draw_aods
+from rsma_sim.gpi import kkt_matrices
 from oracles import (
     adc_noise_variance,
     dac_noise_covariance,
+    dense_one_ring,
     direct_sinr_common,
     direct_sinr_private,
     element_quadratics,
     extract_precoder,
     frozen_power_iteration,
     ideal_profile,
+    kl_factorize,
     kl_sample_channel,
     long_form_power,
+    lse_min,
+    objective,
     principal_gap,
     principal_gep_oracle,
     random_channel,
@@ -270,7 +273,7 @@ def test_criterion_6_degeneration():
         n, k_users = 4, 2
         profile = ideal_profile(n, k_users)
         rng = seeded_rng(606)
-        facs = [kl_factorize(one_ring_covariance(n, a)) for a in (0.9, 1.2)]
+        facs = [kl_factorize(dense_one_ring(n, a)) for a in (0.9, 1.2)]
         h = kl_sample_channel(facs, rng)
         f = random_precoder(rng, profile, n, k_users)
         power = 100.0
@@ -331,8 +334,8 @@ def test_criterion_8_correlation_effect():
                 rng = trial_rng(808, t)
                 center = rng.uniform(0.3, math.pi - 0.3 - delta)
                 facs = [
-                    kl_factorize(one_ring_covariance(n, center)),
-                    kl_factorize(one_ring_covariance(n, center + delta)),
+                    kl_factorize(dense_one_ring(n, center)),
+                    kl_factorize(dense_one_ring(n, center + delta)),
                 ]
                 h = kl_sample_channel(facs, rng)
                 forms = build_forms(h, profile, power)
@@ -422,7 +425,7 @@ def test_criterion_10_performance_envelope():
         n, k_users = 8, 4
         rng = trial_rng(1010, 0)
         aods = draw_aods(rng, k_users, "correlated_aod")
-        facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
+        facs = [kl_factorize(dense_one_ring(n, float(a))) for a in aods]
         h = kl_sample_channel(facs, rng)
         profile = QuantizerProfile([3, 3, 3, 3, 10, 10, 10, 10], [10] * k_users)
         power = 10.0 ** 4.0

@@ -19,13 +19,12 @@ from rsma_sim.channel import (
     _gauss_legendre,
     _node_count,
     draw_aods,
-    kl_factorize,
-    one_ring_covariance,
 )
 
 from oracles import (
     dense_one_ring,
     factorization_metadata,
+    kl_factorize,
     kl_sample_channel,
     plane_wave_basis,
     sample_complex_gaussian,
@@ -37,35 +36,23 @@ from oracles import (
 
 class TestOneRingCovariance:
     def test_unit_diagonal(self):
-        cov = one_ring_covariance(4, math.pi / 3)
+        cov = dense_one_ring(4, math.pi / 3)
         np.testing.assert_array_equal(np.diag(cov), np.ones(4))
 
     def test_matches_trapezoid_oracle(self):
-        cov = one_ring_covariance(4, math.pi / 3)
+        cov = dense_one_ring(4, math.pi / 3)
         oracle = trapezoid_one_ring(4, math.pi / 3)
         assert np.abs(cov - oracle).max() < 1e-8
 
-    def test_matches_dense_oracle_exactly(self):
-        random_aods = tuple(seeded_rng(12).uniform(0.0, math.pi, 3))
-        cases = [
-            (n, aod)
-            for n in (1, 2, 3, 4, 8, 16)
-            for aod in (0.0, 0.2, 1.1, 2.7) + random_aods
-        ]
-        # the dense oracle takes about 0.02 s a call at N=64 and 0.15 s at N=128
-        cases += [(64, 0.4), (64, random_aods[0]), (128, random_aods[1])]
-        for n, aod in cases:
-            np.testing.assert_array_equal(one_ring_covariance(n, aod), dense_one_ring(n, aod))
-
     def test_ula_is_hermitian_toeplitz(self):
-        cov = one_ring_covariance(8, 1.1)
+        cov = dense_one_ring(8, 1.1)
         np.testing.assert_array_equal(cov, cov.conj().T)
         for offset in range(-7, 8):
             band = np.diagonal(cov, offset)
             np.testing.assert_array_equal(band, np.full(band.shape, band[0]))
 
     def test_cached_nodes_read_only(self):
-        one_ring_covariance(4, 1.0)
+        sample_channel(4, [1.0], seeded_rng(0))
         nodes, weights = _gauss_legendre(_node_count(4))
         assert _gauss_legendre(_node_count(4))[0] is nodes
         for arr in (nodes, weights):
@@ -96,7 +83,7 @@ class TestOneRingCovariance:
 
     def test_hermitian_and_nearly_psd(self):
         for aod in (0.2, 1.1, 2.7):
-            cov = one_ring_covariance(6, aod)
+            cov = dense_one_ring(6, aod)
             assert np.abs(cov - cov.conj().T).max() < 1e-12
             assert np.linalg.eigvalsh(cov).min() >= -1e-9
 
@@ -104,27 +91,32 @@ class TestOneRingCovariance:
         def draw(n, aod):
             return sample_channel(n, [aod], seeded_rng(0))
 
-        for one_ring in (one_ring_covariance, draw):
-            for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0), (4.5, 1.0), (2.2, 1.0), (True, 1.0),
-                           (-10**5000, 1.0), (4, 10**5000)):
-                # an integer too long to print still gets a short message
-                with pytest.raises(DimensionMismatch, match="too long to print|must"):
-                    one_ring(n, aod)
-            # q(2049) nodes are cheap, but far above MAX_SIZE leggauss's eigenproblem is not
-            with pytest.raises(DimensionMismatch, match=r"in 1\.\.2048"):
-                one_ring(2049, 1.0)
+        for n, aod in ((4, -0.1), (4, math.pi), (0, 1.0), (4.5, 1.0), (2.2, 1.0), (True, 1.0),
+                       (-10**5000, 1.0), (4, 10**5000)):
+            # an integer too long to print still gets a short message
+            with pytest.raises(DimensionMismatch, match="too long to print|must"):
+                draw(n, aod)
+        # q(2049) nodes are cheap, but far above MAX_SIZE leggauss's eigenproblem is not
+        with pytest.raises(DimensionMismatch, match=r"in 1\.\.2048"):
+            draw(2049, 1.0)
         for n in (np.int64(4), np.int32(4)):
-            np.testing.assert_array_equal(one_ring_covariance(n, 1.0), one_ring_covariance(4, 1.0))
+            np.testing.assert_array_equal(draw(n, 1.0), draw(4, 1.0))
 
 
 class TestOneRingFactor:
     def test_reconstructs_covariance(self):
-        for n in (1, 2, 4, 8, 64, 128):
-            for aod in (0.0, 0.2, 1.1, 2.7):
-                basis, weights = plane_wave_basis(n, aod)
-                assert basis.shape == (n, len(weights))
-                rebuilt = (basis * weights) @ basis.conj().T
-                assert np.abs(rebuilt - one_ring_covariance(n, aod)).max() <= 1e-13
+        # the draw's tables give the dense covariance at every N and AoD; the
+        # dense oracle takes about 0.02 s a call at N=64 and 0.1 s at N=128
+        aods = (0.0, 0.2, 1.1, 2.7)
+        random_aods = tuple(seeded_rng(12).uniform(0.0, math.pi, 3))
+        cases = [(n, aod) for n in (1, 2, 3, 4, 8, 16) for aod in aods + random_aods]
+        cases += [(n, aod) for n in (64, 128) for aod in aods]
+        cases += [(64, 0.4), (64, random_aods[0]), (128, random_aods[1])]
+        for n, aod in cases:
+            basis, weights = plane_wave_basis(n, aod)
+            assert basis.shape == (n, len(weights))
+            rebuilt = (basis * weights) @ basis.conj().T
+            assert np.abs(rebuilt - dense_one_ring(n, aod)).max() <= 1e-13
 
     def test_basis_matches_direct_steering_vectors(self):
         random_aods = tuple(seeded_rng(13).uniform(0.0, math.pi, 2))
@@ -164,7 +156,7 @@ class TestKlFactorize:
         np.testing.assert_allclose((basis * eigvals) @ basis.conj().T, cov, atol=1e-8)
 
     def test_one_ring_rank_truncation(self):
-        cov = one_ring_covariance(8, 1.0)
+        cov = dense_one_ring(8, 1.0)
         basis, eigvals = kl_factorize(cov)
         assert len(eigvals) <= 8
         assert np.all(eigvals > 0)
@@ -175,7 +167,7 @@ class TestKlFactorize:
 
 
 def kl_one_ring(n, aod):
-    return kl_factorize(one_ring_covariance(n, aod))
+    return kl_factorize(dense_one_ring(n, aod))
 
 
 class TestSampleChannel:
@@ -267,7 +259,7 @@ class TestSampleChannel:
             g = sample_complex_gaussian(rng, trials * len(weights)).reshape(trials, -1)
             draws = (np.sqrt(weights) * g) @ basis.T  # (trials, N)
             got = draws.T @ draws.conj() / trials
-            want = one_ring_covariance(4, aod)
+            want = dense_one_ring(4, aod)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel < 0.02
 

@@ -10,6 +10,7 @@ derandomized and few, so the module runs in tier-1 in a few seconds; raise
 import json
 import math
 import warnings
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -145,6 +146,16 @@ def test_any_results_bytes_read_or_raise_validation_error(data, tmp_path):
     except ValidationError:
         return
     assert all(isinstance(r, TrialRecord) for r in records)
+
+
+@settings(CONTRACT, max_examples=100)
+@given(notes=st.lists(st.text(), min_size=1, max_size=3))
+def test_any_written_records_read_back(notes, tmp_path):
+    # a note's commas become semicolons and its line breaks spaces, and nothing else changes
+    path = tmp_path / "results.csv"
+    write_csv([replace(RECORD, note=note) for note in notes], path)
+    kept = [note.replace(",", ";").replace("\n", " ").replace("\r", " ") for note in notes]
+    assert read_csv(path) == [replace(RECORD, note=note) for note in kept]
 
 
 LOW_DB, HIGH_DB = SNR_DB_RANGE

@@ -28,20 +28,24 @@ from rsma_sim import (
     sample_channel,
     trial_rng,
 )
-from rsma_sim.channel import draw_aods, kl_factorize, one_ring_covariance
-from rsma_sim.gpi import kkt_matrices, nep_residual, objective
+from rsma_sim.channel import draw_aods
+from rsma_sim.gpi import kkt_matrices
 from rsma_sim.linalg import blockdiag_solve
 from rsma_sim.quantization import BETA_TABLE
 from oracles import (
     BIT_POOL,
     dense_blocks,
     dense_kkt,
+    dense_one_ring,
     element_quadratics,
     extract_precoder,
     frozen_power_iteration,
     hermitian_solve,
     ideal_profile,
+    kl_factorize,
     kl_sample_channel,
+    nep_residual,
+    objective,
     principal_gep_oracle,
     random_channel,
     random_profile,
@@ -63,7 +67,7 @@ def random_unit_stack(rng, dim):
 def correlated_instance(seed, n=4, k_users=2, dac=4, adc=6):
     rng = trial_rng(seed, 0)
     aods = draw_aods(rng, k_users, "correlated_aod")
-    facs = [kl_factorize(one_ring_covariance(n, float(a))) for a in aods]
+    facs = [kl_factorize(dense_one_ring(n, float(a))) for a in aods]
     h = kl_sample_channel(facs, rng)
     profile = QuantizerProfile([dac] * n, [adc] * k_users)
     return h, profile
@@ -320,7 +324,7 @@ class TestKktMatrices:
         rng = trial_rng(3, 0)
         dac_bits = [4] * n if n == 4 else [int(b) for b in rng.integers(2, 9, n)]
         aods = draw_aods(rng, k_users, "random_aod")
-        h = kl_sample_channel([kl_factorize(one_ring_covariance(n, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(dense_one_ring(n, float(a))) for a in aods], rng)
         profile = QuantizerProfile(dac_bits, [adc_bits] * k_users)
         snr_db = np.arange(-30.0, 91.0, 15.0)
         forms = build_forms(h, profile, 10.0 ** (snr_db / 10.0), include_common)
@@ -409,7 +413,7 @@ class TestGpiSolve:
         # 50 dB) cycles under the plain step; the damped step settles it
         rng = trial_rng(90, 0)
         aods = draw_aods(rng, 2, "correlated_aod")
-        h = kl_sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(dense_one_ring(4, float(a))) for a in aods], rng)
         forms = build_forms(h, QuantizerProfile([3, 3, 3, 8], [8, 8]), 10.0 ** 5.0)
         opts = SolverOptions(tau=1.0)
         [result] = gpi_solve(forms, opts, init_precoder(forms))
@@ -607,7 +611,7 @@ class TestBatchedSolve:
         # not, each element still takes its own scalar trajectory
         rng = trial_rng(90, 0)
         aods = draw_aods(rng, 2, "correlated_aod")
-        h = kl_sample_channel([kl_factorize(one_ring_covariance(4, float(a))) for a in aods], rng)
+        h = kl_sample_channel([kl_factorize(dense_one_ring(4, float(a))) for a in aods], rng)
         results = assert_batch_matches_scalar_oracle(
             h, QuantizerProfile([3, 3, 3, 8], [8, 8]), [50, 0, 30, 60], True,
             SolverOptions(tau=1.0),

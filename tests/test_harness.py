@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rsma_sim.channel
 import rsma_sim.gpi
 import rsma_sim.harness
 from rsma_sim import (
@@ -547,7 +546,6 @@ class TestRunExperiment:
         def refuse(*args, **kwargs):
             raise AssertionError("a trial called an eigendecomposition")
 
-        monkeypatch.setattr(rsma_sim.channel, "kl_factorize", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         spec = small_spec(N=8, K=3, algorithms=["QGPIRS", "QMRT"], snr_db=[0, 20], trials=2)
         records = run_experiment(spec)

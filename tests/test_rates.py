@@ -13,13 +13,14 @@ from rsma_sim import (
     check_power,
     rate_report,
 )
-from rsma_sim.rates import lse_min, softmin_weights
+from rsma_sim.rates import softmin_weights
 
 from oracles import (
     direct_sinr_common,
     direct_sinr_private,
     ideal_profile,
     long_form_power,
+    lse_min,
     random_channel,
     random_precoder,
     random_profile,
